@@ -29,17 +29,14 @@ from .exact import (
     dist_Y_exact,
     mean_X_exact,
     mean_Y_exact,
-    narayana,
     r_explicit,
     r_survival_column,
     root_protection_totals,
     s_explicit,
-    series_L,
     series_R0,
     series_R_ge_k_closed,
     series_R_ge_k_recurrence,
     series_S_ge_k,
-    series_T_bivariate,
     series_invsqrt,
     survival_X_exact,
     survival_Y_exact,
@@ -56,7 +53,7 @@ from .mellin import (
     second_moment_constant_from_G,
 )
 from .sampler import RNG_ALGORITHM, SampleStats, estimate_survival, make_rng, sample_tree
-from .series import BivariateSeries, TruncatedPowerSeries
+from .series import TruncatedPowerSeries
 from .trees import (
     DEFAULT_ORACLE_BOUND,
     OracleBoundError,
@@ -74,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticValue",
-    "BivariateSeries",
     "CONSTANT_NAMES",
     "ConstantEnclosure",
     "DEFAULT_ORACLE_BOUND",
@@ -109,7 +105,6 @@ __all__ = [
     "mean_X_exact",
     "mean_Y_exact",
     "mean_constant_from_F",
-    "narayana",
     "oracle_r",
     "oracle_s",
     "protection_number",
@@ -122,12 +117,10 @@ __all__ = [
     "s_explicit",
     "sample_tree",
     "second_moment_constant_from_G",
-    "series_L",
     "series_R0",
     "series_R_ge_k_closed",
     "series_R_ge_k_recurrence",
     "series_S_ge_k",
-    "series_T_bivariate",
     "series_invsqrt",
     "survival_X_exact",
     "survival_Y_exact",

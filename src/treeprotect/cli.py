@@ -93,12 +93,8 @@ def _cmd_oracle(args: argparse.Namespace) -> list[dict]:
 
 
 def _cmd_exact_dist(args: argparse.Namespace) -> list[dict]:
-    if args.statistic == "X":
-        table = dist_X_exact(args.n, method=args.method, oracle_bound=args.oracle_bound)
-    else:
-        if args.method == "explicit":
-            raise ValueError("method 'explicit' applies to statistic X only")
-        table = dist_Y_exact(args.n, method=args.method, oracle_bound=args.oracle_bound)
+    dist = dist_X_exact if args.statistic == "X" else dist_Y_exact
+    table = dist(args.n, method=args.method, oracle_bound=args.oracle_bound)
     rows = []
     for k in range(args.n):
         rows.append(
@@ -219,7 +215,6 @@ def _cmd_sample(args: argparse.Namespace) -> list[dict]:
 
 _PROVENANCE = {
     "oracle": "trees: exhaustive enumeration of plane trees",
-    "exact-dist": "exact: generating-function coefficients over exact rationals",
     "r-explicit": "exact: alternating binomial sum for k-protected trees",
     "limit-dist": "asymptotics: limit law with 1/n correction",
     "asym": "asymptotics: survival expansion leading + correction/n",
@@ -227,6 +222,14 @@ _PROVENANCE = {
     "mellin-check": "mellin: harmonic sums and functional equations",
     "sample": f"sampler: cycle-lemma uniform trees, {RNG_ALGORITHM}",
 }
+
+# exact-dist names the route that produced the table
+_EXACT_DIST_PROVENANCE = {
+    "oracle": _PROVENANCE["oracle"],
+    "series": "exact: substitution recurrence on truncated power series",
+    "explicit": "exact: alternating binomial sums over plain integers",
+}
+
 
 _HANDLERS = {
     "oracle": _cmd_oracle,
@@ -295,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact-dist", parents=[common], help="exact distribution at size n")
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("n", type=int)
-    p.add_argument("method", nargs="?", default="series", choices=("oracle", "series", "explicit"))
+    p.add_argument("method", nargs="?", default="explicit", choices=tuple(_EXACT_DIST_PROVENANCE))
     p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
     p.add_argument("--digits", type=int, default=30)
 
@@ -355,12 +358,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     elapsed = round(time.perf_counter() - start, 6)
 
     params = json.dumps(_parameters(args.command, args))
+    if args.command == "exact-dist":
+        provenance = _EXACT_DIST_PROVENANCE[args.method]
+    else:
+        provenance = _PROVENANCE[args.command]
     stamped = [
         {
             "command": args.command,
             "params": params,
             **row,
-            "provenance": _PROVENANCE[args.command],
+            "provenance": provenance,
             "elapsed_s": elapsed,
         }
         for row in rows

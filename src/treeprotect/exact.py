@@ -17,7 +17,9 @@ and has the closed form R_k = (1-z) * z^(k+1) * C(z)^3 / (1 + z^(k+1) * C(z)^3)
 where C(z) = R0(z)/z is the Catalan generating function.  Expanding the
 closed form geometrically and extracting coefficients of Catalan powers
 gives an explicit alternating binomial sum for r(n, k); the same expansion
-evaluated columnwise powers the fast large-n routines.
+evaluated columnwise powers the fast large-n routines.  These integer sums
+are the default engine of the distribution tables; the series recurrence
+and the brute-force oracle remain as independent cross-checks.
 
 Protected vertices reduce to protected roots by pointing: a vertex with
 protection >= k splits the tree into a k-protected subtree and a
@@ -34,21 +36,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Literal
 
-from .series import BivariateSeries, TruncatedPowerSeries
+from .series import TruncatedPowerSeries
 from .trees import DEFAULT_ORACLE_BOUND, oracle_r, oracle_s
 
 __all__ = [
     "binomial",
     "catalan",
     "central_binomials",
-    "narayana",
     "series_R0",
     "series_invsqrt",
-    "series_L",
     "series_R_ge_k_recurrence",
     "series_R_ge_k_closed",
     "series_S_ge_k",
-    "series_T_bivariate",
     "r_explicit",
     "catalan_power_coeffs",
     "r_survival_column",
@@ -98,17 +97,6 @@ def central_binomials(order: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def narayana(n: int, l: int) -> int:
-    """Number of n-vertex plane trees with exactly l leaves."""
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    if n == 1:
-        return 1 if l == 1 else 0
-    if not 1 <= l <= n - 1:
-        return 0
-    return math.comb(n - 1, l) * math.comb(n - 1, l - 1) // (n - 1)
-
-
 def series_R0(order: int) -> TruncatedPowerSeries:
     """All plane trees by vertex count: [z^n] = catalan(n-1), constant 0."""
     coeffs = [0] * (order + 1)
@@ -120,21 +108,6 @@ def series_R0(order: int) -> TruncatedPowerSeries:
 def series_invsqrt(order: int) -> TruncatedPowerSeries:
     """(1 - 4z)^(-1/2): [z^n] = C(2n, n)."""
     return TruncatedPowerSeries(central_binomials(order))
-
-
-def series_L(order: int) -> TruncatedPowerSeries:
-    """Leaf-pointed plane trees: L(z) = (z/2) * (1 + (1-4z)^(-1/2)).
-
-    [z^1] = 1 and [z^n] = C(2n-2, n-1)/2 for n >= 2; equals the series of
-    leaf counts summed over all n-vertex trees.
-    """
-    b = central_binomials(max(order - 1, 0))
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        coeffs[n] = Fraction(b[n - 1], 2)
-        if n == 1:
-            coeffs[n] += Fraction(1, 2)
-    return TruncatedPowerSeries(coeffs)
 
 
 def series_R_ge_k_recurrence(k: int, order: int) -> TruncatedPowerSeries:
@@ -170,23 +143,6 @@ def series_S_ge_k(k: int, order: int) -> TruncatedPowerSeries:
         raise ValueError("protection level must be nonnegative")
     R = series_R_ge_k_recurrence(k, order)
     return R * (1 + series_invsqrt(order)) * Fraction(1, 2)
-
-
-def series_T_bivariate(order: int) -> BivariateSeries:
-    """Plane trees with leaves marked by v: T = z*v + z*T/(1-T).
-
-    The coefficient of z^n v^l is narayana(n, l).  Fixed-point iteration
-    gains one z-order per pass, so `order` passes from 0 are exact to the
-    truncation order.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    T = BivariateSeries.zero(order)
-    zv = BivariateSeries.term(order, 1, 1)
-    one = BivariateSeries.term(order, 0, 0)
-    for _ in range(order):
-        T = zv + (T / (one - T)).shifted_z(1)
-    return T
 
 
 def r_explicit(n: int, k: int) -> int:
@@ -292,7 +248,8 @@ def s_explicit(n: int, k: int) -> int:
     beta = central_binomials(n)
     total = col[n] + sum(col[m] * beta[n - m] for m in range(1, n + 1))
     # R_k * (1 + invsqrt) has even coefficients because s is integral
-    assert total % 2 == 0, (n, k)
+    if total % 2:
+        raise ArithmeticError(f"odd pointed-vertex total at n={n}, k={k}")
     return total // 2
 
 
@@ -388,23 +345,24 @@ def _table_from_counts(n: int, ge_counts: list[int], denominator: int) -> Distri
     )
 
 
-XMethod = Literal["oracle", "series", "explicit"]
-YMethod = Literal["oracle", "series"]
+Method = Literal["oracle", "series", "explicit"]
 
 
 def _int_coeff(value: Fraction) -> int:
-    assert value.denominator == 1, value
+    if value.denominator != 1:
+        raise ArithmeticError(f"series coefficient {value} is not an integer")
     return value.numerator
 
 
 def dist_X_exact(
-    n: int, method: XMethod = "series", oracle_bound: int = DEFAULT_ORACLE_BOUND
+    n: int, method: Method = "explicit", oracle_bound: int = DEFAULT_ORACLE_BOUND
 ) -> DistributionTable:
     """Exact distribution of the root protection number at size n.
 
-    All methods produce identical tables; "oracle" enumerates every tree
-    (subject to the size bound), "series" walks the substitution
-    recurrence, "explicit" evaluates the alternating binomial sum.
+    All methods produce identical tables.  "explicit" (the default)
+    evaluates the alternating binomial sum on plain integers; "series"
+    walks the substitution recurrence and "oracle" enumerates every tree
+    (subject to the size bound), both kept as independent cross-checks.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
@@ -424,9 +382,14 @@ def dist_X_exact(
 
 
 def dist_Y_exact(
-    n: int, method: YMethod = "series", oracle_bound: int = DEFAULT_ORACLE_BOUND
+    n: int, method: Method = "explicit", oracle_bound: int = DEFAULT_ORACLE_BOUND
 ) -> DistributionTable:
-    """Exact distribution of the protection number of a uniform vertex."""
+    """Exact distribution of the protection number of a uniform vertex.
+
+    "explicit" (the default) convolves each survival column with the
+    central binomials on plain integers; "series" and "oracle" are the
+    cross-checks of dist_X_exact.
+    """
     if n < 1:
         raise ValueError("tree size must be positive")
     if method == "oracle":
@@ -438,6 +401,8 @@ def dist_Y_exact(
         for _ in range(n):
             counts.append(_int_coeff((R * half_factor)[n]))
             R = R.shifted(1) / (1 - R)
+    elif method == "explicit":
+        counts = [s_explicit(n, k) for k in range(n)]
     else:
         raise ValueError(f"unknown method {method!r}")
     return _table_from_counts(n, counts, n * catalan(n - 1))

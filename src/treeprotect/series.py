@@ -7,11 +7,6 @@ both inputs carry.  Division uses the standard coefficient recursion and
 insists on a divisor with constant term 1; every divisor in this package
 has that shape by construction, and anything else is a logic error worth
 surfacing.
-
-BivariateSeries is the two-variable analogue (z for size, v for a marked
-statistic), truncated at a common order in each variable.  It supports
-just enough arithmetic for fixed-point extraction of marked generating
-functions.
 """
 
 from __future__ import annotations
@@ -169,145 +164,3 @@ class TruncatedPowerSeries:
         tail = ", ..." if self.order >= 8 else ""
         return f"TruncatedPowerSeries([{head}{tail}], order={self.order})"
 
-
-def _conv_row(a: tuple[Fraction, ...], b: tuple[Fraction, ...], order: int) -> tuple[Fraction, ...]:
-    # polynomial product in v, truncated at v^order
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        top = min(order - i, len(b) - 1)
-        for jj in range(top + 1):
-            bj = b[jj]
-            if bj:
-                out[i + jj] += ai * bj
-    return tuple(out)
-
-
-def _add_rows(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-class BivariateSeries:
-    """Series in z and v truncated at a common order N in each variable.
-
-    rows[n][l] is the coefficient of z^n v^l, 0 <= n, l <= N.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        rs = tuple(tuple(_as_fraction(c) for c in row) for row in rows)
-        if not rs:
-            raise ValueError("a bivariate series needs at least its z^0 row")
-        width = len(rs[0])
-        if width != len(rs) or any(len(r) != width for r in rs):
-            raise ValueError("rows must form a square coefficient table")
-        self.rows = rs
-
-    @classmethod
-    def zero(cls, order: int) -> "BivariateSeries":
-        return cls([[0] * (order + 1) for _ in range(order + 1)])
-
-    @classmethod
-    def term(cls, order: int, z_power: int, v_power: int, coeff: Scalar = 1) -> "BivariateSeries":
-        if not (0 <= z_power <= order and 0 <= v_power <= order):
-            raise ValueError("monomial outside truncation order")
-        rows = [[Fraction(0)] * (order + 1) for _ in range(order + 1)]
-        rows[z_power][v_power] = _as_fraction(coeff)
-        return cls(rows)
-
-    @property
-    def order(self) -> int:
-        return len(self.rows) - 1
-
-    def coefficient(self, n: int, l: int) -> Fraction:
-        if not (0 <= n <= self.order and 0 <= l <= self.order):
-            raise IndexError("coefficient outside truncation order")
-        return self.rows[n][l]
-
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        if other.order != self.order:
-            raise ValueError("bivariate operands must share a truncation order")
-        return BivariateSeries(
-            tuple(_add_rows(a, b) for a, b in zip(self.rows, other.rows))
-        )
-
-    def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries(tuple(tuple(-c for c in row) for row in self.rows))
-
-    def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: object) -> "BivariateSeries":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return BivariateSeries(tuple(tuple(c * a for a in row) for row in self.rows))
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        if other.order != self.order:
-            raise ValueError("bivariate operands must share a truncation order")
-        n = self.order
-        zero_row = (Fraction(0),) * (n + 1)
-        out = [zero_row] * (n + 1)
-        for i, row_a in enumerate(self.rows):
-            if not any(row_a):
-                continue
-            for jj in range(n + 1 - i):
-                row_b = other.rows[jj]
-                if not any(row_b):
-                    continue
-                out[i + jj] = _add_rows(out[i + jj], _conv_row(row_a, row_b, n))
-        return BivariateSeries(out)
-
-    __rmul__ = __mul__
-
-    def shifted_z(self, j: int) -> "BivariateSeries":
-        """Multiply by z^j, keeping the truncation order."""
-        if j < 0:
-            raise ValueError("shift must be nonnegative")
-        n = self.order
-        if j > n:
-            return BivariateSeries.zero(n)
-        zero_row = (Fraction(0),) * (n + 1)
-        return BivariateSeries((zero_row,) * j + self.rows[: n + 1 - j])
-
-    def __truediv__(self, other: "BivariateSeries") -> "BivariateSeries":
-        """Divide by a series whose z^0 row is exactly 1 (no v terms)."""
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        if other.order != self.order:
-            raise ValueError("bivariate operands must share a truncation order")
-        n = self.order
-        head = other.rows[0]
-        if head[0] != 1 or any(head[1:]):
-            raise ValueError("bivariate division requires divisor z^0 row equal to 1")
-        q: list[tuple[Fraction, ...]] = []
-        for m in range(n + 1):
-            acc = self.rows[m]
-            for i in range(1, m + 1):
-                gi = other.rows[i]
-                if any(gi):
-                    prod = _conv_row(gi, q[m - i], n)
-                    acc = tuple(a - p for a, p in zip(acc, prod))
-            q.append(tuple(acc))
-        return BivariateSeries(q)
-
-    def eval_v_one(self) -> TruncatedPowerSeries:
-        """Set v = 1, collapsing to a univariate series in z."""
-        return TruncatedPowerSeries(tuple(sum(row) for row in self.rows))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"BivariateSeries(order={self.order})"

@@ -172,6 +172,34 @@ def test_bad_range_rejected():
         parser.parse_args(["oracle", "--n", "4:2:9"])
 
 
-def test_exact_dist_explicit_for_Y_is_usage_error(capsys):
-    code = main(["exact-dist", "Y", "5", "explicit"])
-    assert code == 2
+def _table_rows(capsys, argv):
+    code, out = _run(capsys, argv)
+    assert code == 0
+    rows = _jsonl(out)
+    values = [{k: v for k, v in r.items() if k not in ("params", "provenance", "elapsed_s")}
+              for r in rows]
+    return values, {r["provenance"] for r in rows}
+
+
+def test_exact_dist_explicit_for_Y_matches_oracle(capsys):
+    explicit, _ = _table_rows(capsys, ["exact-dist", "Y", "5", "explicit"])
+    oracle, _ = _table_rows(capsys, ["exact-dist", "Y", "5", "oracle"])
+    assert explicit == oracle
+    for statistic in ("X", "Y"):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact-dist", statistic, "5", "guess"])
+        assert exc.value.code == 2
+
+
+def test_exact_dist_provenance_names_the_route(capsys):
+    stamps = {}
+    for method in ("explicit", "series", "oracle"):
+        _, provenance = _table_rows(capsys, ["exact-dist", "X", "6", method])
+        assert len(provenance) == 1
+        stamps[method] = provenance.pop()
+    assert len(set(stamps.values())) == 3
+    assert "alternating binomial" in stamps["explicit"]
+    assert "recurrence" in stamps["series"]
+    assert "enumeration" in stamps["oracle"]
+    _, default = _table_rows(capsys, ["exact-dist", "Y", "6"])
+    assert default == {stamps["explicit"]}

@@ -7,7 +7,10 @@ agreement is exact (Fraction/int), never approximate.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treeprotect import exact
 from treeprotect.exact import (
     DistributionTable,
     binomial,
@@ -18,24 +21,20 @@ from treeprotect.exact import (
     dist_Y_exact,
     mean_X_exact,
     mean_Y_exact,
-    narayana,
     r_explicit,
     r_survival_column,
     root_protection_totals,
     s_explicit,
-    series_L,
     series_R0,
     series_invsqrt,
     series_R_ge_k_closed,
     series_R_ge_k_recurrence,
     series_S_ge_k,
-    series_T_bivariate,
     survival_X_exact,
     survival_Y_exact,
 )
 from treeprotect.trees import (
     enumerate_trees,
-    leaf_count,
     oracle_r,
     oracle_s,
 )
@@ -57,16 +56,6 @@ def test_catalan_values():
 
 def test_central_binomials_sequence():
     assert central_binomials(5) == (1, 2, 6, 20, 70, 252)
-
-
-def test_narayana_counts_trees_by_leaves():
-    for n in range(2, 9):
-        by_leaves = {}
-        for tree in enumerate_trees(n):
-            l = leaf_count(tree)
-            by_leaves[l] = by_leaves.get(l, 0) + 1
-        for l, count in by_leaves.items():
-            assert narayana(n, l) == count
 
 
 def test_series_R0_coefficients_are_catalans():
@@ -92,18 +81,6 @@ def test_series_invsqrt_squares_to_geometric():
     one = type(s).constant(1, order)
     z = type(s).z(order)
     assert (one - 4 * z) * s * s == one
-
-
-def test_series_L_counts_pointed_leaves():
-    # 2L == z * (1 + invsqrt); coefficient n is the leaf total over all
-    # n-vertex trees
-    order = 12
-    l = series_L(order)
-    z = type(l).z(order)
-    one = type(l).constant(1, order)
-    assert 2 * l == z * (one + series_invsqrt(order))
-    for n in range(1, 8):
-        assert l[n] == sum(leaf_count(t) for t in enumerate_trees(n))
 
 
 def test_recurrence_and_closed_series_agree():
@@ -150,18 +127,6 @@ def test_s_explicit_matches_oracle():
             assert s_explicit(n, k) == oracle_s(n, k)
 
 
-def test_bivariate_T_rows_are_narayana():
-    t = series_T_bivariate(9)
-    for n in range(2, 10):
-        for l in range(1, n):
-            assert t.coefficient(n, l) == narayana(n, l)
-    assert t.coefficient(1, 1) == 1
-
-
-def test_bivariate_T_collapses_to_R0():
-    assert series_T_bivariate(12).eval_v_one() == series_R0(12)
-
-
 def test_catalan_power_coeffs_match_series_power():
     r0 = series_R0(12)
     one = type(r0).constant(1, 12)
@@ -200,7 +165,8 @@ def test_dist_methods_agree():
         series_x = dist_X_exact(n, method="series")
         explicit_x = dist_X_exact(n, method="explicit")
         assert oracle_x == series_x == explicit_x
-        assert dist_Y_exact(n, method="oracle") == dist_Y_exact(n, method="series")
+        oracle_y = dist_Y_exact(n, method="oracle")
+        assert oracle_y == dist_Y_exact(n, method="series") == dist_Y_exact(n, method="explicit")
 
 
 def test_dist_X_exact_n4_table():
@@ -230,10 +196,38 @@ def test_distribution_table_accessors():
 
 
 def test_dist_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        dist_X_exact(4, method="guess")
-    with pytest.raises(ValueError):
-        dist_Y_exact(4, method="explicit")
+    assert dist_Y_exact(5, method="explicit") == dist_Y_exact(5, method="oracle")
+    for dist in (dist_X_exact, dist_Y_exact):
+        with pytest.raises(ValueError):
+            dist(4, method="guess")
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=1, max_value=12))
+def test_default_X_table_equals_oracle(n):
+    assert dist_X_exact(n) == dist_X_exact(n, method="oracle")
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=1, max_value=12))
+def test_default_Y_table_equals_oracle(n):
+    assert dist_Y_exact(n) == dist_Y_exact(n, method="oracle")
+
+
+def test_default_tables_equal_series_route_at_n40():
+    assert dist_X_exact(40) == dist_X_exact(40, method="series")
+    assert dist_Y_exact(40) == dist_Y_exact(40, method="series")
+
+
+def test_broken_invariants_raise_arithmetic_error(monkeypatch):
+    # ArithmeticError, not ValueError: the CLI maps ValueError to a usage error
+    with pytest.raises(ArithmeticError):
+        exact._int_coeff(Fraction(1, 2))
+    assert exact._int_coeff(Fraction(6, 3)) == 2
+    # wrong central binomials make the pointed-vertex total odd
+    monkeypatch.setattr(exact, "central_binomials", lambda order: (1,) * (order + 1))
+    with pytest.raises(ArithmeticError):
+        s_explicit(3, 1)
 
 
 def test_means_at_moderate_n_are_rational_and_bounded():

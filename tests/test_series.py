@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeprotect.series import BivariateSeries, TruncatedPowerSeries
+from treeprotect.series import TruncatedPowerSeries
 
 
 def test_constructor_and_getitem():
@@ -75,43 +75,3 @@ def test_pow_matches_repeated_product():
     assert base**4 == base * base * base * base
     assert base**0 == TruncatedPowerSeries.constant(1, 7)
 
-
-def test_bivariate_coefficient_and_algebra():
-    t = BivariateSeries.term(4, 1, 1)  # z*v
-    u = BivariateSeries.term(4, 2, 0, Fraction(3, 2))
-    s = t + u
-    assert s.coefficient(1, 1) == 1
-    assert s.coefficient(2, 0) == Fraction(3, 2)
-    assert s.coefficient(0, 0) == 0
-    assert (s - t) == u
-
-
-def test_bivariate_product_tracks_both_variables():
-    t = BivariateSeries.term(5, 1, 1)
-    p = t * t
-    assert p.coefficient(2, 2) == 1
-    assert p.coefficient(2, 1) == 0
-
-
-def test_bivariate_division_roundtrip():
-    order = 6
-    one = BivariateSeries.term(order, 0, 0)
-    zv = BivariateSeries.term(order, 1, 1)
-    q = zv / (one - zv)
-    assert (q * (one - zv)) == zv
-    # 1/(1-zv) expands with matched powers only
-    assert q.coefficient(3, 3) == 1
-    assert q.coefficient(3, 2) == 0
-
-
-def test_bivariate_shifted_z_clamps():
-    t = BivariateSeries.term(3, 1, 1)
-    assert t.shifted_z(2).coefficient(3, 1) == 1
-    assert t.shifted_z(7) == BivariateSeries.zero(3)
-
-
-def test_eval_v_one_collapses_rows():
-    t = BivariateSeries.term(4, 2, 0, 5) + BivariateSeries.term(4, 2, 1, 7)
-    collapsed = t.eval_v_one()
-    assert collapsed[2] == 12
-    assert collapsed.order == 4
