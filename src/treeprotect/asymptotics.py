@@ -36,6 +36,7 @@ __all__ = [
     "constant",
     "asym_moments_X",
     "asym_moments_Y",
+    "truncated_decimal",
 ]
 
 # The survival functions are r(n, k)/C_{n-1} (X) and s(n, k)/(n C_{n-1}) (Y),
@@ -266,19 +267,11 @@ def _constant_interval(name: str, cutoff: int) -> _Interval:
     raise ValueError(f"unknown constant {name!r}")
 
 
-def _truncated_decimal(lower: Fraction, upper: Fraction, digits: int) -> str | None:
-    """Truncate toward zero, or None if the bounds disagree on any digit."""
-    scale = 10**digits
-    if lower >= 0:
-        sign, lo, hi = "", lower, upper
-    elif upper <= 0:
-        sign, lo, hi = "-", -upper, -lower
-    else:
-        return None
-    lo_scaled = math.floor(lo * scale)
-    if lo_scaled != math.floor(hi * scale):
-        return None
-    whole, frac = divmod(lo_scaled, scale)
+def truncated_decimal(value: Fraction, digits: int) -> str:
+    """`value` truncated toward zero to `digits` fractional digits."""
+    sign = "-" if value < 0 else ""
+    scaled = abs(value) * 10**digits
+    whole, frac = divmod(scaled.numerator // scaled.denominator, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
@@ -289,13 +282,13 @@ def constant(name: str, digits: int) -> ConstantEnclosure:
         raise ValueError(f"unknown constant {name!r}; expected one of {CONSTANT_NAMES}")
     if not 1 <= digits <= 200:
         raise ValueError("digits must be between 1 and 200")
-    # tail < 10^(-digits-2) at this cutoff; widen if truncation straddles
+    # tail < 10^(-digits-2) at this cutoff; widen if the bounds truncate apart
     cutoff = math.ceil((digits + 4) / math.log10(4)) + 16
     for attempt in range(5):
         lower, upper = _constant_interval(name, cutoff + 48 * attempt)
         if upper - lower < Fraction(1, 10**digits):
-            decimal = _truncated_decimal(lower, upper, digits)
-            if decimal is not None:
+            decimal = truncated_decimal(lower, digits)
+            if decimal == truncated_decimal(upper, digits):
                 return ConstantEnclosure(name, lower, upper, digits, decimal)
     raise ArithmeticError(f"enclosure for {name} would not settle at {digits} digits")
 

@@ -26,6 +26,7 @@ from .asymptotics import (
     constant,
     limit_pmf_X,
     limit_pmf_Y,
+    truncated_decimal,
 )
 from .exact import dist_X_exact, dist_Y_exact, r_explicit
 from .mellin import (
@@ -38,7 +39,7 @@ from .mellin import (
     reflection_term_G,
     second_moment_constant_from_G,
 )
-from .sampler import RNG_ALGORITHM, estimate_survival
+from .sampler import RNG_ALGORITHM, RNG_STREAM, estimate_survival
 from .trees import DEFAULT_ORACLE_BOUND, OracleBoundError, oracle_r, oracle_s
 
 __all__ = ["main"]
@@ -46,20 +47,23 @@ __all__ = ["main"]
 _MELLIN_DEFAULT_X = (0.5, math.log(2.0), 1.0, 2.0, math.e, math.pi, 5.0)
 
 
-def _decimal_string(value: Fraction, digits: int) -> str:
-    """Truncate a rational toward zero to `digits` fractional digits."""
-    sign = "-" if value < 0 else ""
-    scaled = abs(value) * 10**digits
-    whole, frac = divmod(scaled.numerator // scaled.denominator, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
-
-
 def _rational_fields(prefix: str, value: Fraction, digits: int) -> dict[str, str]:
     return {
         f"{prefix}_num": str(value.numerator),
         f"{prefix}_den": str(value.denominator),
-        f"{prefix}_decimal": _decimal_string(value, digits),
+        f"{prefix}_decimal": truncated_decimal(value, digits),
     }
+
+
+def _parse_digits(text: str) -> int:
+    """A --digits value: a whole number of fractional digits, at least 1."""
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if digits < 1:
+        raise argparse.ArgumentTypeError(f"digits must be at least 1, got {digits}")
+    return digits
 
 
 def _parse_range(text: str) -> range:
@@ -263,6 +267,7 @@ def _parameters(command: str, args: argparse.Namespace) -> dict:
         out[key] = value
     if command == "sample":
         out["rng_algorithm"] = RNG_ALGORITHM
+        out["rng_stream"] = RNG_STREAM
     return out
 
 
@@ -300,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("method", nargs="?", default="explicit", choices=tuple(_EXACT_DIST_PROVENANCE))
     p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--digits", type=_parse_digits, default=30)
 
     p = sub.add_parser("r-explicit", parents=[common], help="one k-protected count")
     p.add_argument("n", type=int)
@@ -309,17 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit-dist", parents=[common], help="limit pmf with 1/n corrections")
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("--k", type=_parse_range, default=range(0, 11))
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--digits", type=_parse_digits, default=30)
 
     p = sub.add_parser("asym", parents=[common], help="survival expansion at one (k, n)")
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--digits", type=_parse_digits, default=30)
 
     p = sub.add_parser("constants", parents=[common], help="certified constant enclosures")
     p.add_argument("names", nargs="*", metavar="name", help=f"any of {', '.join(CONSTANT_NAMES)}")
-    p.add_argument("--digits", type=int, default=50)
+    p.add_argument("--digits", type=_parse_digits, default=50)
 
     p = sub.add_parser("mellin-check", parents=[common], help="functional-equation residuals")
     p.add_argument("--x", type=float, nargs="*")

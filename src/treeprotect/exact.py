@@ -25,7 +25,9 @@ Protected vertices reduce to protected roots by pointing: a vertex with
 protection >= k splits the tree into a k-protected subtree and a
 leaf-pointed remainder, so S_k(z) = R_k(z) * (1 + (1-4z)^(-1/2)) / 2.
 
-Everything here is exact (int / Fraction); nothing floats.
+Everything here is exact and nothing floats: counts and series
+coefficients are plain ints, and Fraction appears only in the returned
+probabilities and moments.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Literal
+from itertools import islice
+from typing import Iterator, Literal
 
 from .series import TruncatedPowerSeries
 from .trees import DEFAULT_ORACLE_BOUND, oracle_r, oracle_s
@@ -110,14 +113,26 @@ def series_invsqrt(order: int) -> TruncatedPowerSeries:
     return TruncatedPowerSeries(central_binomials(order))
 
 
+def _R_levels(order: int) -> Iterator[TruncatedPowerSeries]:
+    """R_0, R_1, R_2, ... by the substitution recurrence, one step per level."""
+    R = series_R0(order)
+    while True:
+        yield R
+        R = R.shifted(1) / (1 - R)
+
+
+def _halve(total: int, n: int, k: int) -> int:
+    """total / 2 for a coefficient of R_k * (1 + invsqrt), which pointing makes even."""
+    if total % 2:
+        raise ArithmeticError(f"odd pointed-vertex total at n={n}, k={k}")
+    return total // 2
+
+
 def series_R_ge_k_recurrence(k: int, order: int) -> TruncatedPowerSeries:
     """k-protected trees via k substitution steps from series_R0."""
     if k < 0:
         raise ValueError("protection level must be nonnegative")
-    R = series_R0(order)
-    for _ in range(k):
-        R = R.shifted(1) / (1 - R)
-    return R
+    return next(islice(_R_levels(order), k, None))
 
 
 def series_R_ge_k_closed(k: int, order: int) -> TruncatedPowerSeries:
@@ -141,8 +156,8 @@ def series_S_ge_k(k: int, order: int) -> TruncatedPowerSeries:
     """Vertices with protection >= k, summed over trees: S_k = R_k*(1+isqrt)/2."""
     if k < 0:
         raise ValueError("protection level must be nonnegative")
-    R = series_R_ge_k_recurrence(k, order)
-    return R * (1 + series_invsqrt(order)) * Fraction(1, 2)
+    pointed = series_R_ge_k_recurrence(k, order) * (1 + series_invsqrt(order))
+    return TruncatedPowerSeries(_halve(c, n, k) for n, c in enumerate(pointed.coeffs))
 
 
 def r_explicit(n: int, k: int) -> int:
@@ -246,11 +261,7 @@ def s_explicit(n: int, k: int) -> int:
         return n * catalan(n - 1)
     col = r_survival_column(k, n)
     beta = central_binomials(n)
-    total = col[n] + sum(col[m] * beta[n - m] for m in range(1, n + 1))
-    # R_k * (1 + invsqrt) has even coefficients because s is integral
-    if total % 2:
-        raise ArithmeticError(f"odd pointed-vertex total at n={n}, k={k}")
-    return total // 2
+    return _halve(col[n] + sum(col[m] * beta[n - m] for m in range(1, n + 1)), n, k)
 
 
 def survival_X_exact(n: int, k: int) -> Fraction:
@@ -348,12 +359,6 @@ def _table_from_counts(n: int, ge_counts: list[int], denominator: int) -> Distri
 Method = Literal["oracle", "series", "explicit"]
 
 
-def _int_coeff(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"series coefficient {value} is not an integer")
-    return value.numerator
-
-
 def dist_X_exact(
     n: int, method: Method = "explicit", oracle_bound: int = DEFAULT_ORACLE_BOUND
 ) -> DistributionTable:
@@ -369,11 +374,7 @@ def dist_X_exact(
     if method == "oracle":
         counts = [oracle_r(n, k, oracle_bound=oracle_bound) for k in range(n)]
     elif method == "series":
-        R = series_R0(n)
-        counts = []
-        for _ in range(n):
-            counts.append(_int_coeff(R[n]))
-            R = R.shifted(1) / (1 - R)
+        counts = [R[n] for R in islice(_R_levels(n), n)]
     elif method == "explicit":
         counts = [catalan(n - 1)] + [r_explicit(n, k) for k in range(1, n)]
     else:
@@ -395,12 +396,8 @@ def dist_Y_exact(
     if method == "oracle":
         counts = [oracle_s(n, k, oracle_bound=oracle_bound) for k in range(n)]
     elif method == "series":
-        half_factor = (1 + series_invsqrt(n)) * Fraction(1, 2)
-        R = series_R0(n)
-        counts = []
-        for _ in range(n):
-            counts.append(_int_coeff((R * half_factor)[n]))
-            R = R.shifted(1) / (1 - R)
+        factor = 1 + series_invsqrt(n)
+        counts = [_halve((R * factor)[n], n, k) for k, R in enumerate(islice(_R_levels(n), n))]
     elif method == "explicit":
         counts = [s_explicit(n, k) for k in range(n)]
     else:

@@ -19,13 +19,16 @@ numerically so close to F(log 2) without being equal to it.
 
 Double precision throughout: every verified quantity needs at most 13
 significant digits, and the sums converge geometrically with ratio
-e^(-2x), so certified float tail bounds are enough.
+e^(-2x), so certified float tail bounds are enough.  An abscissa so small
+that a sum would need more than _MAX_TERMS terms (directly, or through the
+reflection pi^2/x of a large one) is rejected with ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "MellinEval",
@@ -72,40 +75,44 @@ def _tail_G(x: float, terms: int) -> float:
     return math.exp(-m * x) * (m / (1.0 - y) + 2.0 * y / (1.0 - y) ** 2)
 
 
-def eval_F(x: float, tol: float = DEFAULT_TOL) -> MellinEval:
-    """Partial sum of F(x) with a certified geometric tail bound below tol."""
+def _partial_sum(
+    name: str,
+    x: float,
+    tol: float,
+    term: Callable[[int], float],
+    tail: Callable[[float, int], float],
+) -> MellinEval:
+    """Add term(1), term(2), ... until a term and the certified tail are below tol."""
     _validate(x, tol)
     total = 0.0
-    k = 0
-    while True:
-        k += 1
-        if k > _MAX_TERMS:
-            raise ArithmeticError(f"F({x}) did not reach tolerance {tol}")
+    for k in range(1, _MAX_TERMS + 1):
+        t = term(k)
+        total += t
+        if t < tol / 10.0:
+            bound = tail(x, k)
+            if bound < tol / 2.0:
+                return MellinEval(x, total, bound)
+    raise ValueError(f"{name}({x}) does not reach tolerance {tol} within {_MAX_TERMS} terms")
+
+
+def eval_F(x: float, tol: float = DEFAULT_TOL) -> MellinEval:
+    """Partial sum of F(x) with a certified geometric tail bound below tol."""
+
+    def term(k: int) -> float:
         e = math.exp(-(2 * k - 1) * x)
-        term = e / (1.0 + e) ** 2
-        total += term
-        if term < tol / 10.0:
-            tail = _tail_F(x, k)
-            if tail < tol / 2.0:
-                return MellinEval(x, total, tail)
+        return e / (1.0 + e) ** 2
+
+    return _partial_sum("F", x, tol, term, _tail_F)
 
 
 def eval_G(x: float, tol: float = DEFAULT_TOL) -> MellinEval:
     """Partial sum of G(x) with a certified geometric tail bound below tol."""
-    _validate(x, tol)
-    total = 0.0
-    k = 0
-    while True:
-        k += 1
-        if k > _MAX_TERMS:
-            raise ArithmeticError(f"G({x}) did not reach tolerance {tol}")
+
+    def term(k: int) -> float:
         e = math.exp(-(2 * k - 1) * x)
-        term = (2 * k - 1) * e / (1.0 + e)
-        total += term
-        if term < tol / 10.0:
-            tail = _tail_G(x, k)
-            if tail < tol / 2.0:
-                return MellinEval(x, total, tail)
+        return (2 * k - 1) * e / (1.0 + e)
+
+    return _partial_sum("G", x, tol, term, _tail_G)
 
 
 def check_F_functional_eq(x: float, tol: float = DEFAULT_TOL) -> float:

@@ -25,6 +25,7 @@ from .trees import PlaneTree
 
 __all__ = [
     "RNG_ALGORITHM",
+    "RNG_STREAM",
     "SampleStats",
     "make_rng",
     "sample_tree",
@@ -33,8 +34,11 @@ __all__ = [
 
 # recorded in output so runs are reproducible across implementations
 RNG_ALGORITHM = "numpy.random.PCG64"
+# version of the way draws map to trials; 2: the final batch holds only the
+# trials still needed (version 1 drew a full batch and dropped the surplus)
+RNG_STREAM = 2
 
-# fixed batch height: estimates depend only on (statistic, n, trials, seed)
+# batch height cap: estimates depend only on (statistic, n, trials, seed)
 _BATCH = 1 << 14
 
 
@@ -132,7 +136,10 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     """Monte Carlo survival counts for X (root) or Y (uniform vertex) at size n.
 
     Deterministic given (statistic, n, trials, seed): trials are processed
-    in fixed-size batches with identical generator consumption per batch.
+    in batches of _BATCH rows, the last holding only the trials still
+    needed.  The shuffle fills rows in order, so X counts equal those of
+    the first `trials` rows of full batches; the Y picks are drawn after
+    the shuffle, so a short final batch changes them (RNG_STREAM 2).
     """
     if statistic not in ("X", "Y"):
         raise ValueError("statistic must be 'X' or 'Y'")
@@ -148,15 +155,15 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     histogram = np.zeros(n, dtype=np.int64)
     remaining = trials
     while remaining > 0:
-        w = _dyck_rows(_shuffled_steps(n, _BATCH, rng))
+        rows = min(remaining, _BATCH)
+        w = _dyck_rows(_shuffled_steps(n, rows, rng))
         if statistic == "X":
             values = _root_protection_values(w)
         else:
-            picks = rng.integers(0, n, size=_BATCH)
+            picks = rng.integers(0, n, size=rows)
             values = _vertex_protection_values(w, picks)
-        take = min(remaining, _BATCH)
-        histogram += np.bincount(values[:take], minlength=n)
-        remaining -= take
+        histogram += np.bincount(values, minlength=n)
+        remaining -= rows
 
     suffix = np.cumsum(histogram[::-1])[::-1]
     counts = {k: int(suffix[k]) for k in range(n) if suffix[k] > 0}

@@ -1,37 +1,29 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Truncated formal power series with exact integer coefficients.
 
 A TruncatedPowerSeries holds coefficients for z^0 .. z^N and stands for an
-element of Q[[z]] known modulo z^(N+1).  Binary operations truncate to the
+element of Z[[z]] known modulo z^(N+1).  Binary operations truncate to the
 smaller operand's order, so results never pretend to more precision than
 both inputs carry.  Division uses the standard coefficient recursion and
-insists on a divisor with constant term 1; every divisor in this package
-has that shape by construction, and anything else is a logic error worth
-surfacing.
+insists on a divisor with constant term 1, which keeps every quotient
+integral; every divisor in this package has that shape by construction,
+and anything else is a logic error worth surfacing.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction]
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+from typing import Iterable
 
 
 class TruncatedPowerSeries:
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(_as_fraction(c) for c in coeffs)
+    def __init__(self, coeffs: Iterable[int]):
+        cs = tuple(coeffs)
         if not cs:
             raise ValueError("a series needs at least its constant term")
+        for c in cs:
+            if not isinstance(c, int):
+                raise TypeError(f"expected int coefficients, got {type(c).__name__}")
         self.coeffs = cs
 
     @classmethod
@@ -39,7 +31,7 @@ class TruncatedPowerSeries:
         return cls((0,) * (order + 1))
 
     @classmethod
-    def constant(cls, value: Scalar, order: int) -> "TruncatedPowerSeries":
+    def constant(cls, value: int, order: int) -> "TruncatedPowerSeries":
         return cls((value,) + (0,) * order)
 
     @classmethod
@@ -52,7 +44,7 @@ class TruncatedPowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient z^{n} outside truncation order {self.order}")
         return self.coeffs[n]
@@ -71,12 +63,12 @@ class TruncatedPowerSeries:
         n = self.order
         if j > n:
             return TruncatedPowerSeries.zero(n)
-        return TruncatedPowerSeries((Fraction(0),) * j + self.coeffs[: n + 1 - j])
+        return TruncatedPowerSeries((0,) * j + self.coeffs[: n + 1 - j])
 
     def _coerce(self, other: object) -> "TruncatedPowerSeries | None":
         if isinstance(other, TruncatedPowerSeries):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return TruncatedPowerSeries.constant(other, self.order)
         return None
 
@@ -107,16 +99,15 @@ class TruncatedPowerSeries:
         return rhs + (-self)
 
     def __mul__(self, other: object) -> "TruncatedPowerSeries":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return TruncatedPowerSeries(tuple(c * a for a in self.coeffs))
+        if isinstance(other, int):
+            return TruncatedPowerSeries(tuple(other * a for a in self.coeffs))
         if not isinstance(other, TruncatedPowerSeries):
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         out = []
         for m in range(n + 1):
-            acc = Fraction(0)
+            acc = 0
             for i in range(m + 1):
                 ai = a[i]
                 if ai:
@@ -133,7 +124,7 @@ class TruncatedPowerSeries:
             raise ValueError("series division requires a divisor with constant term 1")
         n = min(self.order, other.order)
         f, g = self.coeffs, other.coeffs
-        q: list[Fraction] = []
+        q: list[int] = []
         for m in range(n + 1):
             acc = f[m]
             for i in range(1, m + 1):

@@ -134,7 +134,9 @@ def test_sample_is_seed_deterministic(capsys):
     rows = _jsonl(first)
     counts = {r["k"]: int(r["count"]) for r in rows if r["kind"] == "survival"}
     assert counts[0] == 2000
-    assert json.loads(rows[0]["params"])["rng_algorithm"] == "numpy.random.PCG64"
+    params = json.loads(rows[0]["params"])
+    assert params["rng_algorithm"] == "numpy.random.PCG64"
+    assert params["rng_stream"] == 2
 
 
 def test_mellin_check_rows(capsys):
@@ -146,6 +148,26 @@ def test_mellin_check_rows(capsys):
     assert all(r["F_residual"] < 1e-12 and r["G_residual"] < 1e-12 for r in eqs)
     links = {r["name"] for r in rows if r["kind"] == "cross_link"}
     assert "mean_constant_from_F" in links
+
+
+@pytest.mark.parametrize("x", ["1e-300", "1e6"])
+def test_mellin_check_unreachable_tolerance_is_usage_error(capsys, x):
+    # 1e-300 needs too many terms directly, 1e6 through its reflection pi^2/x
+    code = main(["mellin-check", "--x", x])
+    assert code == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["exact-dist", "X", "5"], ["limit-dist", "Y"], ["asym", "X", "2", "10"], ["constants", "c0"]],
+)
+@pytest.mark.parametrize("digits", ["-1", "0"])
+def test_digits_below_one_is_usage_error(capsys, argv, digits):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--digits", digits])
+    assert exc.value.code == 2
+    assert "digits must be at least 1" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

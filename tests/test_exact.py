@@ -220,14 +220,21 @@ def test_default_tables_equal_series_route_at_n40():
 
 
 def test_broken_invariants_raise_arithmetic_error(monkeypatch):
-    # ArithmeticError, not ValueError: the CLI maps ValueError to a usage error
-    with pytest.raises(ArithmeticError):
-        exact._int_coeff(Fraction(1, 2))
-    assert exact._int_coeff(Fraction(6, 3)) == 2
-    # wrong central binomials make the pointed-vertex total odd
+    # ArithmeticError, not ValueError: the CLI maps ValueError to a usage error.
+    # Wrong central binomials make the pointed-vertex totals odd, and every
+    # route that halves them (integer sum, pointed series, series table) notices.
     monkeypatch.setattr(exact, "central_binomials", lambda order: (1,) * (order + 1))
     with pytest.raises(ArithmeticError):
         s_explicit(3, 1)
+    with pytest.raises(ArithmeticError):
+        series_S_ge_k(1, 3)
+    with pytest.raises(ArithmeticError):
+        dist_Y_exact(3, method="series")
+
+
+def test_series_route_counts_are_ints():
+    assert all(type(c) is int for c in series_S_ge_k(2, 12).coeffs)
+    assert series_R_ge_k_recurrence(0, 9) == series_R0(9)
 
 
 def test_means_at_moderate_n_are_rational_and_bounded():

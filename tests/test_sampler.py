@@ -10,6 +10,9 @@ from collections import Counter
 import pytest
 
 from treeprotect.exact import dist_X_exact, dist_Y_exact
+import numpy as np
+
+from treeprotect import sampler
 from treeprotect.sampler import (
     RNG_ALGORITHM,
     SampleStats,
@@ -38,6 +41,18 @@ def test_same_seed_reproduces_counts():
     assert a.rng_algorithm == RNG_ALGORITHM
     c = estimate_survival("X", 50, 4000, seed=124)
     assert c.survival_counts != a.survival_counts
+
+
+def test_short_run_counts_are_the_first_rows_of_a_full_batch():
+    # the final batch holds only the trials still needed; the shuffle fills
+    # rows in order, so X counts match the first `trials` rows of a full batch
+    n, seed = 30, 404
+    full = sampler._dyck_rows(sampler._shuffled_steps(n, sampler._BATCH, make_rng(seed)))
+    values = sampler._root_protection_values(full)
+    for trials in (1, 999, sampler._BATCH - 1):
+        suffix = np.cumsum(np.bincount(values[:trials], minlength=n)[::-1])[::-1]
+        expected = {k: int(c) for k, c in enumerate(suffix) if c > 0}
+        assert estimate_survival("X", n, trials, seed).survival_counts == expected
 
 
 def test_sample_tree_returns_right_size():
