@@ -22,7 +22,6 @@ from .asymptotics import (
 )
 from .exact import (
     DistributionTable,
-    binomial,
     catalan,
     central_binomials,
     dist_X_exact,
@@ -86,7 +85,6 @@ __all__ = [
     "asym_P_Y_ge",
     "asym_moments_X",
     "asym_moments_Y",
-    "binomial",
     "catalan",
     "central_binomials",
     "check_F_functional_eq",

@@ -15,15 +15,30 @@ k-protected series obeys the substitution recurrence
 
 and has the closed form R_k = (1-z) * z^(k+1) * C(z)^3 / (1 + z^(k+1) * C(z)^3)
 where C(z) = R0(z)/z is the Catalan generating function.  Expanding the
-closed form geometrically and extracting coefficients of Catalan powers
-gives an explicit alternating binomial sum for r(n, k); the same expansion
-evaluated columnwise powers the fast large-n routines.  These integer sums
-are the default engine of the distribution tables; the series recurrence
-and the brute-force oracle remain as independent cross-checks.
+closed form geometrically,
 
-Protected vertices reduce to protected roots by pointing: a vertex with
-protection >= k splits the tree into a k-protected subtree and a
-leaf-pointed remainder, so S_k(z) = R_k(z) * (1 + (1-4z)^(-1/2)) / 2.
+    R_k(z) = sum_{j>=1} (-1)^(j-1) * (1-z) * z^((k+1)j) * C(z)^(3j),
+
+turns every count into an alternating sum of binomials through
+
+    [z^m] C(z)^t = C(2m+t-1, m) - C(2m+t-1, m-1),
+    [z^m] C(z)^t * (1-4z)^(-1/2) = C(2m+t, m)
+
+(the second is Graham, Knuth & Patashnik, *Concrete Mathematics*, 2nd ed.,
+eq. 5.72).  Protected vertices reduce to protected roots by pointing: a
+vertex with protection >= k splits the tree into a k-protected subtree and
+a leaf-pointed remainder, so S_k(z) = R_k(z) * (1 + (1-4z)^(-1/2)) / 2 and
+2 s(n, k) = r(n, k) + [z^n] R_k (1-4z)^(-1/2).
+
+The binomials of term j lie on lattice lines C(a + da*i, b + db*i), and
+one walker (_line_sum) sums a line with a single math.comb at its cheap
+end and an exact ratio step per further term.  Costs at size n, in ratio
+steps: r_explicit and s_explicit O(n/k); mean_X_exact and mean_Y_exact
+O(n log n) together (one shared cached pass, split at isqrt(n)); the
+explicit tables O(n log n).  These sums are the default engine; the series
+recurrence, the O(n^2) ballot-number tables (r_survival_column,
+root_protection_totals) and the brute-force oracle remain as independent
+cross-checks.
 
 Everything here is exact and nothing floats: counts and series
 coefficients are plain ints, and Fraction appears only in the returned
@@ -43,7 +58,6 @@ from .series import TruncatedPowerSeries
 from .trees import DEFAULT_ORACLE_BOUND, oracle_r, oracle_s
 
 __all__ = [
-    "binomial",
     "catalan",
     "central_binomials",
     "series_R0",
@@ -64,22 +78,6 @@ __all__ = [
     "dist_X_exact",
     "dist_Y_exact",
 ]
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b) with the convention used by the alternating sums.
-
-    Returns 0 for b < 0 and for b > a >= 0.  A call with a < 0 <= b never
-    arises from a correctly truncated sum, so it is rejected loudly instead
-    of silently returning something.
-    """
-    if b < 0:
-        return 0
-    if a < 0:
-        raise ValueError(f"binomial({a}, {b}) with negative a and b >= 0 is a logic error")
-    if b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def catalan(m: int) -> int:
@@ -160,24 +158,83 @@ def series_S_ge_k(k: int, order: int) -> TruncatedPowerSeries:
     return TruncatedPowerSeries(_halve(c, n, k) for n, c in enumerate(pointed.coeffs))
 
 
+def _line_sum(a: int, b: int, da: int, db: int, count: int, sign: int = 1) -> int:
+    """Sum of sign^i * C(a + da*i, b + db*i) over i = 0..count-1, sign = +-1.
+
+    Only the run where 0 <= b + db*i <= a + da*i is walked; the terms
+    outside it are zero.  The walk starts at the end of that run with the
+    smaller top index, with one math.comb there, and moves to each
+    neighbour by the exact ratio of the two binomials: three falling
+    factorials, one multiply and one divmod.  A nonzero remainder means a
+    broken invariant and raises ArithmeticError.
+    """
+    lo, hi = 0, count - 1
+    for c0, c1 in ((b, db), (a - b, da - db)):  # c0 + c1*i >= 0
+        if c1 > 0:
+            lo = max(lo, -(c0 // c1))
+        elif c1 < 0:
+            hi = min(hi, c0 // -c1)
+        elif c0 < 0:
+            return 0
+    if lo > hi:
+        return 0
+    step = -1 if da < 0 else 1
+    i = hi if step < 0 else lo
+    top, low = a + da * i, b + db * i
+    value = math.comb(top, low)
+    total = -value if sign < 0 and i % 2 else value
+    dt, dl = da * step, db * step  # dt >= 0
+    dr = dt - dl
+    for _ in range(hi - lo):
+        i += step
+        # C(top+dt, low+dl) = C(top, low) * (top+dt)!/top! * low!/(low+dl)! * rest!/(rest+dr)!
+        num = math.perm(top + dt, dt)
+        den = 1
+        if dl >= 0:
+            den = math.perm(low + dl, dl)
+        else:
+            num *= math.perm(low, -dl)
+        rest = top - low
+        if dr >= 0:
+            den *= math.perm(rest + dr, dr)
+        else:
+            num *= math.perm(rest, -dr)
+        top, low = top + dt, low + dl
+        value, rem = divmod(value * num, den)
+        if rem:
+            raise ArithmeticError(f"inexact ratio step to C({top}, {low})")
+        total += -value if sign < 0 and i % 2 else value
+    return total
+
+
+# (top offset, bottom offset, coefficient) of the binomials C(A + oa, q + ob)
+# in term j, where A = 2n - (2k-1)j and q = n - (k+1)j:
+# [z^q] (1-z) C(z)^(3j) for r, and [z^q] (1-z) C(z)^(3j) (1-4z)^(-1/2) for u
+_R_LINES = ((-3, 0, 1), (-3, -3, -1))
+_U_LINES = ((0, 0, 1), (-2, -1, -1))
+
+
+def _sum_over_j(n: int, k: int, lines: tuple[tuple[int, int, int], ...]) -> int:
+    """Sum over j >= 1 with (k+1)j <= n of (-1)^(j-1) times the binomials of `lines`."""
+    a, b = 2 * n - (2 * k - 1), n - (k + 1)
+    count = n // (k + 1)
+    return sum(
+        c * _line_sum(a + oa, b + ob, 1 - 2 * k, -k - 1, count, -1) for oa, ob, c in lines
+    )
+
+
 def r_explicit(n: int, k: int) -> int:
     """r(n, k) as an alternating binomial sum, k >= 1.
 
     Sum over j >= 1 while n - (k+1)j >= 0 of
-        (-1)^(j-1) * [ C(2n-3-(2k-1)j, n-(k+1)j) - C(2n-3-(2k-1)j, n-3-(k+1)j) ].
+        (-1)^(j-1) * [ C(2n-3-(2k-1)j, n-(k+1)j) - C(2n-3-(2k-1)j, n-3-(k+1)j) ],
+    two alternating line sums over j.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
     if k < 1:
         raise ValueError("explicit survival counts need k >= 1; level 0 is catalan(n-1)")
-    total = 0
-    j = 1
-    while n - (k + 1) * j >= 0:
-        a = 2 * n - 3 - (2 * k - 1) * j
-        term = binomial(a, n - (k + 1) * j) - binomial(a, n - 3 - (k + 1) * j)
-        total += term if j % 2 else -term
-        j += 1
-    return total
+    return _sum_over_j(n, k, _R_LINES)
 
 
 def catalan_power_coeffs(exponent: int, count: int) -> tuple[int, ...]:
@@ -206,6 +263,7 @@ def r_survival_column(k: int, order: int) -> tuple[int, ...]:
     Same alternating sum as r_explicit, evaluated for a whole column at
     once: term j contributes the coefficients of (1-z) * z^((k+1)j) * C^(3j),
     and [z^q] (1-z) C^(3j) is a difference of consecutive ballot numbers.
+    It costs O(order^2 / k) and serves as an independent cross-check.
     """
     if k < 1:
         raise ValueError("survival columns need k >= 1")
@@ -232,7 +290,8 @@ def root_protection_totals(order: int) -> tuple[int, ...]:
     Equals sum over k >= 1 of r(n, k).  Summing the columnwise expansion
     over k turns the shift z^((k+1)j) into a geometric series in z^j, so
     each j contributes a running sum with stride j; the whole table costs
-    O(order^2) big-integer additions.
+    O(order^2) big-integer additions.  The means use the O(n log n) line
+    sums instead; this table remains as their independent cross-check.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -252,16 +311,19 @@ def root_protection_totals(order: int) -> tuple[int, ...]:
 
 
 def s_explicit(n: int, k: int) -> int:
-    """s(n, k) by convolving the k-protected column with (1-4z)^(-1/2)."""
+    """s(n, k) = (r(n, k) + u(n, k)) / 2, u the pointed alternating sum.
+
+    u(n, k) = [z^n] R_k (1-4z)^(-1/2) is the sum over j >= 1 while
+    q = n - (k+1)j >= 0 of
+        (-1)^(j-1) * [ C(2n-(2k-1)j, q) - C(2n-(2k-1)j-2, q-1) ].
+    """
     if n < 1:
         raise ValueError("tree size must be positive")
     if k < 0:
         raise ValueError("protection level must be nonnegative")
     if k == 0:
         return n * catalan(n - 1)
-    col = r_survival_column(k, n)
-    beta = central_binomials(n)
-    return _halve(col[n] + sum(col[m] * beta[n - m] for m in range(1, n + 1)), n, k)
+    return _halve(_sum_over_j(n, k, _R_LINES) + _sum_over_j(n, k, _U_LINES), n, k)
 
 
 def survival_X_exact(n: int, k: int) -> Fraction:
@@ -290,21 +352,43 @@ def survival_Y_exact(n: int, k: int) -> Fraction:
     return Fraction(s_explicit(n, k), n * catalan(n - 1))
 
 
+@lru_cache(maxsize=8)
+def _protection_sums(n: int) -> tuple[int, int]:
+    """(sum of r(n, k), sum of u(n, k)) over k >= 1.
+
+    Both run over the lattice points (j, k) with (k+1)j <= n, split at
+    h = isqrt(n) like a divisor sum: for k < h each k walks its j line, and
+    for k >= h (so j <= n // (h+1)) each j walks its k line.  Every line
+    stays short and the whole sum is O(n log n) ratio steps.
+    """
+    h = math.isqrt(n)
+    sums = []
+    for lines in (_R_LINES, _U_LINES):
+        total = sum(_sum_over_j(n, k, lines) for k in range(1, h))
+        for j in range(1, n // (h + 1) + 1):
+            # k = h + i for i = 0..n//j - h - 1: top steps by -2j, bottom by -j
+            a, b = 2 * n - (2 * h - 1) * j, n - (h + 1) * j
+            part = sum(
+                c * _line_sum(a + oa, b + ob, -2 * j, -j, n // j - h) for oa, ob, c in lines
+            )
+            total += part if j % 2 else -part
+        sums.append(total)
+    return sums[0], sums[1]
+
+
 def mean_X_exact(n: int) -> Fraction:
     """Exact mean root protection number at size n."""
     if n < 1:
         raise ValueError("tree size must be positive")
-    return Fraction(root_protection_totals(n)[n], catalan(n - 1))
+    return Fraction(_protection_sums(n)[0], catalan(n - 1))
 
 
 def mean_Y_exact(n: int) -> Fraction:
-    """Exact mean vertex protection number at size n."""
+    """Exact mean vertex protection number at size n: sum of s(n, k) / (n * catalan(n-1))."""
     if n < 1:
         raise ValueError("tree size must be positive")
-    rho = root_protection_totals(n)
-    beta = central_binomials(n)
-    num = rho[n] + sum(rho[m] * beta[n - m] for m in range(1, n + 1))
-    return Fraction(num, 2 * n * catalan(n - 1))
+    r_total, u_total = _protection_sums(n)
+    return Fraction(r_total + u_total, 2 * n * catalan(n - 1))
 
 
 @dataclass(frozen=True)
@@ -387,9 +471,9 @@ def dist_Y_exact(
 ) -> DistributionTable:
     """Exact distribution of the protection number of a uniform vertex.
 
-    "explicit" (the default) convolves each survival column with the
-    central binomials on plain integers; "series" and "oracle" are the
-    cross-checks of dist_X_exact.
+    "explicit" (the default) evaluates s_explicit, the pointed alternating
+    binomial sum, for every k; "series" and "oracle" are the cross-checks
+    of dist_X_exact.
     """
     if n < 1:
         raise ValueError("tree size must be positive")

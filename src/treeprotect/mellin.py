@@ -82,8 +82,18 @@ def _partial_sum(
     term: Callable[[int], float],
     tail: Callable[[float, int], float],
 ) -> MellinEval:
-    """Add term(1), term(2), ... until a term and the certified tail are below tol."""
+    """Add term(1), term(2), ... until a term and the certified tail are below tol.
+
+    The tail bound falls as the term count grows, so when it is not below
+    tol/2 at _MAX_TERMS the sum cannot stop in time, and x is rejected
+    before any term is computed (also when e^(-2x) rounds to 1.0 and the
+    bound would divide by zero).  Otherwise term _MAX_TERMS is below tol/10
+    too: a term that large needs x below about 1.2e-4, where the tail bound
+    exceeds it over 4000-fold.  So the loop always stops by _MAX_TERMS.
+    """
     _validate(x, tol)
+    if not (math.exp(-2.0 * x) < 1.0 and tail(x, _MAX_TERMS) < tol / 2.0):
+        raise ValueError(f"{name}({x}) does not reach tolerance {tol} within {_MAX_TERMS} terms")
     total = 0.0
     for k in range(1, _MAX_TERMS + 1):
         t = term(k)
@@ -92,7 +102,7 @@ def _partial_sum(
             bound = tail(x, k)
             if bound < tol / 2.0:
                 return MellinEval(x, total, bound)
-    raise ValueError(f"{name}({x}) does not reach tolerance {tol} within {_MAX_TERMS} terms")
+    raise ArithmeticError(f"{name}({x}) missed the stop test it passes at {_MAX_TERMS} terms")
 
 
 def eval_F(x: float, tol: float = DEFAULT_TOL) -> MellinEval:
@@ -129,18 +139,29 @@ def check_G_functional_eq(x: float, tol: float = DEFAULT_TOL) -> float:
     return abs(left - right)
 
 
+def _reflected(
+    name: str, evaluate: Callable[[float, float], MellinEval], x: float, tol: float
+) -> float:
+    """(pi^2/x^2) * evaluate(pi^2/x); an unreachable sum is reported at x, the user's abscissa."""
+    _validate(x, tol)
+    try:
+        value = evaluate(math.pi**2 / x, tol).value
+    except ValueError:
+        raise ValueError(
+            f"{name}(pi^2/x) at x = {x} does not reach tolerance {tol} within "
+            f"{_MAX_TERMS} terms; x is too large"
+        ) from None
+    return (math.pi**2 / x**2) * value
+
+
 def reflection_term_F(x: float, tol: float = DEFAULT_TOL) -> float:
     """(pi^2/x^2) F(pi^2/x), the small defect in the 1/(4x) near-identity."""
-    _validate(x, tol)
-    y = math.pi**2 / x
-    return (math.pi**2 / x**2) * eval_F(y, tol).value
+    return _reflected("F", eval_F, x, tol)
 
 
 def reflection_term_G(x: float, tol: float = DEFAULT_TOL) -> float:
     """(pi^2/x^2) G(pi^2/x), the defect in G's near-identity."""
-    _validate(x, tol)
-    y = math.pi**2 / x
-    return (math.pi**2 / x**2) * eval_G(y, tol).value
+    return _reflected("G", eval_G, x, tol)
 
 
 def mean_constant_from_F(tol: float = DEFAULT_TOL) -> float:

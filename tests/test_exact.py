@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from treeprotect import exact
 from treeprotect.exact import (
     DistributionTable,
-    binomial,
     catalan,
     catalan_power_coeffs,
     central_binomials,
@@ -38,16 +37,6 @@ from treeprotect.trees import (
     oracle_r,
     oracle_s,
 )
-
-
-def test_binomial_conventions():
-    assert binomial(5, 2) == 10
-    assert binomial(5, 0) == 1
-    assert binomial(5, 7) == 0
-    assert binomial(5, -1) == 0
-    assert binomial(0, 0) == 1
-    with pytest.raises(ValueError):
-        binomial(-3, 1)
 
 
 def test_catalan_values():
@@ -221,15 +210,65 @@ def test_default_tables_equal_series_route_at_n40():
 
 def test_broken_invariants_raise_arithmetic_error(monkeypatch):
     # ArithmeticError, not ValueError: the CLI maps ValueError to a usage error.
-    # Wrong central binomials make the pointed-vertex totals odd, and every
-    # route that halves them (integer sum, pointed series, series table) notices.
-    monkeypatch.setattr(exact, "central_binomials", lambda order: (1,) * (order + 1))
+    # A line sum shifted by one makes the pointed-vertex total odd, and so do
+    # wrong central binomials for the routes that read them; every route that
+    # halves the total (integer sum, pointed series, series table) notices.
+    line_sum = exact._line_sum
+    calls = []
+
+    def shifted_once(*args):
+        calls.append(args)
+        return line_sum(*args) + (1 if len(calls) == 1 else 0)
+
+    monkeypatch.setattr(exact, "_line_sum", shifted_once)
     with pytest.raises(ArithmeticError):
         s_explicit(3, 1)
+    monkeypatch.setattr(exact, "central_binomials", lambda order: (1,) * (order + 1))
     with pytest.raises(ArithmeticError):
         series_S_ge_k(1, 3)
     with pytest.raises(ArithmeticError):
         dist_Y_exact(3, method="series")
+
+
+def test_inexact_ratio_step_raises_arithmetic_error(monkeypatch):
+    # a wrong starting binomial leaves a remainder at the first ratio step:
+    # (C(10, 5) + 1) * 11 / 6 is not an integer
+    assert exact._line_sum(10, 5, 1, 0, 2) == 252 + 462
+    monkeypatch.setattr(exact.math, "comb", lambda a, b: 253)
+    with pytest.raises(ArithmeticError):
+        exact._line_sum(10, 5, 1, 0, 2)
+
+
+def test_line_sum_skips_zero_terms_and_alternates():
+    # C(6 - i, 3 - 2i) for i = 0..3 is C(6,3), C(5,1), then zero terms
+    assert exact._line_sum(6, 3, -1, -2, 4, -1) == 20 - 5
+    # C(2 + 2i, i) for i = 0..3, walked upward from the cheap end
+    assert exact._line_sum(2, 0, 2, 1, 4) == 1 + 4 + 15 + 56
+    assert exact._line_sum(3, 5, 1, 0, 2) == 0
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=1, max_value=150))
+def test_line_sums_equal_ballot_table_routes(n):
+    beta = central_binomials(n)
+    for k in range(1, n + 2):
+        column = r_survival_column(k, n)
+        assert r_explicit(n, k) == column[n]
+        pointed = column[n] + sum(column[m] * beta[n - m] for m in range(1, n + 1))
+        assert 2 * s_explicit(n, k) == pointed
+
+
+@pytest.mark.parametrize("n", [48, 49, 50, 255, 256, 257, 1024, 1025])
+def test_means_equal_totals_table_at_split_boundaries(n):
+    rho = root_protection_totals(n)
+    beta = central_binomials(n)
+    assert mean_X_exact(n) == Fraction(rho[n], catalan(n - 1))
+    pointed = rho[n] + sum(rho[m] * beta[n - m] for m in range(1, n + 1))
+    assert mean_Y_exact(n) == Fraction(pointed, 2 * n * catalan(n - 1))
+
+
+def test_default_Y_table_equals_series_route_at_n200():
+    assert dist_Y_exact(200) == dist_Y_exact(200, method="series")
 
 
 def test_series_route_counts_are_ints():

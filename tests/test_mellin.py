@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from treeprotect import mellin
 from treeprotect.asymptotics import constant
 from treeprotect.mellin import (
     DEFAULT_TOL,
@@ -64,3 +65,41 @@ def test_domain_validation():
         eval_G(-1.0)
     with pytest.raises(ValueError):
         eval_F(1.0, tol=1e-20)
+
+
+def test_large_abscissa_error_names_the_abscissa():
+    # the reflected sums run at pi^2/x ~ 9.87e-6, which no 200,000 terms reach
+    for reflection in (reflection_term_F, reflection_term_G, check_F_functional_eq):
+        with pytest.raises(ValueError) as exc:
+            reflection(1e6)
+        message = str(exc.value)
+        assert "x = 1000000.0" in message
+        assert "9.869" not in message
+
+
+@pytest.mark.parametrize("evaluate", [eval_F, eval_G])
+@pytest.mark.parametrize("x", [1e-4, 1e-300])
+def test_unreachable_abscissa_is_rejected_before_summing(monkeypatch, evaluate, x):
+    partial_sum = mellin._partial_sum
+    terms = []
+
+    def counting(name, at, tol, term, tail):
+        def counted(k):
+            terms.append(k)
+            return term(k)
+
+        return partial_sum(name, at, tol, counted, tail)
+
+    monkeypatch.setattr(mellin, "_partial_sum", counting)
+    with pytest.raises(ValueError, match="does not reach tolerance"):
+        evaluate(x)
+    assert terms == []
+    evaluate(0.5)
+    assert terms, "the counting wrapper sees the terms of a reachable sum"
+
+
+def test_tiny_abscissa_with_loose_tolerance_does_not_divide_by_zero():
+    # e^(-2x) rounds to 1.0, so the tail bound's 1 - e^(-2x) is 0.0
+    for evaluate in (eval_F, eval_G):
+        with pytest.raises(ValueError, match="does not reach tolerance"):
+            evaluate(1e-300, tol=1e10)
