@@ -3,9 +3,10 @@
 Each criterion exercises a different seam: route agreement against the
 brute-force oracle, certified constant digits, exact limit-law algebra,
 convergence rates of the 1/n expansions, the harmonic-sum functional
-equations, Monte Carlo statistics, and moment convergence.  `run_all`
-prints one PASS/FAIL line per criterion and returns the results; the CLI
-`verify` subcommand and the test suite both call it.
+equations, Monte Carlo statistics, and moment convergence.
+`run_criterion` runs one criterion, prints its PASS/FAIL line and returns
+the result; the test suite calls it per criterion, and `run_all` (the CLI
+`verify` subcommand) calls it for all seven.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ from .mellin import (
 from .sampler import estimate_survival
 from .trees import oracle_r, oracle_s
 
-__all__ = ["CriterionResult", "REFERENCE_DIGITS", "reference_prefix", "run_all", "CRITERIA"]
+__all__ = [
+    "CriterionResult", "REFERENCE_DIGITS", "reference_prefix", "run_all", "run_criterion",
+    "CRITERIA",
+]
 
 # published reference digits of the eight constants (the final digit of each
 # string is rounded rather than truncated); see _check_constants for the two
@@ -66,6 +70,9 @@ REFERENCE_DIGITS = {
     "d2": "0.81689937948362892278879205623322983539562628691031631640757",
     "d3": "0.014197899249123624176745586362758197533680269252844749278840",
 }
+
+# where criterion 5 and `mellin-check` (by default) test the functional equations
+MELLIN_ABSCISSAS = (0.5, math.log(2.0), 1.0, 2.0, math.e, math.pi, 5.0)
 
 REFLECTION_F_PREFIX = 0.0000134525077
 REFLECTION_G_PREFIX = 0.0000134525165276
@@ -216,8 +223,7 @@ def _check_convergence() -> tuple[bool, str]:
 def _check_mellin() -> tuple[bool, str]:
     """Functional equations, near-identities, cross-links, fixed points."""
     problems = []
-    abscissas = (0.5, math.log(2.0), 1.0, 2.0, math.e, math.pi, 5.0)
-    for x in abscissas:
+    for x in MELLIN_ABSCISSAS:
         rf = check_F_functional_eq(x)
         rg = check_G_functional_eq(x)
         if rf >= 1e-12:
@@ -317,16 +323,18 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(printer: Callable[[str], None] = print) -> list[CriterionResult]:
-    """Run every criterion, print one PASS/FAIL line each, return results."""
-    results = []
-    for number, title, check in CRITERIA:
-        start = time.perf_counter()
-        passed, detail = check()
-        elapsed = time.perf_counter() - start
-        status = "PASS" if passed else "FAIL"
-        printer(f"{status}  criterion {number}: {title} ({elapsed:.1f} s)")
-        if detail:
-            printer(f"      {detail}")
-        results.append(CriterionResult(number, title, passed, detail, elapsed))
-    return results
+def run_criterion(number: int) -> CriterionResult:
+    """Run one criterion, print its PASS/FAIL line and detail, return the result."""
+    _, title, check = next(c for c in CRITERIA if c[0] == number)
+    start = time.perf_counter()
+    passed, detail = check()
+    elapsed = time.perf_counter() - start
+    print(f"{'PASS' if passed else 'FAIL'}  criterion {number}: {title} ({elapsed:.1f} s)")
+    if detail:
+        print(f"      {detail}")
+    return CriterionResult(number, title, passed, detail, elapsed)
+
+
+def run_all() -> list[CriterionResult]:
+    """Run every criterion in order, return the results."""
+    return [run_criterion(number) for number, _, _ in CRITERIA]

@@ -4,7 +4,8 @@ Output is machine readable: line-delimited JSON (default) or CSV, one
 flat record per result row.  Exact rationals are serialized as decimal
 numerator/denominator strings plus a truncated decimal rendering, never
 as floats.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 oracle size-bound violation.
+error, 3 oracle size-bound violation, 141 output pipe closed by the
+reader (the status a shell gives a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
 from typing import Sequence
 
-from .acceptance import run_all
+from .acceptance import MELLIN_ABSCISSAS, run_all
 from .asymptotics import (
     CONSTANT_NAMES,
     asym_P_X_ge,
@@ -43,8 +45,6 @@ from .sampler import RNG_ALGORITHM, RNG_STREAM, estimate_survival
 from .trees import DEFAULT_ORACLE_BOUND, OracleBoundError, oracle_r, oracle_s
 
 __all__ = ["main"]
-
-_MELLIN_DEFAULT_X = (0.5, math.log(2.0), 1.0, 2.0, math.e, math.pi, 5.0)
 
 
 def _rational_fields(prefix: str, value: Fraction, digits: int) -> dict[str, str]:
@@ -84,31 +84,22 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> list[dict]:
-    rows = []
-    for n in args.n:
-        for k in args.k:
-            rows.append(
-                {"kind": "r", "n": n, "k": k, "value": str(oracle_r(n, k, args.oracle_bound))}
-            )
-            rows.append(
-                {"kind": "s", "n": n, "k": k, "value": str(oracle_s(n, k, args.oracle_bound))}
-            )
-    return rows
+    return [
+        {"kind": kind, "n": n, "k": k, "value": str(count(n, k, args.oracle_bound))}
+        for n in args.n
+        for k in args.k
+        for kind, count in (("r", oracle_r), ("s", oracle_s))
+    ]
 
 
 def _cmd_exact_dist(args: argparse.Namespace) -> list[dict]:
     dist = dist_X_exact if args.statistic == "X" else dist_Y_exact
     table = dist(args.n, method=args.method, oracle_bound=args.oracle_bound)
-    rows = []
-    for k in range(args.n):
-        rows.append(
-            {"kind": "survival", "k": k}
-            | _rational_fields("value", table.survival_at(k), args.digits)
-        )
-    for k in range(args.n):
-        rows.append(
-            {"kind": "pmf", "k": k} | _rational_fields("value", table.pmf_at(k), args.digits)
-        )
+    rows = [
+        {"kind": kind, "k": k} | _rational_fields("value", value_at(k), args.digits)
+        for kind, value_at in (("survival", table.survival_at), ("pmf", table.pmf_at))
+        for k in range(args.n)
+    ]
     for name in ("mean", "second_moment", "variance"):
         rows.append(
             {"kind": "moment", "name": name}
@@ -126,14 +117,11 @@ def _cmd_limit_dist(args: argparse.Namespace) -> list[dict]:
     rows = []
     for k in args.k:
         value = pmf(k)
-        rows.append(
-            {"kind": "leading", "k": k, "error_order": value.error_order}
-            | _rational_fields("value", value.leading, args.digits)
-        )
-        rows.append(
-            {"kind": "correction", "k": k, "error_order": value.error_order}
-            | _rational_fields("value", value.correction, args.digits)
-        )
+        for kind in ("leading", "correction"):
+            rows.append(
+                {"kind": kind, "k": k, "error_order": value.error_order}
+                | _rational_fields("value", getattr(value, kind), args.digits)
+            )
     return rows
 
 
@@ -173,7 +161,7 @@ def _cmd_constants(args: argparse.Namespace) -> list[dict]:
 
 
 def _cmd_mellin_check(args: argparse.Namespace) -> list[dict]:
-    xs = args.x if args.x else list(_MELLIN_DEFAULT_X)
+    xs = args.x if args.x else list(MELLIN_ABSCISSAS)
     rows = []
     for x in xs:
         f = eval_F(x, args.tol)
@@ -217,58 +205,15 @@ def _cmd_sample(args: argparse.Namespace) -> list[dict]:
     return rows
 
 
-_PROVENANCE = {
+# exact-dist names the route that produced the table; oracle shares its stamp
+_METHOD_PROVENANCE = {
     "oracle": "trees: exhaustive enumeration of plane trees",
-    "r-explicit": "exact: alternating binomial sum for k-protected trees",
-    "limit-dist": "asymptotics: limit law with 1/n correction",
-    "asym": "asymptotics: survival expansion leading + correction/n",
-    "constants": "asymptotics: certified rational enclosures",
-    "mellin-check": "mellin: harmonic sums and functional equations",
-    "sample": f"sampler: cycle-lemma uniform trees, {RNG_ALGORITHM}",
-}
-
-# exact-dist names the route that produced the table
-_EXACT_DIST_PROVENANCE = {
-    "oracle": _PROVENANCE["oracle"],
     "series": "exact: substitution recurrence on truncated power series",
     "explicit": "exact: alternating binomial sums over plain integers",
 }
 
-
-_HANDLERS = {
-    "oracle": _cmd_oracle,
-    "exact-dist": _cmd_exact_dist,
-    "r-explicit": _cmd_r_explicit,
-    "limit-dist": _cmd_limit_dist,
-    "asym": _cmd_asym,
-    "constants": _cmd_constants,
-    "mellin-check": _cmd_mellin_check,
-    "sample": _cmd_sample,
-}
-
-_PARAM_KEYS = {
-    "oracle": ("n", "k", "oracle_bound"),
-    "exact-dist": ("statistic", "n", "method", "oracle_bound", "digits"),
-    "r-explicit": ("n", "k"),
-    "limit-dist": ("statistic", "k", "digits"),
-    "asym": ("statistic", "k", "n", "digits"),
-    "constants": ("names", "digits"),
-    "mellin-check": ("x", "tol"),
-    "sample": ("statistic", "n", "trials", "seed"),
-}
-
-
-def _parameters(command: str, args: argparse.Namespace) -> dict:
-    out = {}
-    for key in _PARAM_KEYS[command]:
-        value = getattr(args, key)
-        if isinstance(value, range):
-            value = f"{value.start}:{value.stop - 1}"
-        out[key] = value
-    if command == "sample":
-        out["rng_algorithm"] = RNG_ALGORITHM
-        out["rng_stream"] = RNG_STREAM
-    return out
+# namespace entries that select the computation rather than parameterize it
+_UNSTAMPED = ("command", "format", "handler", "provenance")
 
 
 def _emit(rows: list[dict], fmt: str, stream) -> None:
@@ -296,37 +241,53 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force r/s tables")
+    p.set_defaults(handler=_cmd_oracle, provenance=_METHOD_PROVENANCE["oracle"])
     p.add_argument("--n", type=_parse_range, required=True, help="size or A:B range")
     p.add_argument("--k", type=_parse_range, default=range(0, 9), help="level or A:B range")
     p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
 
     p = sub.add_parser("exact-dist", parents=[common], help="exact distribution at size n")
+    p.set_defaults(handler=_cmd_exact_dist)
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("n", type=int)
-    p.add_argument("method", nargs="?", default="explicit", choices=tuple(_EXACT_DIST_PROVENANCE))
+    p.add_argument("method", nargs="?", default="explicit", choices=tuple(_METHOD_PROVENANCE))
     p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
     p.add_argument("--digits", type=_parse_digits, default=30)
 
     p = sub.add_parser("r-explicit", parents=[common], help="one k-protected count")
+    p.set_defaults(
+        handler=_cmd_r_explicit,
+        provenance="exact: alternating binomial sum for k-protected trees",
+    )
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
 
     p = sub.add_parser("limit-dist", parents=[common], help="limit pmf with 1/n corrections")
+    p.set_defaults(
+        handler=_cmd_limit_dist, provenance="asymptotics: limit law with 1/n correction"
+    )
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("--k", type=_parse_range, default=range(0, 11))
     p.add_argument("--digits", type=_parse_digits, default=30)
 
     p = sub.add_parser("asym", parents=[common], help="survival expansion at one (k, n)")
+    p.set_defaults(
+        handler=_cmd_asym, provenance="asymptotics: survival expansion leading + correction/n"
+    )
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--digits", type=_parse_digits, default=30)
 
     p = sub.add_parser("constants", parents=[common], help="certified constant enclosures")
+    p.set_defaults(handler=_cmd_constants, provenance="asymptotics: certified rational enclosures")
     p.add_argument("names", nargs="*", metavar="name", help=f"any of {', '.join(CONSTANT_NAMES)}")
     p.add_argument("--digits", type=_parse_digits, default=50)
 
     p = sub.add_parser("mellin-check", parents=[common], help="functional-equation residuals")
+    p.set_defaults(
+        handler=_cmd_mellin_check, provenance="mellin: harmonic sums and functional equations"
+    )
     p.add_argument("--x", type=float, nargs="*")
     p.add_argument("--tol", type=float, default=1e-14)
 
@@ -335,25 +296,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=1)
+    # the generator and stream version are stamped after the parameters
+    p.set_defaults(
+        handler=_cmd_sample,
+        provenance=f"sampler: cycle-lemma uniform trees, {RNG_ALGORITHM}",
+        rng_algorithm=RNG_ALGORITHM,
+        rng_stream=RNG_STREAM,
+    )
 
     sub.add_parser("verify", parents=[common], help="run the full verification suite")
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    # enclosure numerators outgrow the 4300-digit int-to-str guard fast
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand, write its records to stdout, return the exit status."""
     if args.command == "verify":
         results = run_all()
         return 0 if all(r.passed for r in results) else 1
 
     start = time.perf_counter()
     try:
-        rows = _HANDLERS[args.command](args)
+        rows = args.handler(args)
     except OracleBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -362,11 +325,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     elapsed = round(time.perf_counter() - start, 6)
 
-    params = json.dumps(_parameters(args.command, args))
+    params = json.dumps(
+        {
+            key: f"{value.start}:{value.stop - 1}" if isinstance(value, range) else value
+            for key, value in vars(args).items()
+            if key not in _UNSTAMPED
+        }
+    )
     if args.command == "exact-dist":
-        provenance = _EXACT_DIST_PROVENANCE[args.method]
+        provenance = _METHOD_PROVENANCE[args.method]
     else:
-        provenance = _PROVENANCE[args.command]
+        provenance = args.provenance
     stamped = [
         {
             "command": args.command,
@@ -379,6 +348,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     ]
     _emit(stamped, args.format, sys.stdout)
     return 0
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    # enclosure numerators outgrow the 4300-digit int-to-str guard fast
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    args = build_parser().parse_args(argv)
+    try:
+        status = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; drop what is left, or the flush at exit raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

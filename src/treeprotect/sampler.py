@@ -35,11 +35,15 @@ __all__ = [
 # recorded in output so runs are reproducible across implementations
 RNG_ALGORITHM = "numpy.random.PCG64"
 # version of the way draws map to trials; 2: the final batch holds only the
-# trials still needed (version 1 drew a full batch and dropped the surplus)
-RNG_STREAM = 2
+# trials still needed (version 1 drew a full batch and dropped the surplus);
+# 3: a batch holds at most _BATCH_STEPS steps, so batches are shorter for n >= 257
+RNG_STREAM = 3
 
-# batch height cap: estimates depend only on (statistic, n, trials, seed)
+# batch height caps: at most _BATCH rows of 2n-1 steps and at most
+# _BATCH_STEPS steps in all (64 MiB per int64 array).  The height depends on
+# n alone, so estimates depend only on (statistic, n, trials, seed).
 _BATCH = 1 << 14
+_BATCH_STEPS = 1 << 23
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -88,15 +92,18 @@ def _dyck_rows(steps: np.ndarray) -> np.ndarray:
     return np.take_along_axis(steps, offsets, axis=1)
 
 
+def _batch_rows(n: int) -> int:
+    """Rows per batch at size n: _BATCH up to n = 256, fewer beyond."""
+    return min(_BATCH, max(1, _BATCH_STEPS // (2 * n - 1)))
+
+
 def sample_tree(n: int, rng: np.random.Generator) -> PlaneTree:
     """One exactly uniform plane tree with n vertices."""
     if n < 1:
         raise ValueError("tree size must be positive")
-    if n == 1:
-        return PlaneTree.leaf()
     w = _dyck_rows(_shuffled_steps(n, 1, rng))[0]
     inner = "".join("(" if s == 1 else ")" for s in w)
-    return PlaneTree.from_parens("(" + inner + ")")
+    return PlaneTree("(" + inner + ")")
 
 
 def _root_protection_values(w: np.ndarray) -> np.ndarray:
@@ -136,10 +143,10 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     """Monte Carlo survival counts for X (root) or Y (uniform vertex) at size n.
 
     Deterministic given (statistic, n, trials, seed): trials are processed
-    in batches of _BATCH rows, the last holding only the trials still
-    needed.  The shuffle fills rows in order, so X counts equal those of
-    the first `trials` rows of full batches; the Y picks are drawn after
-    the shuffle, so a short final batch changes them (RNG_STREAM 2).
+    in batches of _batch_rows(n) rows, the last holding only the trials
+    still needed.  The shuffle fills rows in order, so X counts equal those
+    of the first `trials` rows of full batches; the Y picks are drawn after
+    the shuffle, so a short final batch changes them.
     """
     if statistic not in ("X", "Y"):
         raise ValueError("statistic must be 'X' or 'Y'")
@@ -154,8 +161,9 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     rng = make_rng(seed)
     histogram = np.zeros(n, dtype=np.int64)
     remaining = trials
+    height = _batch_rows(n)
     while remaining > 0:
-        rows = min(remaining, _BATCH)
+        rows = min(remaining, height)
         w = _dyck_rows(_shuffled_steps(n, rows, rng))
         if statistic == "X":
             values = _root_protection_values(w)

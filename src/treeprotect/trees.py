@@ -6,6 +6,11 @@ nearest leaf inside its own subtree: 0 for a leaf, otherwise one more than
 the smallest protection number among its children.  The protection number
 of a tree means the protection number of its root.
 
+A tree is stored as nothing but its balanced-parenthesis word: the
+maximal subtree rooted at a vertex is the balanced factor that starts at
+the vertex's "(", so protection numbers are read off the word in one
+left-to-right scan and the enumeration walks words directly.
+
 This module is the ground truth for everything else in the package: it
 enumerates every plane tree up to a size bound and counts protection
 numbers directly, so the generating-function and asymptotic routes can be
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 DEFAULT_ORACLE_BOUND = 14
@@ -25,83 +31,27 @@ class OracleBoundError(ValueError):
     """Raised when an exhaustive-enumeration request exceeds the size bound."""
 
 
+@dataclass(frozen=True)
 class PlaneTree:
-    """Immutable rooted tree with ordered children; a leaf has none."""
+    """A plane tree stored as its balanced-parenthesis word.
 
-    __slots__ = ("children",)
+    The word of a tree is "(" + the words of its children, in order, + ")",
+    so a single vertex is "()" and every vertex's subtree is a contiguous
+    balanced factor.  Construction rejects any other string.
+    """
 
-    def __init__(self, children: tuple["PlaneTree", ...] = ()):
-        self.children = tuple(children)
+    parens: str
 
-    @classmethod
-    def leaf(cls) -> "PlaneTree":
-        return cls(())
-
-    @classmethod
-    def from_parens(cls, text: str) -> "PlaneTree":
-        """Parse the balanced-parenthesis form: "(" + children + ")".
-
-        A single vertex is "()".  Parsing is iterative, so deep path-like
-        trees are fine.
-        """
-        if not text:
-            raise ValueError("empty tree text")
-        stack: list[list[PlaneTree]] = []
-        root: PlaneTree | None = None
-        for ch in text:
-            if ch == "(":
-                stack.append([])
-            elif ch == ")":
-                if not stack:
-                    raise ValueError("unbalanced ')' in tree text")
-                node = cls(tuple(stack.pop()))
-                if stack:
-                    stack[-1].append(node)
-                elif root is None:
-                    root = node
-                else:
-                    raise ValueError("more than one root in tree text")
-            else:
+    def __post_init__(self) -> None:
+        depth = 0
+        for i, ch in enumerate(self.parens, 1):
+            if ch not in "()":
                 raise ValueError(f"unexpected character {ch!r} in tree text")
-        if stack:
-            raise ValueError("unbalanced '(' in tree text")
-        assert root is not None
-        return root
-
-    def to_parens(self) -> str:
-        out: list[str] = []
-        stack: list[tuple[PlaneTree | None, bool]] = [(self, False)]
-        while stack:
-            node, closing = stack.pop()
-            if closing or node is None:
-                out.append(")")
-                continue
-            out.append("(")
-            stack.append((node, True))
-            for child in reversed(node.children):
-                stack.append((child, False))
-        return "".join(out)
-
-    @property
-    def vertex_count(self) -> int:
-        n = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            n += 1
-            stack.extend(node.children)
-        return n
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlaneTree):
-            return NotImplemented
-        return self.to_parens() == other.to_parens()
-
-    def __hash__(self) -> int:
-        return hash(self.to_parens())
-
-    def __repr__(self) -> str:
-        return f"PlaneTree({self.to_parens()!r})"
+            depth += 1 if ch == "(" else -1
+            if depth <= 0 and i < len(self.parens):
+                raise ValueError("tree text closes its root before the end")
+        if depth or not self.parens:
+            raise ValueError("empty or unbalanced tree text")
 
 
 @dataclass(frozen=True, eq=True)
@@ -142,27 +92,22 @@ def _protection_values(parens: str) -> list[int]:
 
 def protection_number(tree: PlaneTree) -> int:
     """Distance from the root to the nearest leaf of the tree."""
-    return _protection_values(tree.to_parens())[-1]
+    return _protection_values(tree.parens)[-1]
 
 
 def protection_profile(tree: PlaneTree) -> ProtectionProfile:
     """Survival counts of all vertex protection numbers, one traversal."""
-    values = _protection_values(tree.to_parens())
-    top = max(values)
-    hist = [0] * (top + 1)
+    values = _protection_values(tree.parens)
+    hist = [0] * (max(values) + 1)
     for p in values:
         hist[p] += 1
-    counts: dict[int, int] = {}
-    running = 0
-    for k in range(top, -1, -1):
-        running += hist[k]
-        counts[k] = running
-    return ProtectionProfile(n=len(values), counts=dict(sorted(counts.items())))
+    survival = list(accumulate(reversed(hist)))[::-1]
+    return ProtectionProfile(n=len(values), counts=dict(enumerate(survival)))
 
 
 def leaf_count(tree: PlaneTree) -> int:
     """Number of leaves; a single vertex counts as one leaf."""
-    return tree.to_parens().count("()")
+    return tree.parens.count("()")
 
 
 def _balanced_words(pairs: int) -> Iterator[str]:
@@ -203,7 +148,7 @@ def enumerate_trees(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Iterato
     """Yield every plane tree with n vertices, in lexicographic parenthesis order."""
     _check_oracle_size(n, oracle_bound)
     for word in _balanced_words(n - 1):
-        yield PlaneTree.from_parens("(" + word + ")")
+        yield PlaneTree("(" + word + ")")
 
 
 @lru_cache(maxsize=32)

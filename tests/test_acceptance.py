@@ -1,9 +1,10 @@
 """The seven verification criteria, one test each.
 
-Each test prints the same PASS/FAIL line the `verify` subcommand prints
-and then asserts the criterion held.  One criterion is expected to fail
-against the published reference data; its detail line explains why and
-the failure is deliberate, not weakened away:
+Each test runs its criterion through the runner the `verify` subcommand
+uses, so it prints the same PASS/FAIL line, and then asserts the criterion
+held.  One criterion is expected to fail against the published reference
+data; its detail line explains why and the failure is deliberate, not
+weakened away:
 
 * criterion 2: the published 50-digit strings for c3 and d3 are
   internally inconsistent with their own defining sums (they equal
@@ -11,59 +12,44 @@ the failure is deliberate, not weakened away:
   finite-n variances confirm the computed values.
 """
 
-import time
-
-from treeprotect.acceptance import CRITERIA
-
-
-def _run_criterion(number):
-    entry = next(c for c in CRITERIA if c[0] == number)
-    _, title, check = entry
-    start = time.perf_counter()
-    passed, detail = check()
-    elapsed = time.perf_counter() - start
-    status = "PASS" if passed else "FAIL"
-    print(f"{status}  criterion {number}: {title} ({elapsed:.1f} s)")
-    if detail:
-        print(f"      {detail}")
-    return passed, detail, elapsed
+from treeprotect.acceptance import run_criterion
 
 
 def test_criterion_1_oracle_equivalence():
-    passed, detail, elapsed = _run_criterion(1)
-    assert elapsed < 60.0
-    assert passed, detail
+    result = run_criterion(1)
+    assert result.elapsed_s < 60.0
+    assert result.passed, result.detail
 
 
 def test_criterion_2_published_constants():
-    passed, detail, elapsed = _run_criterion(2)
-    assert elapsed < 10.0
-    assert passed, detail
+    result = run_criterion(2)
+    assert result.elapsed_s < 10.0
+    assert result.passed, result.detail
 
 
 def test_criterion_3_normalization():
-    passed, detail, _ = _run_criterion(3)
-    assert passed, detail
+    result = run_criterion(3)
+    assert result.passed, result.detail
 
 
 def test_criterion_4_convergence_rates():
-    passed, detail, elapsed = _run_criterion(4)
-    assert elapsed < 120.0
-    assert passed, detail
+    result = run_criterion(4)
+    assert result.elapsed_s < 120.0
+    assert result.passed, result.detail
 
 
 def test_criterion_5_mellin_identities():
-    passed, detail, elapsed = _run_criterion(5)
-    assert elapsed < 1.0
-    assert passed, detail
+    result = run_criterion(5)
+    assert result.elapsed_s < 1.0
+    assert result.passed, result.detail
 
 
 def test_criterion_6_monte_carlo():
-    passed, detail, elapsed = _run_criterion(6)
-    assert elapsed < 120.0
-    assert passed, detail
+    result = run_criterion(6)
+    assert result.elapsed_s < 120.0
+    assert result.passed, result.detail
 
 
 def test_criterion_7_moment_convergence():
-    passed, detail, _ = _run_criterion(7)
-    assert passed, detail
+    result = run_criterion(7)
+    assert result.passed, result.detail

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import treeprotect
 from treeprotect.cli import build_parser, main
 
 
@@ -46,6 +51,46 @@ def test_every_record_is_stamped(capsys):
     assert "provenance" in row and "elapsed_s" in row
     assert json.loads(row["params"]) == {"n": 6, "k": 2}
     assert row["value"] == "18"
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["oracle", "--n", "3"], ["n", "k", "oracle_bound"]),
+        (["exact-dist", "X", "4"], ["statistic", "n", "method", "oracle_bound", "digits"]),
+        (["r-explicit", "6", "2"], ["n", "k"]),
+        (["limit-dist", "X", "--k", "1"], ["statistic", "k", "digits"]),
+        (["asym", "X", "2", "10"], ["statistic", "k", "n", "digits"]),
+        (["constants", "c0", "--digits", "5"], ["names", "digits"]),
+        (["mellin-check", "--x", "1.0"], ["x", "tol"]),
+        (
+            ["sample", "X", "5", "--trials", "10"],
+            ["statistic", "n", "trials", "seed", "rng_algorithm", "rng_stream"],
+        ),
+    ],
+)
+def test_params_keys_per_subcommand(capsys, argv, keys):
+    code, out = _run(capsys, argv)
+    assert code == 0
+    for row in _jsonl(out):
+        assert list(json.loads(row["params"])) == keys
+
+
+def test_closed_pipe_exits_without_traceback():
+    # about 0.5 MB of rows: far more than a pipe buffer holds, so the writer
+    # is still writing when the reader goes away after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(treeprotect.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treeprotect.cli", "exact-dist", "X", "400"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert json.loads(proc.stdout.readline())["command"] == "exact-dist"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
 
 
 def test_oracle_emits_both_tables(capsys):
@@ -136,7 +181,7 @@ def test_sample_is_seed_deterministic(capsys):
     assert counts[0] == 2000
     params = json.loads(rows[0]["params"])
     assert params["rng_algorithm"] == "numpy.random.PCG64"
-    assert params["rng_stream"] == 2
+    assert params["rng_stream"] == 3
 
 
 def test_mellin_check_rows(capsys):

@@ -47,25 +47,58 @@ def test_short_run_counts_are_the_first_rows_of_a_full_batch():
     # the final batch holds only the trials still needed; the shuffle fills
     # rows in order, so X counts match the first `trials` rows of a full batch
     n, seed = 30, 404
-    full = sampler._dyck_rows(sampler._shuffled_steps(n, sampler._BATCH, make_rng(seed)))
+    height = sampler._batch_rows(n)
+    full = sampler._dyck_rows(sampler._shuffled_steps(n, height, make_rng(seed)))
     values = sampler._root_protection_values(full)
-    for trials in (1, 999, sampler._BATCH - 1):
+    for trials in (1, 999, height - 1):
         suffix = np.cumsum(np.bincount(values[:trials], minlength=n)[::-1])[::-1]
         expected = {k: int(c) for k, c in enumerate(suffix) if c > 0}
         assert estimate_survival("X", n, trials, seed).survival_counts == expected
+
+
+def test_batch_height_keeps_arrays_within_the_step_budget():
+    # 16,384 rows up to n = 256, then as many rows of 2n-1 steps as fit in 2^23
+    assert sampler._batch_rows(2) == sampler._batch_rows(256) == 16384
+    assert sampler._batch_rows(257) == 16352
+    assert sampler._batch_rows(1000) == 4196
+    assert sampler._batch_rows(20000) == 209
+    assert sampler._batch_rows(2**22) == sampler._batch_rows(10**9) == 1
+    for n in (257, 1000, 4099, 20000, 2**22):
+        rows = sampler._batch_rows(n)
+        assert rows * (2 * n - 1) <= 2**23 < (rows + 1) * (2 * n - 1)
+
+
+def test_estimate_survival_draws_batches_of_the_capped_height(monkeypatch):
+    # a 2^10-step budget gives 17 rows of 59 steps at n = 30, so 40 trials are
+    # batches of 17, 17 and 6; Y draws each batch's picks after its shuffle,
+    # so its counts depend on where the batches end
+    n, seed = 30, 405
+    monkeypatch.setattr(sampler, "_BATCH_STEPS", 1 << 10)
+    assert sampler._batch_rows(n) == 17
+    rng = make_rng(seed)
+    values = []
+    for rows in (17, 17, 6):
+        w = sampler._dyck_rows(sampler._shuffled_steps(n, rows, rng))
+        values.append(sampler._vertex_protection_values(w, rng.integers(0, n, size=rows)))
+    suffix = np.cumsum(np.bincount(np.concatenate(values), minlength=n)[::-1])[::-1]
+    expected = {k: int(c) for k, c in enumerate(suffix) if c > 0}
+    assert estimate_survival("Y", n, 40, seed).survival_counts == expected
 
 
 def test_sample_tree_returns_right_size():
     rng = make_rng(7)
     for n in (1, 2, 5, 40):
         tree = sample_tree(n, rng)
-        assert tree.vertex_count == n
+        assert len(tree.parens) == 2 * n
 
 
 def test_sampler_uniform_over_the_five_trees_of_size_four():
-    # 2*10^5 draws, expected 4*10^4 per shape; 4 sigma is about 712
+    # 2*10^5 draws in one batch, expected 4*10^4 per shape; 4 sigma is about 712
     rng = make_rng(20260142)
-    counts = Counter(sample_tree(4, rng).to_parens() for _ in range(200000))
+    rows = sampler._dyck_rows(sampler._shuffled_steps(4, 200000, rng))
+    shapes, tallies = np.unique(rows, axis=0, return_counts=True)
+    words = ("(" + "".join("(" if s == 1 else ")" for s in w) + ")" for w in shapes)
+    counts = dict(zip(words, tallies.tolist()))
     assert sorted(counts) == [
         "(((())))",
         "((()()))",
@@ -82,7 +115,7 @@ def test_sampler_uniform_over_the_five_trees_of_size_four():
 def test_sampler_uniform_at_n3():
     # path and cherry, each about half
     rng = make_rng(31)
-    counts = Counter(sample_tree(3, rng).to_parens() for _ in range(20000))
+    counts = Counter(sample_tree(3, rng).parens for _ in range(20000))
     assert sorted(counts) == ["((()))", "(()())"]
     sigma = math.sqrt(20000 * 0.25)
     assert abs(counts["((()))"] - 10000) < 4 * sigma

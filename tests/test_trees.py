@@ -1,5 +1,7 @@
 """Tests for the brute-force layer: tree encoding, enumeration, oracles."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,20 +22,21 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
 
 def test_parens_roundtrip_small():
+    # the word is the whole tree: no second, nested form is kept
+    assert [field.name for field in dataclasses.fields(PlaneTree)] == ["parens"]
     for text in ["()", "(())", "(()())", "((())())", "(()(()))"]:
-        tree = PlaneTree.from_parens(text)
-        assert tree.to_parens() == text
+        assert PlaneTree(text).parens == text
 
 
 def test_from_parens_rejects_malformed():
     for bad in ["", "(", ")", ")(", "()()", "(()", "(x)", "(())x"]:
         with pytest.raises(ValueError):
-            PlaneTree.from_parens(bad)
+            PlaneTree(bad)
 
 
 def test_vertex_count_matches_parens_length():
-    tree = PlaneTree.from_parens("((())()(()))")
-    assert tree.vertex_count == len("((())()(()))") // 2
+    tree = PlaneTree("((())()(()))")
+    assert protection_profile(tree).n == len(tree.parens) // 2 == 6
 
 
 def test_enumeration_counts_are_catalan():
@@ -42,29 +45,28 @@ def test_enumeration_counts_are_catalan():
 
 
 def test_enumeration_order_is_lexicographic_n4():
-    got = [t.to_parens() for t in enumerate_trees(4)]
+    got = [t.parens for t in enumerate_trees(4)]
     assert got == ["(((())))", "((()()))", "((())())", "(()(()))", "(()()())"]
 
 
 def test_enumeration_trees_distinct():
     seen = set()
     for tree in enumerate_trees(6):
-        word = tree.to_parens()
-        assert word not in seen
-        seen.add(word)
+        assert tree not in seen
+        seen.add(tree)
 
 
 def test_protection_number_examples():
     # single vertex is a leaf
-    assert protection_number(PlaneTree.leaf()) == 0
+    assert protection_number(PlaneTree("()")) == 0
     # path of length 3: root three edges from its only leaf
-    assert protection_number(PlaneTree.from_parens("(((())))")) == 3
+    assert protection_number(PlaneTree("(((())))")) == 3
     # root with a leaf child is only 1-protected no matter what else hangs off
-    assert protection_number(PlaneTree.from_parens("(()(()))")) == 1
+    assert protection_number(PlaneTree("(()(()))")) == 1
 
 
 def test_protection_profile_survival_counts():
-    tree = PlaneTree.from_parens("((())())")
+    tree = PlaneTree("((())())")
     profile = protection_profile(tree)
     assert profile.n == 4
     # two leaves, the vertex above one of them, and the root (leaf child)
@@ -72,7 +74,7 @@ def test_protection_profile_survival_counts():
 
 
 def test_profile_at_least_is_survival_count():
-    tree = PlaneTree.from_parens("(((())))")
+    tree = PlaneTree("(((())))")
     profile = protection_profile(tree)
     assert profile.at_least(0) == 4
     assert profile.at_least(1) == 3
@@ -121,23 +123,23 @@ def test_oracle_bound_enforced():
 
 
 def test_leaf_count_examples():
-    assert leaf_count(PlaneTree.leaf()) == 1
-    assert leaf_count(PlaneTree.from_parens("(()()())")) == 3
+    assert leaf_count(PlaneTree("()")) == 1
+    assert leaf_count(PlaneTree("(()()())")) == 3
 
 
 def _protection_by_bfs(tree: PlaneTree) -> int:
-    """Independent re-derivation: min distance from root to any leaf."""
-    frontier = [(tree, 0)]
-    best = None
-    while frontier:
-        node, depth = frontier.pop()
-        if not node.children:
-            if best is None or depth < best:
-                best = depth
+    """Independent re-derivation: the smallest depth of a leaf "()" in the word."""
+    word = tree.parens
+    depth = 0
+    leaf_depths = []
+    for i, ch in enumerate(word):
+        if ch == ")":
+            depth -= 1
             continue
-        for child in node.children:
-            frontier.append((child, depth + 1))
-    return best
+        if word[i + 1] == ")":
+            leaf_depths.append(depth)
+        depth += 1
+    return min(leaf_depths)
 
 
 _POOLS = {n: list(enumerate_trees(n)) for n in range(1, 10)}
@@ -158,9 +160,9 @@ def test_protection_number_agrees_with_bfs(tree):
 @given(plane_trees())
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_and_profile_consistency(tree):
-    word = tree.to_parens()
-    assert PlaneTree.from_parens(word) == tree
+    assert PlaneTree(tree.parens) == tree
+    assert hash(PlaneTree(tree.parens)) == hash(tree)
     profile = protection_profile(tree)
     assert profile.at_least(protection_number(tree)) >= 1
-    assert profile.counts[0] == tree.vertex_count
+    assert profile.counts[0] == len(tree.parens) // 2
     assert profile.at_least(0) - profile.at_least(1) == leaf_count(tree)
