@@ -324,14 +324,15 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
 
 
 def run_criterion(number: int) -> CriterionResult:
-    """Run one criterion, print its PASS/FAIL line and detail, return the result."""
+    """Run one criterion, print and flush its PASS/FAIL line and detail, return the result."""
     _, title, check = next(c for c in CRITERIA if c[0] == number)
     start = time.perf_counter()
     passed, detail = check()
     elapsed = time.perf_counter() - start
-    print(f"{'PASS' if passed else 'FAIL'}  criterion {number}: {title} ({elapsed:.1f} s)")
+    status = "PASS" if passed else "FAIL"
+    print(f"{status}  criterion {number}: {title} ({elapsed:.1f} s)", flush=True)
     if detail:
-        print(f"      {detail}")
+        print(f"      {detail}", flush=True)
     return CriterionResult(number, title, passed, detail, elapsed)
 
 

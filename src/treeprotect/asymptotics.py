@@ -13,13 +13,13 @@ and the moments converge to constants
 
 with 1/n coefficients c1, c3, d1, d3.  All eight constants are sums over
 k of the survival terms above (the second moments use (2k-1) weights),
-evaluated here as exact rational partial sums plus proven geometric tail
-bounds, so every printed digit is certified by a rational enclosure.
+enclosed as integer partial sums in units of 10^-208: each term adds its
+floor, with one unit of slack per term on the upper side, and a proven
+geometric tail bound is rounded up, so every printed digit is certified.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -153,9 +153,11 @@ def limit_pmf_Y(k: int) -> AsymptoticValue:
 class ConstantEnclosure:
     """A constant pinned between exact rational bounds.
 
-    `decimal` is the value truncated toward zero to `digits` fractional
-    digits; both bounds share that truncation, so every printed digit is
-    certified.
+    The bounds are integer partial sums in units of 10^-208, floored term
+    by term, with one unit of slack per term on the upper side and the
+    tail majorant rounded up.  `decimal` is the value truncated toward
+    zero to `digits` fractional digits; both bounds share that
+    truncation, so every printed digit is certified.
     """
 
     name: str
@@ -205,7 +207,21 @@ _PRIMITIVE_SUMS: dict[str, tuple[_TermFn, int, int]] = {
     "y_weighted_corr": (lambda k: (2 * k - 1) * _survival_corr_Y(k), 6, 2),
 }
 
-_Interval = tuple[Fraction, Fraction]
+# enclosures are integers in units of 10^-_PLACES, a few places past the largest
+# `digits`; every tail majorant at _CUTOFF is below 10^-211
+_MAX_DIGITS = 200
+_PLACES = _MAX_DIGITS + 8
+_CUTOFF = 362
+
+# c2, c3, d2, d3 as weighted sum - factor * left * right, with factor > 0
+_MOMENT_COMBOS = {
+    "c2": ("x_weighted_lead", 1, "c0", "c0"),
+    "c3": ("x_weighted_corr", 2, "c0", "c1"),
+    "d2": ("y_weighted_lead", 1, "d0", "d0"),
+    "d3": ("y_weighted_corr", 2, "d0", "d1"),
+}
+
+_Interval = tuple[int, int]
 
 
 def summand_bound(sum_name: str, k: int) -> Fraction:
@@ -228,43 +244,29 @@ def _tail_bound(a: int, p: int, cutoff: int) -> Fraction:
     return first / (1 - q)
 
 
-def _sum_interval(name: str, cutoff: int) -> _Interval:
+def _sum_interval(name: str, scale: int, cutoff: int) -> _Interval:
+    """One primitive sum in units of 1/scale; each term's floor is under one unit low."""
     term, a, p = _PRIMITIVE_SUMS[name]
-    partial = sum((term(k) for k in range(1, cutoff + 1)), start=Fraction(0))
+    floors = sum(t.numerator * scale // t.denominator for t in map(term, range(1, cutoff + 1)))
     tail = _tail_bound(a, p, cutoff)
-    return (partial - tail, partial + tail)
+    tail_units = -(-tail.numerator * scale // tail.denominator)
+    return floors - tail_units, floors + cutoff + tail_units
 
 
-def _ivl_sub(a: _Interval, b: _Interval) -> _Interval:
-    return (a[0] - b[1], a[1] - b[0])
-
-
-def _ivl_mul(a: _Interval, b: _Interval) -> _Interval:
+def _ivl_mul(a: _Interval, b: _Interval, scale: int) -> _Interval:
     products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
+    return min(products) // scale, -(-max(products) // scale)
 
 
-def _ivl_scale(c: int, a: _Interval) -> _Interval:
-    lo, hi = c * a[0], c * a[1]
-    return (lo, hi) if lo <= hi else (hi, lo)
-
-
-def _constant_interval(name: str, cutoff: int) -> _Interval:
-    if name in ("c0", "c1", "d0", "d1"):
-        return _sum_interval(name, cutoff)
-    if name == "c2":
-        mean = _sum_interval("c0", cutoff)
-        return _ivl_sub(_sum_interval("x_weighted_lead", cutoff), _ivl_mul(mean, mean))
-    if name == "c3":
-        cross = _ivl_mul(_sum_interval("c0", cutoff), _sum_interval("c1", cutoff))
-        return _ivl_sub(_sum_interval("x_weighted_corr", cutoff), _ivl_scale(2, cross))
-    if name == "d2":
-        mean = _sum_interval("d0", cutoff)
-        return _ivl_sub(_sum_interval("y_weighted_lead", cutoff), _ivl_mul(mean, mean))
-    if name == "d3":
-        cross = _ivl_mul(_sum_interval("d0", cutoff), _sum_interval("d1", cutoff))
-        return _ivl_sub(_sum_interval("y_weighted_corr", cutoff), _ivl_scale(2, cross))
-    raise ValueError(f"unknown constant {name!r}")
+def _constant_interval(name: str) -> _Interval:
+    scale = 10**_PLACES
+    if name not in _MOMENT_COMBOS:
+        return _sum_interval(name, scale, _CUTOFF)
+    weighted, factor, left, right = _MOMENT_COMBOS[name]
+    low, high = _sum_interval(weighted, scale, _CUTOFF)
+    factors = _sum_interval(left, scale, _CUTOFF), _sum_interval(right, scale, _CUTOFF)
+    p_low, p_high = _ivl_mul(*factors, scale)
+    return low - factor * p_high, high - factor * p_low
 
 
 def truncated_decimal(value: Fraction, digits: int) -> str:
@@ -280,32 +282,28 @@ def constant(name: str, digits: int) -> ConstantEnclosure:
     """Certified enclosure of one of c0..c3, d0..d3 to `digits` digits."""
     if name not in CONSTANT_NAMES:
         raise ValueError(f"unknown constant {name!r}; expected one of {CONSTANT_NAMES}")
-    if not 1 <= digits <= 200:
-        raise ValueError("digits must be between 1 and 200")
-    # tail < 10^(-digits-2) at this cutoff; widen if the bounds truncate apart
-    cutoff = math.ceil((digits + 4) / math.log10(4)) + 16
-    for attempt in range(5):
-        lower, upper = _constant_interval(name, cutoff + 48 * attempt)
-        if upper - lower < Fraction(1, 10**digits):
-            decimal = truncated_decimal(lower, digits)
-            if decimal == truncated_decimal(upper, digits):
-                return ConstantEnclosure(name, lower, upper, digits, decimal)
-    raise ArithmeticError(f"enclosure for {name} would not settle at {digits} digits")
+    if not 1 <= digits <= _MAX_DIGITS:
+        raise ValueError(f"digits must be between 1 and {_MAX_DIGITS}")
+    low, high = _constant_interval(name)
+    lower, upper = Fraction(low, 10**_PLACES), Fraction(high, 10**_PLACES)
+    decimal = truncated_decimal(lower, digits)
+    if decimal != truncated_decimal(upper, digits):
+        raise ArithmeticError(f"bounds of {name} truncate apart at {digits} digits")
+    return ConstantEnclosure(name, lower, upper, digits, decimal)
 
 
-def asym_moments_X(n: int, digits: int = 30) -> tuple[Fraction, Fraction]:
+def _two_term_moments(names: tuple[str, ...], n: int) -> tuple[Fraction, Fraction]:
+    if n < 1:
+        raise ValueError("tree size must be positive")
+    mean, mean_corr, var, var_corr = (constant(name, _MAX_DIGITS).midpoint for name in names)
+    return mean + mean_corr / n, var + var_corr / n
+
+
+def asym_moments_X(n: int) -> tuple[Fraction, Fraction]:
     """Two-term approximations (c0 + c1/n, c2 + c3/n) of mean and variance."""
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    mean = constant("c0", digits).midpoint + constant("c1", digits).midpoint / n
-    var = constant("c2", digits).midpoint + constant("c3", digits).midpoint / n
-    return mean, var
+    return _two_term_moments(CONSTANT_NAMES[:4], n)
 
 
-def asym_moments_Y(n: int, digits: int = 30) -> tuple[Fraction, Fraction]:
+def asym_moments_Y(n: int) -> tuple[Fraction, Fraction]:
     """Two-term approximations (d0 + d1/n, d2 + d3/n) of mean and variance."""
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    mean = constant("d0", digits).midpoint + constant("d1", digits).midpoint / n
-    var = constant("d2", digits).midpoint + constant("d3", digits).midpoint / n
-    return mean, var
+    return _two_term_moments(CONSTANT_NAMES[4:], n)

@@ -351,7 +351,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # enclosure numerators outgrow the 4300-digit int-to-str guard fast
+    # r-explicit and exact-dist counts pass the 4300-digit str() guard from n ~ 7200
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)

@@ -1,4 +1,4 @@
-"""The seven verification criteria, one test each.
+"""The seven verification criteria, one test each, and the runner's flushing.
 
 Each test runs its criterion through the runner the `verify` subcommand
 uses, so it prints the same PASS/FAIL line, and then asserts the criterion
@@ -12,7 +12,39 @@ weakened away:
   finite-n variances confirm the computed values.
 """
 
+import sys
+
+import pytest
+
+from treeprotect import acceptance
 from treeprotect.acceptance import run_criterion
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away: every flush raises."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError
+
+
+def test_run_all_stops_at_the_first_line_into_a_closed_pipe(monkeypatch):
+    ran = []
+
+    def stub(number):
+        def check():
+            ran.append(number)
+            return True, "detail"
+
+        return number, f"stub {number}", check
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [stub(1), stub(2), stub(3)])
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        acceptance.run_all()
+    assert ran == [1]
 
 
 def test_criterion_1_oracle_equivalence():

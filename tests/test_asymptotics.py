@@ -4,11 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from treeprotect import asymptotics
 from treeprotect.acceptance import REFERENCE_DIGITS
 from treeprotect.asymptotics import (
+    _CUTOFF,
+    _PRIMITIVE_SUMS,
     CONSTANT_NAMES,
     X_ERROR_ORDER,
     Y_ERROR_ORDER,
+    _ivl_mul,
+    _sum_interval,
+    _tail_bound,
     asym_P_X_ge,
     asym_P_Y_ge,
     asym_moments_X,
@@ -18,6 +24,7 @@ from treeprotect.asymptotics import (
     limit_pmf_Y,
     summand,
     summand_bound,
+    truncated_decimal,
 )
 from treeprotect.exact import dist_X_exact, dist_Y_exact
 
@@ -103,6 +110,49 @@ def test_summand_majorants_hold():
     ):
         for k in range(1, 61):
             assert abs(summand(name, k)) <= summand_bound(name, k), (name, k)
+
+
+def test_fixed_point_sums_contain_the_exact_enclosure():
+    # coarse scales make every floor and the one unit of slack per term count
+    for name, (_, a, p) in _PRIMITIVE_SUMS.items():
+        for scale in (10**3, 10**10):
+            for cutoff in (5, 30):
+                low, high = _sum_interval(name, scale, cutoff)
+                partial = sum(summand(name, k) for k in range(1, cutoff + 1))
+                tail = _tail_bound(a, p, cutoff)
+                assert Fraction(low, scale) <= partial - tail, (name, scale, cutoff)
+                assert partial + tail <= Fraction(high, scale), (name, scale, cutoff)
+
+
+def test_interval_product_rounds_outward_for_every_sign_pattern():
+    scale = 10**3
+    positive, negative = (1234, 5679), (-5679, -1234)
+    for a in (positive, negative):
+        for b in (positive, negative):
+            exact = [Fraction(x * y, scale**2) for x in a for y in b]
+            low, high = _ivl_mul(a, b, scale)
+            assert Fraction(low, scale) <= min(exact) <= max(exact) <= Fraction(high, scale)
+            # outward rounding costs less than one unit at each end
+            assert Fraction(high - low, scale) < max(exact) - min(exact) + Fraction(2, scale)
+
+
+def test_every_name_settles_at_every_digit_count():
+    for _, a, p in _PRIMITIVE_SUMS.values():
+        assert _tail_bound(a, p, _CUTOFF) < Fraction(1, 10**211)
+    # bounds that truncate alike at 200 digits also do at every smaller count,
+    # but each count is checked anyway
+    for name in CONSTANT_NAMES:
+        enc = constant(name, 200)
+        for digits in range(1, 201):
+            lower, upper = (truncated_decimal(b, digits) for b in (enc.lower, enc.upper))
+            assert lower == upper, (name, digits)
+
+
+def test_straddling_enclosure_raises(monkeypatch):
+    # at 10^-5 units the per-term slack alone makes the enclosure 362 units wide
+    monkeypatch.setattr(asymptotics, "_PLACES", 5)
+    with pytest.raises(ArithmeticError):
+        constant.__wrapped__("c0", 5)
 
 
 def test_constant_names_and_validation():

@@ -13,6 +13,7 @@ import pytest
 
 import treeprotect
 from treeprotect.cli import build_parser, main
+from treeprotect.exact import catalan
 
 
 def _run(capsys, argv):
@@ -134,13 +135,19 @@ def test_constants_default_names_cover_all_eight(capsys):
     assert names == ["c0", "c1", "c2", "c3", "d0", "d1", "d2", "d3"]
 
 
-def test_constants_survive_huge_rationals(capsys):
-    # 60-digit enclosures have numerators beyond the default int-to-str cap
-    code, out = _run(capsys, ["constants", "c0", "--digits", "60"])
-    assert code == 0
-    row = _jsonl(out)[0]
-    assert row["decimal"].startswith("1.62297138471535304951465820318434598963551366898406")
-    assert len(row["lower_num"]) > 4300
+def test_counts_past_the_int_to_str_cap_print(capsys):
+    # r(7300, 1) = C_7299 has 4,389 digits, past the interpreter's default
+    # 4300-digit str() cap, which main must lift
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = _run(capsys, ["r-explicit", "7300", "1"])
+        assert code == 0
+        value = _jsonl(out)[0]["value"]
+        assert len(value) == 4389
+        assert int(value) == catalan(7299)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_limit_dist_rows(capsys):
