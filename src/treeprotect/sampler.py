@@ -3,16 +3,16 @@
 Sampling uses the cycle lemma: shuffle a multiset of n-1 rise steps and
 n fall steps (total displacement -1); among its 2n-1 cyclic rotations
 exactly one stays nonnegative until the final step, namely the rotation
-that starts just after the first minimum of the partial sums.  Dropping
-that final fall leaves a uniform Dyck word w of n-1 pairs, and "(" + w + ")"
-is the parenthesis code of a uniform n-vertex plane tree.
+that starts just after the first minimum of the partial sums.  A root
+rise followed by that whole rotation is the tree word of a uniform
+n-vertex plane tree: its parenthesis code, held as a row of 2n int8 steps.
 
-Protection statistics are read off the Dyck word directly: a leaf is a
-rise immediately followed by a fall, its depth in the tree is the height
-of the walk after the rise, and a vertex's protection number is the
-minimum leaf depth within its subtree minus its own depth.  The batch
-estimator computes these with vectorized numpy scans instead of building
-tree objects.
+Protection statistics are read off tree words directly: preorder vertex p
+opens at the (p+1)-th rise and its depth is the walk's height after it, a
+leaf is a rise immediately followed by a fall, and a vertex's protection
+number is the minimum leaf depth within its subtree minus its own depth.
+One vectorized numpy scan with int32 heights reads this for vertex 0 (X)
+or a uniform pick (Y) in every row of a batch, instead of building trees.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .trees import PlaneTree
 
@@ -40,7 +41,8 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 RNG_STREAM = 3
 
 # batch height caps: at most _BATCH rows of 2n-1 steps and at most
-# _BATCH_STEPS steps in all (64 MiB per int64 array).  The height depends on
+# _BATCH_STEPS steps in all (about 8 MiB per int8 array); one row must fit, so
+# n <= 2^22 and int32 heights stay far from overflow.  The height depends on
 # n alone, so estimates depend only on (statistic, n, trials, seed).
 _BATCH = 1 << 14
 _BATCH_STEPS = 1 << 23
@@ -77,19 +79,21 @@ class SampleStats:
 
 
 def _shuffled_steps(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    base = np.concatenate([np.ones(n - 1, dtype=np.int64), -np.ones(n, dtype=np.int64)])
-    block = np.tile(base, (rows, 1))
-    return rng.permuted(block, axis=1)
+    base = np.concatenate([np.ones(n - 1, dtype=np.int8), -np.ones(n, dtype=np.int8)])
+    return rng.permuted(np.tile(base, (rows, 1)), axis=1)
 
 
-def _dyck_rows(steps: np.ndarray) -> np.ndarray:
-    """Admissible rotation of each row, final fall dropped: rows of n-1 pairs."""
+def _tree_words(steps: np.ndarray) -> np.ndarray:
+    """Each row's tree word of n pairs: a root rise, then its admissible rotation."""
     rows, m = steps.shape
-    walk = np.cumsum(steps, axis=1)
+    walk = np.cumsum(steps, axis=1, dtype=np.int32)
     first_min = np.argmin(walk, axis=1)
-    # rotation starting after the first minimum, excluding the step into it
-    offsets = (first_min[:, None] + 1 + np.arange(m - 1)[None, :]) % m
-    return np.take_along_axis(steps, offsets, axis=1)
+    # rotation starting after the first minimum, ending with the step into it:
+    # the window of m steps at first_min + 1 in the row written twice
+    windows = sliding_window_view(np.concatenate([steps, steps], axis=1), m, axis=1)
+    words = np.ones((rows, m + 1), dtype=np.int8)
+    words[:, 1:] = windows[np.arange(rows), first_min + 1]
+    return words
 
 
 def _batch_rows(n: int) -> int:
@@ -97,46 +101,40 @@ def _batch_rows(n: int) -> int:
     return min(_BATCH, max(1, _BATCH_STEPS // (2 * n - 1)))
 
 
-def sample_tree(n: int, rng: np.random.Generator) -> PlaneTree:
-    """One exactly uniform plane tree with n vertices."""
+def _check_size(n: int) -> None:
     if n < 1:
         raise ValueError("tree size must be positive")
-    w = _dyck_rows(_shuffled_steps(n, 1, rng))[0]
-    inner = "".join("(" if s == 1 else ")" for s in w)
-    return PlaneTree("(" + inner + ")")
+    if 2 * n - 1 > _BATCH_STEPS:
+        limit = (_BATCH_STEPS + 1) // 2
+        raise ValueError(f"tree size must be at most {limit}, so 2n-1 steps fit one batch")
 
 
-def _root_protection_values(w: np.ndarray) -> np.ndarray:
-    """Per-row protection number of the root, from Dyck rows of n-1 pairs."""
-    heights = np.cumsum(w, axis=1)
-    is_leaf = (w[:, :-1] == 1) & (w[:, 1:] == -1)
-    leaf_depths = np.where(is_leaf, heights[:, :-1], np.iinfo(np.int64).max)
-    return leaf_depths.min(axis=1)
+def sample_tree(n: int, rng: np.random.Generator) -> PlaneTree:
+    """One exactly uniform plane tree with n vertices."""
+    _check_size(n)
+    word = _tree_words(_shuffled_steps(n, 1, rng))[0]
+    return PlaneTree("".join("(" if s == 1 else ")" for s in word))
 
 
-def _vertex_protection_values(w: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """Per-row protection number of the preorder-picks[i]-th vertex (0-based)."""
-    rows, width = w.shape
-    heights = np.cumsum(w, axis=1)
-    idx = np.arange(width)[None, :]
-    is_leaf = (w[:, :-1] == 1) & (w[:, 1:] == -1)
+def _protection_scan(words: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Protection number, in each row, of preorder vertex picks[i] (the root is 0)."""
+    rows, width = words.shape
+    heights = np.cumsum(words, axis=1, dtype=np.int32)
+    idx = np.arange(width, dtype=np.int32)[None, :]
+    is_leaf = (words[:, :-1] == 1) & (words[:, 1:] == -1)
 
-    # vertex 0 is the root; vertex u >= 1 is the u-th rise of w
-    rise_number = np.cumsum(w == 1, axis=1)
-    at_pick = rise_number == np.maximum(picks, 1)[:, None]
-    start = np.argmax(at_pick, axis=1)
-    depth = np.take_along_axis(heights, start[:, None], axis=1)[:, 0]
+    # steps 0..i hold (i + 1 + heights[i]) / 2 rises, so the (p+1)-th rise
+    # is the first step i with i + heights[i] = 2p + 1
+    start = np.argmax(idx + heights == (2 * picks + 1)[:, None], axis=1)
+    depth = heights[np.arange(rows), start]
 
     # subtree ends where the walk first returns below the vertex's depth
     closes = (idx > start[:, None]) & (heights == (depth - 1)[:, None])
     end = np.argmax(closes, axis=1)
 
     in_span = (idx[:, : width - 1] >= start[:, None]) & (idx[:, : width - 1] < end[:, None])
-    masked = np.where(in_span & is_leaf, heights[:, :-1], np.iinfo(np.int64).max)
-    values = masked.min(axis=1) - depth
-
-    root_values = _root_protection_values(w)
-    return np.where(picks == 0, root_values, values)
+    masked = np.where(in_span & is_leaf, heights[:, :-1], np.iinfo(np.int32).max)
+    return masked.min(axis=1) - depth
 
 
 def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleStats:
@@ -150,13 +148,9 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     """
     if statistic not in ("X", "Y"):
         raise ValueError("statistic must be 'X' or 'Y'")
-    if n < 1:
-        raise ValueError("tree size must be positive")
+    _check_size(n)
     if trials < 1:
         raise ValueError("trials must be positive")
-
-    if n == 1:
-        return SampleStats(statistic, n, trials, seed, {0: trials})
 
     rng = make_rng(seed)
     histogram = np.zeros(n, dtype=np.int64)
@@ -164,13 +158,9 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     height = _batch_rows(n)
     while remaining > 0:
         rows = min(remaining, height)
-        w = _dyck_rows(_shuffled_steps(n, rows, rng))
-        if statistic == "X":
-            values = _root_protection_values(w)
-        else:
-            picks = rng.integers(0, n, size=rows)
-            values = _vertex_protection_values(w, picks)
-        histogram += np.bincount(values, minlength=n)
+        words = _tree_words(_shuffled_steps(n, rows, rng))
+        picks = rng.integers(0, n, size=rows) if statistic == "Y" else np.zeros(rows, dtype=int)
+        histogram += np.bincount(_protection_scan(words, picks), minlength=n)
         remaining -= rows
 
     suffix = np.cumsum(histogram[::-1])[::-1]

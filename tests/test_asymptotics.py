@@ -176,10 +176,14 @@ def test_enclosure_certifies_its_digits():
 
 
 def test_enclosures_nest_as_digits_grow():
-    rough = constant("c0", 10)
-    fine = constant("c0", 50)
-    assert rough.lower <= fine.lower <= fine.upper <= rough.upper
-    assert fine.decimal.startswith(rough.decimal)
+    # one fixed-precision enclosure serves every digit count, so coarser
+    # decimals are prefixes of the 200-digit one
+    for name in CONSTANT_NAMES:
+        finest = constant(name, 200)
+        for digits in (1, 10, 50):
+            enc = constant(name, digits)
+            assert (enc.lower, enc.upper) == (finest.lower, finest.upper), (name, digits)
+            assert finest.decimal.startswith(enc.decimal), (name, digits)
 
 
 def test_constants_match_published_prefixes_where_consistent():

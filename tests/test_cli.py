@@ -234,6 +234,12 @@ def test_value_error_maps_to_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sample_past_the_step_budget_is_usage_error(capsys):
+    code = main(["sample", "X", "4194305", "--trials", "1"])
+    assert code == 2
+    assert "at most 4194304" in capsys.readouterr().err
+
+
 def test_oracle_bound_maps_to_exit_3(capsys):
     code = main(["oracle", "--n", "30"])
     assert code == 3

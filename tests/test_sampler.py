@@ -20,6 +20,7 @@ from treeprotect.sampler import (
     make_rng,
     sample_tree,
 )
+from treeprotect.trees import _protection_values, enumerate_trees
 
 
 def _max_z(stats: SampleStats, table) -> float:
@@ -48,8 +49,8 @@ def test_short_run_counts_are_the_first_rows_of_a_full_batch():
     # rows in order, so X counts match the first `trials` rows of a full batch
     n, seed = 30, 404
     height = sampler._batch_rows(n)
-    full = sampler._dyck_rows(sampler._shuffled_steps(n, height, make_rng(seed)))
-    values = sampler._root_protection_values(full)
+    full = sampler._tree_words(sampler._shuffled_steps(n, height, make_rng(seed)))
+    values = sampler._protection_scan(full, np.zeros(height, dtype=int))
     for trials in (1, 999, height - 1):
         suffix = np.cumsum(np.bincount(values[:trials], minlength=n)[::-1])[::-1]
         expected = {k: int(c) for k, c in enumerate(suffix) if c > 0}
@@ -78,11 +79,76 @@ def test_estimate_survival_draws_batches_of_the_capped_height(monkeypatch):
     rng = make_rng(seed)
     values = []
     for rows in (17, 17, 6):
-        w = sampler._dyck_rows(sampler._shuffled_steps(n, rows, rng))
-        values.append(sampler._vertex_protection_values(w, rng.integers(0, n, size=rows)))
+        words = sampler._tree_words(sampler._shuffled_steps(n, rows, rng))
+        values.append(sampler._protection_scan(words, rng.integers(0, n, size=rows)))
     suffix = np.cumsum(np.bincount(np.concatenate(values), minlength=n)[::-1])[::-1]
     expected = {k: int(c) for k, c in enumerate(suffix) if c > 0}
     assert estimate_survival("Y", n, 40, seed).survival_counts == expected
+
+
+# survival counts of stream 3; every run past n = 2 crosses a batch end
+PINNED_COUNTS = {
+    ("X", 1, 500, 1): {0: 500},
+    ("Y", 1, 500, 1): {0: 500},
+    ("X", 2, 2000, 3): {0: 2000, 1: 2000},
+    ("Y", 2, 2000, 3): {0: 2000, 1: 1020},
+    ("X", 200, 16385, 11): {
+        0: 16385, 1: 16385, 2: 7298, 3: 2175, 4: 557, 5: 148, 6: 28, 7: 7, 8: 3, 9: 2, 10: 1
+    },
+    ("Y", 200, 16385, 11): {0: 16385, 1: 8105, 2: 2756, 3: 759, 4: 192, 5: 52, 6: 13, 7: 4},
+    ("X", 257, 16353, 12): {0: 16353, 1: 16353, 2: 7160, 3: 2112, 4: 552, 5: 138, 6: 29, 7: 5, 8: 2},
+    ("Y", 257, 16353, 12): {0: 16353, 1: 8128, 2: 2704, 3: 767, 4: 193, 5: 41, 6: 6, 7: 4, 8: 1},
+    ("X", 1000, 4197, 13): {0: 4197, 1: 4197, 2: 1797, 3: 571, 4: 141, 5: 24, 6: 5, 7: 2, 8: 1},
+    ("Y", 1000, 4197, 13): {0: 4197, 1: 2041, 2: 698, 3: 200, 4: 55, 5: 12, 6: 2, 7: 1},
+    # three batches, so that X also pins every draw between its batches
+    ("X", 50, 40000, 15): {0: 40000, 1: 40000, 2: 17757, 3: 5414, 4: 1403, 5: 386, 6: 90, 7: 23, 8: 5},
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_COUNTS), ids=lambda key: "-".join(map(str, key)))
+def test_stream_reproduces_pinned_counts(key):
+    assert estimate_survival(*key).survival_counts == PINNED_COUNTS[key]
+
+
+def _preorder_protection(parens: str) -> list[int]:
+    """Oracle protection numbers indexed by preorder, from closing order."""
+    stack, opened, preorder_of_closing = [], 0, []
+    for ch in parens:
+        if ch == "(":
+            stack.append(opened)
+            opened += 1
+        else:
+            preorder_of_closing.append(stack.pop())
+    out = [0] * opened
+    for p, value in zip(preorder_of_closing, _protection_values(parens)):
+        out[p] = value
+    return out
+
+
+def test_protection_scan_matches_the_oracle_at_every_vertex():
+    for n in range(1, 10):
+        trees = [tree.parens for tree in enumerate_trees(n)]
+        words = np.array([[1 if ch == "(" else -1 for ch in t] for t in trees], dtype=np.int8)
+        expected = np.array([_preorder_protection(t) for t in trees])
+        for p in range(n):
+            got = sampler._protection_scan(words, np.full(len(trees), p))
+            assert got.tolist() == expected[:, p].tolist(), (n, p)
+
+
+def test_one_row_must_fit_the_step_budget(monkeypatch):
+    # 2n-1 steps per row: n = 2^22 fits 2^23 steps, n = 2^22 + 1 does not
+    with pytest.raises(ValueError, match="at most 4194304"):
+        estimate_survival("X", 2**22 + 1, 1, seed=1)
+    with pytest.raises(ValueError, match="at most 4194304"):
+        sample_tree(2**22 + 1, make_rng(1))
+    # the same edge under a 2^10-step budget, where the largest tree is cheap
+    monkeypatch.setattr(sampler, "_BATCH_STEPS", 1 << 10)
+    assert estimate_survival("X", 512, 1, seed=1).trials == 1
+    assert len(sample_tree(512, make_rng(1)).parens) == 1024
+    with pytest.raises(ValueError, match="at most 512"):
+        estimate_survival("Y", 513, 1, seed=1)
+    with pytest.raises(ValueError, match="at most 512"):
+        sample_tree(513, make_rng(1))
 
 
 def test_sample_tree_returns_right_size():
@@ -95,9 +161,9 @@ def test_sample_tree_returns_right_size():
 def test_sampler_uniform_over_the_five_trees_of_size_four():
     # 2*10^5 draws in one batch, expected 4*10^4 per shape; 4 sigma is about 712
     rng = make_rng(20260142)
-    rows = sampler._dyck_rows(sampler._shuffled_steps(4, 200000, rng))
+    rows = sampler._tree_words(sampler._shuffled_steps(4, 200000, rng))
     shapes, tallies = np.unique(rows, axis=0, return_counts=True)
-    words = ("(" + "".join("(" if s == 1 else ")" for s in w) + ")" for w in shapes)
+    words = ("".join("(" if s == 1 else ")" for s in w) for w in shapes)
     counts = dict(zip(words, tallies.tolist()))
     assert sorted(counts) == [
         "(((())))",
