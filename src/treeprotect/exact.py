@@ -440,7 +440,7 @@ def _table_from_counts(n: int, ge_counts: list[int], denominator: int) -> Distri
     )
 
 
-Method = Literal["oracle", "series", "explicit"]
+Method = Literal["oracle", "explicit"]
 
 
 def dist_X_exact(
@@ -448,17 +448,15 @@ def dist_X_exact(
 ) -> DistributionTable:
     """Exact distribution of the root protection number at size n.
 
-    All methods produce identical tables.  "explicit" (the default)
-    evaluates the alternating binomial sum on plain integers; "series"
-    walks the substitution recurrence and "oracle" enumerates every tree
-    (subject to the size bound), both kept as independent cross-checks.
+    Both methods produce identical tables.  "explicit" (the default)
+    evaluates the alternating binomial sum on plain integers; "oracle"
+    enumerates every tree (subject to the size bound) as an independent
+    cross-check.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
     if method == "oracle":
         counts = [oracle_r(n, k, oracle_bound=oracle_bound) for k in range(n)]
-    elif method == "series":
-        counts = [R[n] for R in islice(_R_levels(n), n)]
     elif method == "explicit":
         counts = [catalan(n - 1)] + [r_explicit(n, k) for k in range(1, n)]
     else:
@@ -472,16 +470,13 @@ def dist_Y_exact(
     """Exact distribution of the protection number of a uniform vertex.
 
     "explicit" (the default) evaluates s_explicit, the pointed alternating
-    binomial sum, for every k; "series" and "oracle" are the cross-checks
-    of dist_X_exact.
+    binomial sum, for every k; "oracle" enumerates every tree, as in
+    dist_X_exact.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
     if method == "oracle":
         counts = [oracle_s(n, k, oracle_bound=oracle_bound) for k in range(n)]
-    elif method == "series":
-        factor = 1 + series_invsqrt(n)
-        counts = [_halve((R * factor)[n], n, k) for k, R in enumerate(islice(_R_levels(n), n))]
     elif method == "explicit":
         counts = [s_explicit(n, k) for k in range(n)]
     else:

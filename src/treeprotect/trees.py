@@ -30,6 +30,13 @@ DEFAULT_ORACLE_BOUND = 14
 class OracleBoundError(ValueError):
     """Raised when an exhaustive-enumeration request exceeds the size bound."""
 
+    def __init__(self, n: int, bound: int) -> None:
+        super().__init__(
+            f"n={n} exceeds the enumeration bound {bound}; "
+            f"raise oracle_bound explicitly to force it"
+        )
+        self.n, self.bound = n, bound
+
 
 @dataclass(frozen=True)
 class PlaneTree:
@@ -138,10 +145,7 @@ def _check_oracle_size(n: int, oracle_bound: int) -> None:
     if n < 1:
         raise ValueError(f"tree size must be positive, got {n}")
     if n > oracle_bound:
-        raise OracleBoundError(
-            f"n={n} exceeds the enumeration bound {oracle_bound}; "
-            f"raise oracle_bound explicitly to force it"
-        )
+        raise OracleBoundError(n, oracle_bound)
 
 
 def enumerate_trees(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Iterator[PlaneTree]:

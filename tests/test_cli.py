@@ -63,7 +63,7 @@ def test_every_record_is_stamped(capsys):
         (["limit-dist", "X", "--k", "1"], ["statistic", "k", "digits"]),
         (["asym", "X", "2", "10"], ["statistic", "k", "n", "digits"]),
         (["constants", "c0", "--digits", "5"], ["names", "digits"]),
-        (["mellin-check", "--x", "1.0"], ["x", "tol"]),
+        (["mellin-check", "--x", "1.0"], ["x"]),
         (
             ["sample", "X", "5", "--trials", "10"],
             ["statistic", "n", "trials", "seed", "rng_algorithm", "rng_stream"],
@@ -246,10 +246,60 @@ def test_oracle_bound_maps_to_exit_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["oracle", "--n", "15"], ["exact-dist", "X", "15", "oracle"]])
+def test_oracle_bound_error_names_the_flag_and_limit(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "n=15 exceeds the enumeration bound 14" in err
+    assert "--oracle-bound" in err
+
+
 def test_bad_range_rejected():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["oracle", "--n", "4:2:9"])
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--n", "3", "--k"], ["limit-dist", "X", "--k"]])
+def test_range_wider_than_1000_values_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["0:1000"])
+    assert exc.value.code == 2
+    assert "more than 1000 values" in capsys.readouterr().err
+
+
+def test_widest_accepted_range_has_1000_values(capsys):
+    code, out = _run(capsys, ["oracle", "--n", "3", "--k", "0:999"])
+    assert code == 0
+    rows = _jsonl(out)
+    assert len(rows) == 2 * 1000
+    assert json.loads(rows[0]["params"])["k"] == "0:999"
+    assert {r["k"] for r in rows} == set(range(1000))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact-dist", "X", "4", "series"],
+        ["mellin-check", "--tol", "1e-14"],
+        ["verify", "--format", "csv"],
+    ],
+)
+def test_removed_options_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_readme_cli_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    examples = [words[1:] for words in examples if words[:1] == ["treeprotect"]]
+    assert len(examples) >= 10
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
 
 
 def _table_rows(capsys, argv):
@@ -273,13 +323,12 @@ def test_exact_dist_explicit_for_Y_matches_oracle(capsys):
 
 def test_exact_dist_provenance_names_the_route(capsys):
     stamps = {}
-    for method in ("explicit", "series", "oracle"):
+    for method in ("explicit", "oracle"):
         _, provenance = _table_rows(capsys, ["exact-dist", "X", "6", method])
         assert len(provenance) == 1
         stamps[method] = provenance.pop()
-    assert len(set(stamps.values())) == 3
+    assert len(set(stamps.values())) == 2
     assert "alternating binomial" in stamps["explicit"]
-    assert "recurrence" in stamps["series"]
     assert "enumeration" in stamps["oracle"]
     _, default = _table_rows(capsys, ["exact-dist", "Y", "6"])
     assert default == {stamps["explicit"]}

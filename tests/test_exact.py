@@ -5,6 +5,7 @@ agreement is exact (Fraction/int), never approximate.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -148,14 +149,22 @@ def test_survival_and_means_against_oracle_tables():
     assert mean_Y_exact(3) == Fraction(oracle_s(3, 1) + oracle_s(3, 2), 3 * 2)
 
 
+def _series_table(statistic, n):
+    """The exact X or Y table read off the substitution recurrence, level by level."""
+    levels = islice(exact._R_levels(n), n)
+    if statistic == "X":
+        return exact._table_from_counts(n, [R[n] for R in levels], catalan(n - 1))
+    factor = 1 + series_invsqrt(n)
+    counts = [exact._halve((R * factor)[n], n, k) for k, R in enumerate(levels)]
+    return exact._table_from_counts(n, counts, n * catalan(n - 1))
+
+
 def test_dist_methods_agree():
     for n in (1, 3, 4, 8):
         oracle_x = dist_X_exact(n, method="oracle")
-        series_x = dist_X_exact(n, method="series")
-        explicit_x = dist_X_exact(n, method="explicit")
-        assert oracle_x == series_x == explicit_x
+        assert oracle_x == _series_table("X", n) == dist_X_exact(n, method="explicit")
         oracle_y = dist_Y_exact(n, method="oracle")
-        assert oracle_y == dist_Y_exact(n, method="series") == dist_Y_exact(n, method="explicit")
+        assert oracle_y == _series_table("Y", n) == dist_Y_exact(n, method="explicit")
 
 
 def test_dist_X_exact_n4_table():
@@ -187,8 +196,9 @@ def test_distribution_table_accessors():
 def test_dist_rejects_unknown_method():
     assert dist_Y_exact(5, method="explicit") == dist_Y_exact(5, method="oracle")
     for dist in (dist_X_exact, dist_Y_exact):
-        with pytest.raises(ValueError):
-            dist(4, method="guess")
+        for method in ("guess", "series"):
+            with pytest.raises(ValueError):
+                dist(4, method=method)
 
 
 @settings(deadline=None, max_examples=30)
@@ -204,15 +214,15 @@ def test_default_Y_table_equals_oracle(n):
 
 
 def test_default_tables_equal_series_route_at_n40():
-    assert dist_X_exact(40) == dist_X_exact(40, method="series")
-    assert dist_Y_exact(40) == dist_Y_exact(40, method="series")
+    assert dist_X_exact(40) == _series_table("X", 40)
+    assert dist_Y_exact(40) == _series_table("Y", 40)
 
 
 def test_broken_invariants_raise_arithmetic_error(monkeypatch):
     # ArithmeticError, not ValueError: the CLI maps ValueError to a usage error.
     # A line sum shifted by one makes the pointed-vertex total odd, and so do
-    # wrong central binomials for the routes that read them; every route that
-    # halves the total (integer sum, pointed series, series table) notices.
+    # wrong central binomials for the route that reads them; every route that
+    # halves the total (integer sum, pointed series) notices.
     line_sum = exact._line_sum
     calls = []
 
@@ -226,8 +236,6 @@ def test_broken_invariants_raise_arithmetic_error(monkeypatch):
     monkeypatch.setattr(exact, "central_binomials", lambda order: (1,) * (order + 1))
     with pytest.raises(ArithmeticError):
         series_S_ge_k(1, 3)
-    with pytest.raises(ArithmeticError):
-        dist_Y_exact(3, method="series")
 
 
 def test_inexact_ratio_step_raises_arithmetic_error(monkeypatch):
@@ -268,7 +276,7 @@ def test_means_equal_totals_table_at_split_boundaries(n):
 
 
 def test_default_Y_table_equals_series_route_at_n200():
-    assert dist_Y_exact(200) == dist_Y_exact(200, method="series")
+    assert dist_Y_exact(200) == _series_table("Y", 200)
 
 
 def test_series_route_counts_are_ints():
