@@ -66,6 +66,23 @@ def _parse_digits(text: str) -> int:
     return digits
 
 
+# the oracle walks C_(n-1) words; n = 16 (9.7 million trees) still ends within a minute
+_MAX_ORACLE_BOUND = 16
+
+
+def _parse_oracle_bound(text: str) -> int:
+    """An --oracle-bound value: a tree size from 1 to _MAX_ORACLE_BOUND."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if not 1 <= bound <= _MAX_ORACLE_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"oracle bound must be from 1 to {_MAX_ORACLE_BOUND}, got {bound}"
+        )
+    return bound
+
+
 # every value of a range becomes rows held in memory until the output is written
 _MAX_RANGE = 1000
 
@@ -249,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle, provenance=_METHOD_PROVENANCE["oracle"])
     p.add_argument("--n", type=_parse_range, required=True, help="size or A:B range")
     p.add_argument("--k", type=_parse_range, default=range(0, 9), help="level or A:B range")
-    p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_parse_oracle_bound, default=DEFAULT_ORACLE_BOUND)
 
     p = sub.add_parser("exact-dist", parents=[common], help="exact distribution at size n")
     p.set_defaults(handler=_cmd_exact_dist)
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("n", type=int)
     p.add_argument("method", nargs="?", default="explicit", choices=tuple(_METHOD_PROVENANCE))
-    p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_parse_oracle_bound, default=DEFAULT_ORACLE_BOUND)
     p.add_argument("--digits", type=_parse_digits, default=30)
 
     p = sub.add_parser("r-explicit", parents=[common], help="one k-protected count")
@@ -323,7 +340,10 @@ def _run(args: argparse.Namespace) -> int:
         rows = args.handler(args)
     except OracleBoundError as exc:
         limit = f"n={exc.n} exceeds the enumeration bound {exc.bound}"
-        print(f"error: {limit}; raise it with --oracle-bound", file=sys.stderr)
+        print(
+            f"error: {limit}; raise it with --oracle-bound (at most {_MAX_ORACLE_BOUND})",
+            file=sys.stderr,
+        )
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,12 @@ left-to-right scan and the enumeration walks words directly.
 This module is the ground truth for everything else in the package: it
 enumerates every plane tree up to a size bound and counts protection
 numbers directly, so the generating-function and asymptotic routes can be
-checked against brute force.
+checked against brute force.  The oracle tallies come from one
+depth-first walk over the words that shares every prefix among the words
+extending it; it counts each closed vertex once, weighted by the number
+of ways to finish its word, and still reaches every complete word.  Those
+completion counts are built here, so the oracle owes nothing to the exact
+engine it checks.
 """
 
 from __future__ import annotations
@@ -155,22 +160,76 @@ def enumerate_trees(n: int, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Iterato
         yield PlaneTree("(" + word + ")")
 
 
+def _completion_counts(n: int) -> list[list[int]]:
+    """ways[o][d]: the number of ways to finish an n-vertex tree word.
+
+    o is the number of "(" still to write and d the number of open
+    vertices, the root included.  Each step either opens a vertex or
+    closes the innermost one, so ways[o][d] = ways[o-1][d+1] + ways[o][d-1];
+    with nothing left to open there is one way (close everything), and
+    once the root has closed (d = 0) nothing more may be opened.
+    """
+    ways = [[1] * (n + 1)]
+    for o in range(1, n):
+        row = [0] * (n + 1)
+        for d in range(1, n + 1 - o):
+            row[d] = ways[o - 1][d + 1] + row[d - 1]
+        ways.append(row)
+    return ways
+
+
 @lru_cache(maxsize=32)
 def _survival_tallies(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(root_ge, vertex_ge) survival count vectors over all n-vertex trees.
 
     root_ge[k] counts trees whose root protection number is >= k, and
     vertex_ge[k] counts (tree, vertex) pairs with vertex protection >= k,
-    for k = 0..n.  Single pass over the full enumeration.
+    for k = 0..n.
+
+    One depth-first walk over the words "(" + w + ")", w balanced with
+    n - 1 pairs, visits every prefix once and so shares it among all the
+    words that extend it.  A stack holds, for each open vertex, the
+    smallest protection number among its closed children (`none` before
+    the first); every step is undone on backtrack.  A vertex's
+    protection number depends only on its own subtree, which is complete
+    when it closes, so a non-root vertex closing with o opens left at
+    depth d is tallied once, weighted by the ways[o][d - 1] words that
+    finish the prefix.  Once no opens are left the word is forced: its
+    remaining vertices close in a loop, each counted once, and the root
+    is tallied there, so root_ge[0] counts the complete words reached.
     """
+    ways = _completion_counts(n)
+    none = n  # above every protection number of an n-vertex tree
     root_hist = [0] * n
     vertex_hist = [0] * n
-    values = _protection_values
-    for word in _balanced_words(n - 1):
-        pis = values("(" + word + ")")
-        root_hist[pis[-1]] += 1
-        for p in pis:
+    mins = [none]  # the root is open
+
+    def walk(opens_left: int, depth: int) -> None:
+        if not opens_left:
+            m = mins[-1]
+            p = 0 if m == none else m + 1
+            for i in range(depth - 2, -1, -1):
+                vertex_hist[p] += 1
+                m = mins[i]
+                p = (m if m < p else p) + 1
+            root_hist[p] += 1
             vertex_hist[p] += 1
+            return
+        mins.append(none)
+        walk(opens_left - 1, depth + 1)
+        mins.pop()
+        if depth > 1:
+            m = mins.pop()
+            p = 0 if m == none else m + 1
+            vertex_hist[p] += ways[opens_left][depth - 1]
+            parent = mins[-1]
+            if p < parent:
+                mins[-1] = p
+            walk(opens_left, depth - 1)
+            mins[-1] = parent
+            mins.append(m)
+
+    walk(n - 1, 1)
     root_ge = [0] * (n + 1)
     vertex_ge = [0] * (n + 1)
     for k in range(n - 1, -1, -1):

@@ -254,6 +254,26 @@ def test_oracle_bound_error_names_the_flag_and_limit(capsys, argv):
     assert "--oracle-bound" in err
 
 
+_ORACLE_COMMANDS = [["oracle", "--n", "3"], ["exact-dist", "X", "3", "oracle"]]
+
+
+@pytest.mark.parametrize("argv", _ORACLE_COMMANDS)
+@pytest.mark.parametrize("bound", ["-1", "0", "17"])
+def test_oracle_bound_outside_1_to_16_is_usage_error(capsys, argv, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--oracle-bound", bound])
+    assert exc.value.code == 2
+    assert f"oracle bound must be from 1 to 16, got {bound}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _ORACLE_COMMANDS)
+def test_oracle_bound_16_is_accepted(capsys, argv):
+    code, out = _run(capsys, argv + ["--oracle-bound", "16"])
+    assert code == 0
+    record = _jsonl(out)[0]
+    assert json.loads(record["params"])["oracle_bound"] == 16
+
+
 def test_bad_range_rejected():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeprotect.exact import catalan
 from treeprotect.trees import (
     DEFAULT_ORACLE_BOUND,
     OracleBoundError,
     PlaneTree,
+    _balanced_words,
+    _protection_values,
+    _survival_tallies,
     enumerate_trees,
     leaf_count,
     oracle_r,
@@ -111,6 +115,38 @@ def test_oracle_s_matches_profile_sums():
         for k in range(0, n + 1):
             direct = sum(protection_profile(t).at_least(k) for t in enumerate_trees(n))
             assert oracle_s(n, k) == direct
+
+
+def _tallies_word_by_word(n):
+    """The tallies of _survival_tallies, rescanning every word on its own."""
+    root_hist = [0] * (n + 1)
+    vertex_hist = [0] * (n + 1)
+    for word in _balanced_words(n - 1):
+        values = _protection_values("(" + word + ")")
+        root_hist[values[-1]] += 1
+        for p in values:
+            vertex_hist[p] += 1
+
+    def survival(hist):
+        return tuple(sum(hist[k:]) for k in range(n + 1))
+
+    return survival(root_hist), survival(vertex_hist)
+
+
+def test_prefix_sharing_walk_matches_word_by_word_tallies():
+    for n in range(1, 12):
+        root_ge, vertex_ge = _survival_tallies(n)
+        assert (root_ge, vertex_ge) == _tallies_word_by_word(n)
+        # every word was reached, and every vertex of every word tallied
+        assert root_ge[0] == catalan(n - 1)
+        assert vertex_ge[0] == n * catalan(n - 1)
+
+
+def test_survival_tallies_n13_literals():
+    assert _survival_tallies(13) == (
+        (208012, 208012, 91144, 28855, 8419, 2426, 704, 207, 62, 19, 6, 2, 1, 0),
+        (2704156, 1352078, 442118, 121923, 32189, 8431, 2211, 582, 154, 41, 11, 3, 1, 0),
+    )
 
 
 def test_oracle_bound_enforced():
