@@ -55,12 +55,16 @@ def _rational_fields(prefix: str, value: Fraction, digits: int) -> dict[str, str
     }
 
 
-def _parse_digits(text: str) -> int:
-    """A --digits value: a whole number of fractional digits, at least 1."""
+def _whole_number(text: str) -> int:
     try:
-        digits = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+
+
+def _parse_digits(text: str) -> int:
+    """A --digits value: a whole number of fractional digits, at least 1."""
+    digits = _whole_number(text)
     if digits < 1:
         raise argparse.ArgumentTypeError(f"digits must be at least 1, got {digits}")
     return digits
@@ -72,15 +76,39 @@ _MAX_ORACLE_BOUND = 16
 
 def _parse_oracle_bound(text: str) -> int:
     """An --oracle-bound value: a tree size from 1 to _MAX_ORACLE_BOUND."""
-    try:
-        bound = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    bound = _whole_number(text)
     if not 1 <= bound <= _MAX_ORACLE_BOUND:
         raise argparse.ArgumentTypeError(
             f"oracle bound must be from 1 to {_MAX_ORACLE_BOUND}, got {bound}"
         )
     return bound
+
+
+# an exact-dist table is held whole until written, and its output grows like n^2
+_MAX_EXACT_N = 10_000
+
+
+def _parse_exact_n(text: str) -> int:
+    """An exact-dist size: a whole number at most _MAX_EXACT_N."""
+    n = _whole_number(text)
+    if n > _MAX_EXACT_N:
+        raise argparse.ArgumentTypeError(f"tree size must be at most {_MAX_EXACT_N}, got {n}")
+    return n
+
+
+# limit values are exact rationals whose digits grow linearly in the level
+_MAX_LEVEL = 1000
+
+
+def _check_level(k: int) -> int:
+    if k > _MAX_LEVEL:
+        raise argparse.ArgumentTypeError(f"level must be at most {_MAX_LEVEL}, got {k}")
+    return k
+
+
+def _parse_level(text: str) -> int:
+    """An asym level: a whole number at most _MAX_LEVEL."""
+    return _check_level(_whole_number(text))
 
 
 # every value of a range becomes rows held in memory until the output is written
@@ -104,6 +132,13 @@ def _parse_range(text: str) -> range:
     if stop - start >= _MAX_RANGE:
         raise argparse.ArgumentTypeError(f"range {text!r} has more than {_MAX_RANGE} values")
     return range(start, stop + 1)
+
+
+def _parse_levels(text: str) -> range:
+    """A limit-dist --k range whose levels are at most _MAX_LEVEL."""
+    levels = _parse_range(text)
+    _check_level(levels[-1])
+    return levels
 
 
 def _cmd_oracle(args: argparse.Namespace) -> list[dict]:
@@ -271,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact-dist", parents=[common], help="exact distribution at size n")
     p.set_defaults(handler=_cmd_exact_dist)
     p.add_argument("statistic", choices=("X", "Y"))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_parse_exact_n)
     p.add_argument("method", nargs="?", default="explicit", choices=tuple(_METHOD_PROVENANCE))
     p.add_argument("--oracle-bound", type=_parse_oracle_bound, default=DEFAULT_ORACLE_BOUND)
     p.add_argument("--digits", type=_parse_digits, default=30)
@@ -289,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_limit_dist, provenance="asymptotics: limit law with 1/n correction"
     )
     p.add_argument("statistic", choices=("X", "Y"))
-    p.add_argument("--k", type=_parse_range, default=range(0, 11))
+    p.add_argument("--k", type=_parse_levels, default=range(0, 11))
     p.add_argument("--digits", type=_parse_digits, default=30)
 
     p = sub.add_parser("asym", parents=[common], help="survival expansion at one (k, n)")
@@ -297,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_asym, provenance="asymptotics: survival expansion leading + correction/n"
     )
     p.add_argument("statistic", choices=("X", "Y"))
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_parse_level)
     p.add_argument("n", type=int)
     p.add_argument("--digits", type=_parse_digits, default=30)
 

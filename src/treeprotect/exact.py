@@ -30,17 +30,17 @@ vertex with protection >= k splits the tree into a k-protected subtree and
 a leaf-pointed remainder, so S_k(z) = R_k(z) * (1 + (1-4z)^(-1/2)) / 2 and
 2 s(n, k) = r(n, k) + [z^n] R_k (1-4z)^(-1/2).
 
-The binomials of term j lie on lattice lines C(a + da*i, b + db*i), and
-one walker (_line_sum) sums a line with a single math.comb at its cheap
-end and an exact ratio step per further term.  Costs at size n, in ratio
-steps: r_explicit and s_explicit O(n/k); mean_X_exact and mean_Y_exact
-O(n log n) together (one shared cached pass, split at isqrt(n)); the
-explicit tables O(n log n).  These sums are the default engine; the series
-recurrence, the O(n^2) ballot-number tables (r_survival_column,
-root_protection_totals) and the brute-force oracle remain as independent
-cross-checks.
+The binomials of term j lie on lattice lines C(a + da*i, b + db*i); one
+walker (_line_terms) takes a single math.comb at a line's cheap end and an
+exact ratio step per further term.  One cached pass per size n yields every
+r(n, k) and u(n, k) = [z^n] R_k (1-4z)^(-1/2) in O(n log n) steps, split at
+isqrt(n) so that no step jumps more than about 2 sqrt(n); both tables and
+both means read it, and r_explicit, s_explicit serve single points in
+O(n/k) steps.  The series recurrence, the O(n^2) ballot-number tables
+(r_survival_column, root_protection_totals) and the brute-force oracle
+remain as independent cross-checks.
 
-Everything here is exact and nothing floats: counts and series
+Everything here is exact and nothing floats: counts, tables and series
 coefficients are plain ints, and Fraction appears only in the returned
 probabilities and moments.
 """
@@ -158,8 +158,8 @@ def series_S_ge_k(k: int, order: int) -> TruncatedPowerSeries:
     return TruncatedPowerSeries(_halve(c, n, k) for n, c in enumerate(pointed.coeffs))
 
 
-def _line_sum(a: int, b: int, da: int, db: int, count: int, sign: int = 1) -> int:
-    """Sum of sign^i * C(a + da*i, b + db*i) over i = 0..count-1, sign = +-1.
+def _line_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tuple[int, int]]:
+    """(i, C(a + da*i, b + db*i)) for the i in 0..count-1 where the binomial is nonzero.
 
     Only the run where 0 <= b + db*i <= a + da*i is walked; the terms
     outside it are zero.  The walk starts at the end of that run with the
@@ -175,14 +175,14 @@ def _line_sum(a: int, b: int, da: int, db: int, count: int, sign: int = 1) -> in
         elif c1 < 0:
             hi = min(hi, c0 // -c1)
         elif c0 < 0:
-            return 0
+            return
     if lo > hi:
-        return 0
+        return
     step = -1 if da < 0 else 1
     i = hi if step < 0 else lo
     top, low = a + da * i, b + db * i
     value = math.comb(top, low)
-    total = -value if sign < 0 and i % 2 else value
+    yield i, value
     dt, dl = da * step, db * step  # dt >= 0
     dr = dt - dl
     for _ in range(hi - lo):
@@ -203,8 +203,15 @@ def _line_sum(a: int, b: int, da: int, db: int, count: int, sign: int = 1) -> in
         value, rem = divmod(value * num, den)
         if rem:
             raise ArithmeticError(f"inexact ratio step to C({top}, {low})")
-        total += -value if sign < 0 and i % 2 else value
-    return total
+        yield i, value
+
+
+def _line_sum(a: int, b: int, da: int, db: int, count: int, sign: int = 1) -> int:
+    """Sum of sign^i * C(a + da*i, b + db*i) over i = 0..count-1, sign = +-1."""
+    parts = [0, 0]  # even and odd i, so that no term is negated
+    for i, value in _line_terms(a, b, da, db, count):
+        parts[i % 2] += value
+    return parts[0] + sign * parts[1]
 
 
 # (top offset, bottom offset, coefficient) of the binomials C(A + oa, q + ob)
@@ -352,92 +359,87 @@ def survival_Y_exact(n: int, k: int) -> Fraction:
     return Fraction(s_explicit(n, k), n * catalan(n - 1))
 
 
-@lru_cache(maxsize=8)
-def _protection_sums(n: int) -> tuple[int, int]:
-    """(sum of r(n, k), sum of u(n, k)) over k >= 1.
+# each entry holds O(n^2) digits; two keep X and Y, or both means, at one n
+@lru_cache(maxsize=2)
+def _protection_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(r, u) with r[k] = r(n, k) and u[k] = u(n, k) for k = 1..n-1; r[0] = u[0] = 0.
 
-    Both run over the lattice points (j, k) with (k+1)j <= n, split at
-    h = isqrt(n) like a divisor sum: for k < h each k walks its j line, and
-    for k >= h (so j <= n // (h+1)) each j walks its k line.  Every line
-    stays short and the whole sum is O(n log n) ratio steps.
+    The lattice points (j, k) with (k+1)j <= n are split at h = isqrt(n),
+    like a divisor sum: for k < h each k walks its j line into slot k; for
+    k >= h each j walks its k line, adding term i into slot h + i.  No line
+    is long, and the pass is O(n log n) ratio steps.
     """
     h = math.isqrt(n)
-    sums = []
+    counts = []
     for lines in (_R_LINES, _U_LINES):
-        total = sum(_sum_over_j(n, k, lines) for k in range(1, h))
+        slots = [0] + [_sum_over_j(n, k, lines) for k in range(1, h)] + [0] * (n - h)
         for j in range(1, n // (h + 1) + 1):
             # k = h + i for i = 0..n//j - h - 1: top steps by -2j, bottom by -j
             a, b = 2 * n - (2 * h - 1) * j, n - (h + 1) * j
-            part = sum(
-                c * _line_sum(a + oa, b + ob, -2 * j, -j, n // j - h) for oa, ob, c in lines
-            )
-            total += part if j % 2 else -part
-        sums.append(total)
-    return sums[0], sums[1]
+            for oa, ob, c in lines:
+                sign = c if j % 2 else -c  # -= below spares a negated copy of each term
+                for i, value in _line_terms(a + oa, b + ob, -2 * j, -j, n // j - h):
+                    if sign > 0:
+                        slots[h + i] += value
+                    else:
+                        slots[h + i] -= value
+        counts.append(tuple(slots))
+    return counts[0], counts[1]
 
 
 def mean_X_exact(n: int) -> Fraction:
-    """Exact mean root protection number at size n."""
+    """Exact mean root protection number at size n: sum of r(n, k) / catalan(n-1)."""
     if n < 1:
         raise ValueError("tree size must be positive")
-    return Fraction(_protection_sums(n)[0], catalan(n - 1))
+    return Fraction(sum(_protection_counts(n)[0]), catalan(n - 1))
 
 
 def mean_Y_exact(n: int) -> Fraction:
     """Exact mean vertex protection number at size n: sum of s(n, k) / (n * catalan(n-1))."""
     if n < 1:
         raise ValueError("tree size must be positive")
-    r_total, u_total = _protection_sums(n)
-    return Fraction(r_total + u_total, 2 * n * catalan(n - 1))
+    r, u = _protection_counts(n)
+    return Fraction(sum(r) + sum(u), 2 * n * catalan(n - 1))
 
 
 @dataclass(frozen=True)
 class DistributionTable:
     """Exact distribution of one protection statistic at a fixed size n.
 
-    survival[k] = P(value >= k) for k = 0..n-1 (it is 0 from k = n on),
-    pmf[k] = survival[k] - survival[k+1].  Moments are exact rationals;
-    mean = sum over k >= 1 of survival[k] and the second moment uses the
-    (2k-1) weights.
+    counts[k] of `denominator` equally likely outcomes (trees, or tree and
+    vertex pairs) have value >= k, for k = 0..n-1; from k = n on it is 0.
+    Only these ints are held, and survival_at, pmf_at and the moments build
+    exact Fractions when read: mean = sum over k >= 1 of P(value >= k), and
+    the second moment uses the (2k-1) weights.
     """
 
     n: int
-    survival: dict[int, Fraction]
-    pmf: dict[int, Fraction]
-    mean: Fraction
-    second_moment: Fraction
-    variance: Fraction
+    counts: tuple[int, ...]
+    denominator: int
+
+    def _count(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("protection level must be nonnegative")
+        return self.counts[k] if k < self.n else 0
 
     def survival_at(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError("protection level must be nonnegative")
-        return self.survival.get(k, Fraction(0))
+        return Fraction(self._count(k), self.denominator)
 
     def pmf_at(self, k: int) -> Fraction:
-        if k < 0:
-            raise ValueError("protection level must be nonnegative")
-        return self.pmf.get(k, Fraction(0))
+        return Fraction(self._count(k) - self._count(k + 1), self.denominator)
 
+    @property
+    def mean(self) -> Fraction:
+        return Fraction(sum(self.counts[1:]), self.denominator)
 
-def _table_from_counts(n: int, ge_counts: list[int], denominator: int) -> DistributionTable:
-    survival = {k: Fraction(c, denominator) for k, c in enumerate(ge_counts)}
-    padded = ge_counts + [0]
-    pmf = {
-        k: Fraction(padded[k] - padded[k + 1], denominator)
-        for k in range(n)
-    }
-    mean = Fraction(sum(ge_counts[1:]), denominator)
-    second = Fraction(
-        sum((2 * k - 1) * c for k, c in enumerate(ge_counts) if k >= 1), denominator
-    )
-    return DistributionTable(
-        n=n,
-        survival=survival,
-        pmf=pmf,
-        mean=mean,
-        second_moment=second,
-        variance=second - mean * mean,
-    )
+    @property
+    def second_moment(self) -> Fraction:
+        weighted = sum((2 * k - 1) * c for k, c in enumerate(self.counts) if k >= 1)
+        return Fraction(weighted, self.denominator)
+
+    @property
+    def variance(self) -> Fraction:
+        return self.second_moment - self.mean**2
 
 
 Method = Literal["oracle", "explicit"]
@@ -448,20 +450,20 @@ def dist_X_exact(
 ) -> DistributionTable:
     """Exact distribution of the root protection number at size n.
 
-    Both methods produce identical tables.  "explicit" (the default)
-    evaluates the alternating binomial sum on plain integers; "oracle"
-    enumerates every tree (subject to the size bound) as an independent
-    cross-check.
+    Both methods produce identical tables.  "explicit" (the default) reads
+    r(n, k) for every k from the one alternating-binomial pass on plain
+    integers; "oracle" enumerates every tree (subject to the size bound)
+    as an independent cross-check.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
     if method == "oracle":
-        counts = [oracle_r(n, k, oracle_bound=oracle_bound) for k in range(n)]
+        counts = tuple(oracle_r(n, k, oracle_bound=oracle_bound) for k in range(n))
     elif method == "explicit":
-        counts = [catalan(n - 1)] + [r_explicit(n, k) for k in range(1, n)]
+        counts = (catalan(n - 1),) + _protection_counts(n)[0][1:]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _table_from_counts(n, counts, catalan(n - 1))
+    return DistributionTable(n, counts, catalan(n - 1))
 
 
 def dist_Y_exact(
@@ -469,16 +471,17 @@ def dist_Y_exact(
 ) -> DistributionTable:
     """Exact distribution of the protection number of a uniform vertex.
 
-    "explicit" (the default) evaluates s_explicit, the pointed alternating
-    binomial sum, for every k; "oracle" enumerates every tree, as in
-    dist_X_exact.
+    "explicit" (the default) halves r(n, k) + u(n, k), the pointed
+    alternating binomial sums, for every k from the same pass as
+    dist_X_exact; "oracle" enumerates every tree, as in dist_X_exact.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
     if method == "oracle":
-        counts = [oracle_s(n, k, oracle_bound=oracle_bound) for k in range(n)]
+        counts = tuple(oracle_s(n, k, oracle_bound=oracle_bound) for k in range(n))
     elif method == "explicit":
-        counts = [s_explicit(n, k) for k in range(n)]
+        r, u = _protection_counts(n)
+        counts = (n * catalan(n - 1),) + tuple(_halve(r[k] + u[k], n, k) for k in range(1, n))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _table_from_counts(n, counts, n * catalan(n - 1))
+    return DistributionTable(n, counts, n * catalan(n - 1))

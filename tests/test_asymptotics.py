@@ -14,6 +14,8 @@ from treeprotect.asymptotics import (
     Y_ERROR_ORDER,
     _ivl_mul,
     _sum_interval,
+    _survival_lead_X,
+    _survival_lead_Y,
     _tail_bound,
     asym_P_X_ge,
     asym_P_Y_ge,
@@ -82,6 +84,25 @@ def test_pmf_leading_terms_normalize():
     assert 1 - total_y == asym_P_Y_ge(60).leading
     assert 1 - total_x < Fraction(1, 4**29)
     assert 1 - total_y < Fraction(1, 4**29)
+
+
+def test_leading_terms_follow_the_galton_watson_recursions():
+    # A uniform plane tree is a Galton-Watson tree with Geometric(1/2)
+    # offspring conditioned on its size.  A uniform vertex's subtree tends to
+    # the unconditioned tree (Aldous 1991), whose root is k-protected with
+    # probability a_k; the root tends to the root of Kesten's tree (Kesten
+    # 1986): size-biased offspring and one infinite spine child, so b_k.
+    a, b = Fraction(1), Fraction(1)
+    survival_x, survival_y = [b], [a]
+    for _ in range(81):
+        a, b = a / (4 - 2 * a), b / (2 - a) ** 2
+        survival_x.append(b)
+        survival_y.append(a)
+    for k in range(81):
+        assert survival_y[k] == _survival_lead_Y(k)
+        assert survival_x[k] == _survival_lead_X(k)
+        assert limit_pmf_X(k).leading == survival_x[k] - survival_x[k + 1]
+        assert limit_pmf_Y(k).leading == survival_y[k] - survival_y[k + 1]
 
 
 def test_leading_terms_are_probabilities():

@@ -1,5 +1,6 @@
 """CLI surface: record schemas, formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeprotect
 from treeprotect.cli import build_parser, main
@@ -352,3 +355,96 @@ def test_exact_dist_provenance_names_the_route(capsys):
     assert "enumeration" in stamps["oracle"]
     _, default = _table_rows(capsys, ["exact-dist", "Y", "6"])
     assert default == {stamps["explicit"]}
+
+
+@pytest.mark.parametrize("statistic", ["X", "Y"])
+def test_exact_dist_past_the_size_cap_is_usage_error(capsys, statistic):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact-dist", statistic, "10001"])
+    assert exc.value.code == 2
+    assert "tree size must be at most 10000, got 10001" in capsys.readouterr().err
+
+
+def test_exact_dist_small_size_is_accepted(capsys):
+    code, out = _run(capsys, ["exact-dist", "Y", "3"])
+    assert code == 0
+    assert json.loads(_jsonl(out)[0]["params"])["n"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["limit-dist", "X", "--k", "1001"], ["limit-dist", "Y", "--k", "995:1001"], ["asym", "X", "1001", "10"]],
+)
+def test_level_past_the_cap_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "level must be at most 1000, got 1001" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["limit-dist", "Y", "--k", "1000"], ["asym", "X", "1000", "10"]])
+def test_level_1000_is_accepted(capsys, argv):
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert all(row["k"] == 1000 for row in _jsonl(out))
+
+
+# Edge-heavy argv for every subcommand but verify.  Sizes and levels are
+# drawn from fixed lists, so that no example runs past about a second:
+# zero, negative, non-numeric and just-past-cap values, plus a few that work.
+_STATISTICS = st.sampled_from(["X", "Y", "Z"])
+_LEVELS = st.sampled_from(["-1", "0", "1", "3", "1000", "1001", "x"])
+_LEVEL_RANGES = st.sampled_from(["0", "3", "1:4", "4:1", "-1", "0:1000", "995:1001", "1:2:3", "x"])
+_DIGITS = st.sampled_from(
+    [[], ["--digits", "0"], ["--digits", "1"], ["--digits", "200"], ["--digits", "201"]]
+)
+_ABSCISSAS = st.lists(
+    st.sampled_from(["nan", "inf", "0", "-1", "1e-300", "1e6", "0.7", "x"]), max_size=3
+)
+_ORACLE_BOUNDS = st.sampled_from(
+    [[], ["--oracle-bound", "-1"], ["--oracle-bound", "0"], ["--oracle-bound", "17"]]
+)
+
+_EDGE_ARGV = st.one_of(
+    st.tuples(
+        st.just(["oracle", "--n"]),
+        st.sampled_from(["-1", "0", "1", "12", "15", "17", "x", "1:4", "4:1"]),
+        st.sampled_from([[], ["--k", "0:3"], ["--k", "x"], ["--k", "0:1000"]]),
+        _ORACLE_BOUNDS,
+    ),
+    st.tuples(
+        st.just("exact-dist"),
+        _STATISTICS,
+        st.sampled_from(["-1", "0", "1", "7", "50", "10001", "x"]),
+        st.sampled_from([[], ["explicit"], ["oracle"], ["guess"]]),
+        _ORACLE_BOUNDS,
+        _DIGITS,
+    ),
+    st.tuples(st.just("r-explicit"), st.sampled_from(["-1", "0", "1", "7", "500", "x"]), _LEVELS),
+    st.tuples(st.just("limit-dist"), _STATISTICS, st.just("--k"), _LEVEL_RANGES, _DIGITS),
+    st.tuples(
+        st.just("asym"), _STATISTICS, _LEVELS, st.sampled_from(["-1", "0", "100", "x"]), _DIGITS
+    ),
+    st.tuples(st.just("constants"), st.lists(st.sampled_from(["c0", "d3", "zz"])), _DIGITS),
+    st.tuples(st.just(["mellin-check", "--x"]), _ABSCISSAS),
+    st.tuples(
+        st.just("sample"),
+        _STATISTICS,
+        st.sampled_from(["-1", "0", "1", "10", "4194305", "x"]),
+        st.sampled_from([[], ["--trials", "-1"], ["--trials", "0"], ["--trials", "50"]]),
+        st.sampled_from([[], ["--seed", "-1"], ["--seed", "7"]]),
+    ),
+).map(lambda parts: [w for part in parts for w in ([part] if isinstance(part, str) else part)])
+
+
+@settings(deadline=None, max_examples=300)
+@given(_EDGE_ARGV)
+def test_edge_inputs_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -153,10 +153,10 @@ def _series_table(statistic, n):
     """The exact X or Y table read off the substitution recurrence, level by level."""
     levels = islice(exact._R_levels(n), n)
     if statistic == "X":
-        return exact._table_from_counts(n, [R[n] for R in levels], catalan(n - 1))
+        return DistributionTable(n, tuple(R[n] for R in levels), catalan(n - 1))
     factor = 1 + series_invsqrt(n)
-    counts = [exact._halve((R * factor)[n], n, k) for k, R in enumerate(levels)]
-    return exact._table_from_counts(n, counts, n * catalan(n - 1))
+    counts = tuple(exact._halve((R * factor)[n], n, k) for k, R in enumerate(levels))
+    return DistributionTable(n, counts, n * catalan(n - 1))
 
 
 def test_dist_methods_agree():
@@ -169,18 +169,21 @@ def test_dist_methods_agree():
 
 def test_dist_X_exact_n4_table():
     table = dist_X_exact(4)
-    assert table.survival == {
-        0: Fraction(1),
-        1: Fraction(1),
-        2: Fraction(2, 5),
-        3: Fraction(1, 5),
-    }
-    assert table.pmf == {
-        0: Fraction(0),
-        1: Fraction(3, 5),
-        2: Fraction(1, 5),
-        3: Fraction(1, 5),
-    }
+    assert table == DistributionTable(4, (5, 5, 2, 1), 5)
+    assert [table.survival_at(k) for k in range(5)] == [
+        Fraction(1),
+        Fraction(1),
+        Fraction(2, 5),
+        Fraction(1, 5),
+        Fraction(0),
+    ]
+    assert [table.pmf_at(k) for k in range(5)] == [
+        Fraction(0),
+        Fraction(3, 5),
+        Fraction(1, 5),
+        Fraction(1, 5),
+        Fraction(0),
+    ]
     assert table.mean == Fraction(8, 5)
     assert table.variance == table.second_moment - table.mean**2
 
@@ -190,7 +193,9 @@ def test_distribution_table_accessors():
     assert table.survival_at(0) == 1
     assert table.survival_at(99) == 0
     assert table.pmf_at(1) == table.survival_at(1) - table.survival_at(2)
-    assert sum(table.pmf.values()) == 1
+    assert sum(table.pmf_at(k) for k in range(table.n)) == 1
+    with pytest.raises(ValueError):
+        table.pmf_at(-1)
 
 
 def test_dist_rejects_unknown_method():
@@ -290,3 +295,50 @@ def test_means_at_moderate_n_are_rational_and_bounded():
     assert 1 < m < 2
     my = mean_Y_exact(100)
     assert Fraction(1, 2) < my < 1
+
+
+def _pass_agrees_with_point_kernels(n):
+    r, u = exact._protection_counts(n)
+    assert len(r) == len(u) == n and r[0] == u[0] == 0
+    for k in range(1, n):
+        assert r[k] == r_explicit(n, k)
+        assert exact._halve(r[k] + u[k], n, k) == s_explicit(n, k)
+
+
+def test_pass_equals_point_kernels_for_every_n_up_to_150():
+    for n in range(1, 151):
+        _pass_agrees_with_point_kernels(n)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_pass_equals_point_kernels_around_a_perfect_square(n):
+    # isqrt changes at 256, so the split moves between these three sizes
+    _pass_agrees_with_point_kernels(n)
+
+
+def test_tables_and_means_read_the_one_pass():
+    n = 300
+    exact._protection_counts.cache_clear()
+    dist_X_exact(n)
+    dist_Y_exact(n)
+    mean_X_exact(n)
+    mean_Y_exact(n)
+    info = exact._protection_counts.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 3, 2)
+
+
+def test_broken_pass_raises_arithmetic_error(monkeypatch):
+    # every line starting one too large makes some r + u odd, and the table halves it
+    line_terms = exact._line_terms
+
+    def first_term_shifted(*args):
+        for step, (i, value) in enumerate(line_terms(*args)):
+            yield i, value + (1 if step == 0 else 0)
+
+    exact._protection_counts.cache_clear()
+    monkeypatch.setattr(exact, "_line_terms", first_term_shifted)
+    try:
+        with pytest.raises(ArithmeticError):
+            dist_Y_exact(30)
+    finally:
+        exact._protection_counts.cache_clear()

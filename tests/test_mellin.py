@@ -102,3 +102,43 @@ def test_tiny_abscissa_does_not_divide_by_zero():
     for evaluate in (eval_F, eval_G):
         with pytest.raises(ValueError, match="does not reach tolerance 1e-14"):
             evaluate(1e-300)
+
+
+def _reflected_constants(terms):
+    """c0 and d2 + d0^2 at 230 digits from the reflected side of F and G at log 2."""
+    import mpmath
+
+    with mpmath.workdps(230):
+        log2 = mpmath.log(2)
+        y = mpmath.pi**2 / log2
+        scale = mpmath.pi**2 / log2**2
+        odd = [2 * k - 1 for k in range(1, terms + 1)]
+        f = mpmath.fsum(mpmath.exp(-m * y) / (1 + mpmath.exp(-m * y)) ** 2 for m in odd)
+        g = mpmath.fsum(m * mpmath.exp(-m * y) / (1 + mpmath.exp(-m * y)) for m in odd)
+        c0 = mpmath.mpf(9) / 2 * (1 / (4 * log2) - scale * f)
+        d2_d0sq = mpmath.mpf(3) / 2 * (scale / 24 + mpmath.mpf(1) / 24 - scale * g)
+        return c0, d2_d0sq
+
+
+def _inside(value, lower, upper):
+    import mpmath
+
+    with mpmath.workdps(230):
+        return mpmath.mpf(lower.numerator) / lower.denominator <= value <= (
+            mpmath.mpf(upper.numerator) / upper.denominator
+        )
+
+
+def test_reflection_reaches_the_200_digit_enclosures():
+    # the reflected series is not the defining sum of c0 or d2 + d0^2, so this
+    # is an independent route; its terms shrink by e^(-2 pi^2 / log 2) each
+    c0 = constant("c0", 200)
+    d0, d2 = constant("d0", 200), constant("d2", 200)
+    # d0 > 0, so squaring keeps the interval order
+    d_lower, d_upper = d2.lower + d0.lower**2, d2.upper + d0.upper**2
+    value_c0, value_d = _reflected_constants(18)
+    assert _inside(value_c0, c0.lower, c0.upper)
+    assert _inside(value_d, d_lower, d_upper)
+    value_c0, value_d = _reflected_constants(16)
+    assert not _inside(value_c0, c0.lower, c0.upper)
+    assert not _inside(value_d, d_lower, d_upper)
