@@ -84,12 +84,13 @@ def _parse_oracle_bound(text: str) -> int:
     return bound
 
 
-# an exact-dist table is held whole until written, and its output grows like n^2
+# an exact-dist table is held whole until written, and its output grows like n^2;
+# one r-explicit count costs more than n^2 big-int steps
 _MAX_EXACT_N = 10_000
 
 
 def _parse_exact_n(text: str) -> int:
-    """An exact-dist size: a whole number at most _MAX_EXACT_N."""
+    """An exact-dist or r-explicit size: a whole number at most _MAX_EXACT_N."""
     n = _whole_number(text)
     if n > _MAX_EXACT_N:
         raise argparse.ArgumentTypeError(f"tree size must be at most {_MAX_EXACT_N}, got {n}")
@@ -269,6 +270,11 @@ _METHOD_PROVENANCE = {
     "explicit": "exact: alternating binomial sums over plain integers",
 }
 
+_SAMPLE_PROVENANCE = {
+    "X": f"sampler: cycle-lemma uniform trees, root scan, {RNG_ALGORITHM}",
+    "Y": f"sampler: root scan of cycle-lemma uniform trees of a drawn subtree size, {RNG_ALGORITHM}",
+}
+
 # namespace entries that select the computation rather than parameterize it
 _UNSTAMPED = ("command", "format", "handler", "provenance")
 
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         handler=_cmd_r_explicit,
         provenance="exact: alternating binomial sum for k-protected trees",
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_parse_exact_n)
     p.add_argument("k", type=int)
 
     p = sub.add_parser("limit-dist", parents=[common], help="limit pmf with 1/n corrections")
@@ -353,12 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=1)
     # the generator and stream version are stamped after the parameters
-    p.set_defaults(
-        handler=_cmd_sample,
-        provenance=f"sampler: cycle-lemma uniform trees, {RNG_ALGORITHM}",
-        rng_algorithm=RNG_ALGORITHM,
-        rng_stream=RNG_STREAM,
-    )
+    p.set_defaults(handler=_cmd_sample, rng_algorithm=RNG_ALGORITHM, rng_stream=RNG_STREAM)
 
     sub.add_parser("verify", help="run the full verification suite")
     return parser
@@ -394,6 +395,8 @@ def _run(args: argparse.Namespace) -> int:
     )
     if args.command == "exact-dist":
         provenance = _METHOD_PROVENANCE[args.method]
+    elif args.command == "sample":
+        provenance = _SAMPLE_PROVENANCE[args.statistic]
     else:
         provenance = args.provenance
     stamped = [

@@ -7,17 +7,31 @@ that starts just after the first minimum of the partial sums.  A root
 rise followed by that whole rotation is the tree word of a uniform
 n-vertex plane tree: its parenthesis code, held as a row of 2n int8 steps.
 
-Protection statistics are read off tree words directly: preorder vertex p
-opens at the (p+1)-th rise and its depth is the walk's height after it, a
-leaf is a rise immediately followed by a fall, and a vertex's protection
-number is the minimum leaf depth within its subtree minus its own depth.
-One vectorized numpy scan with int32 heights reads this for vertex 0 (X)
-or a uniform pick (Y) in every row of a batch, instead of building trees.
+In a tree word a leaf is a rise immediately followed by a fall, and its
+depth is the walk's height after the rise; the root sits at height 1.  So
+the root's protection number (X) is the lowest height at a rise-then-fall
+pair, minus 1, which one vectorized scan with int32 heights reads from
+every row of a batch.
+
+The protection number of a uniform vertex (Y) is read the same way, from
+a smaller tree.  Pointing at a vertex splits an n-vertex tree into the
+vertex's subtree, of some size M, and the rest, an (n-M+1)-vertex tree
+with a marked leaf.  The subtree is a uniform M-vertex tree, so Y_n has
+the law of X_M with P(M = m) = C_(m-1) L(n-m+1) / (n C_(n-1)), where
+L(1) = 1 and L(p) = C(2p-2, p-1)/2 counts the leaves of all p-vertex
+trees.  Each trial draws M by inverse CDF from float weights and reads
+the root of one uniform M-vertex tree; E[M] is about 13 at n = 200.
+
+The full-tree pick scan, which reads the protection number of a uniformly
+picked vertex of an n-vertex tree, stays as the independent cross-check of
+that decomposition (`_estimate_Y_by_picks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,8 +51,9 @@ __all__ = [
 RNG_ALGORITHM = "numpy.random.PCG64"
 # version of the way draws map to trials; 2: the final batch holds only the
 # trials still needed (version 1 drew a full batch and dropped the surplus);
-# 3: a batch holds at most _BATCH_STEPS steps, so batches are shorter for n >= 257
-RNG_STREAM = 3
+# 3: a batch holds at most _BATCH_STEPS steps, so batches are shorter for n >= 257;
+# 4: Y reads the root of an M-vertex tree for a drawn subtree size M (X unchanged)
+RNG_STREAM = 4
 
 # batch height caps: at most _BATCH rows of 2n-1 steps and at most
 # _BATCH_STEPS steps in all (about 8 MiB per int8 array); one row must fit, so
@@ -116,6 +131,14 @@ def sample_tree(n: int, rng: np.random.Generator) -> PlaneTree:
     return PlaneTree("".join("(" if s == 1 else ")" for s in word))
 
 
+def _root_protection(words: np.ndarray) -> np.ndarray:
+    """Root protection number of each tree word: its lowest leaf height minus 1."""
+    heights = np.cumsum(words[:, :-1], axis=1, dtype=np.int32)
+    # masked in place: every step pair but a rise then a fall has words[i] <= words[i+1]
+    np.copyto(heights, np.iinfo(np.int32).max, where=words[:, :-1] <= words[:, 1:])
+    return heights.min(axis=1) - 1
+
+
 def _protection_scan(words: np.ndarray, picks: np.ndarray) -> np.ndarray:
     """Protection number, in each row, of preorder vertex picks[i] (the root is 0)."""
     rows, width = words.shape
@@ -137,32 +160,97 @@ def _protection_scan(words: np.ndarray, picks: np.ndarray) -> np.ndarray:
     return masked.min(axis=1) - depth
 
 
-def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleStats:
-    """Monte Carlo survival counts for X (root) or Y (uniform vertex) at size n.
+def _subtree_size_cdf(n: int) -> np.ndarray:
+    """CDF of the subtree size M of a uniform vertex, as floats indexed by m - 1.
 
-    Deterministic given (statistic, n, trials, seed): trials are processed
-    in batches of _batch_rows(n) rows, the last holding only the trials
-    still needed.  The shuffle fills rows in order, so X counts equal those
-    of the first `trials` rows of full batches; the Y picks are drawn after
-    the shuffle, so a short final batch changes them.
+    With c_k = C(2k, k)/4^k, P(M = m) = c_(m-1) c_(n-m) / (2m c_(n-1)) for
+    m < n and P(M = n) = 1/n.  The c_k come from one running product of the
+    ratios 1 - 1/(2k), so the table costs O(n) floats and no big ints; it is
+    normalized by its own sum, so its last entry is exactly 1.
     """
-    if statistic not in ("X", "Y"):
-        raise ValueError("statistic must be 'X' or 'Y'")
+    c = np.arange(n, dtype=np.float64)
+    c[0] = 1.0
+    c[1:] = 1 - 0.5 / c[1:]
+    np.cumprod(c, out=c)
+    cdf = c / np.arange(1, n + 1)
+    cdf[:-1] *= c[:0:-1] / 2
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _root_values(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """X of `rows` uniform n-vertex trees."""
+    return _root_protection(_tree_words(_shuffled_steps(n, rows, rng)))
+
+
+def _subtree_values(cdf: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """Y of `rows` trials: draw every subtree size M, then one group per M, ascending."""
+    drawn = np.searchsorted(cdf, rng.random(rows), side="right") + 1
+    sizes, counts = np.unique(drawn, return_counts=True)
+    return np.concatenate(
+        [_root_values(m, count, rng) for m, count in zip(sizes.tolist(), counts.tolist())]
+    )
+
+
+def _pick_values(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """Y of `rows` uniform n-vertex trees, each at a vertex picked after the shuffle."""
+    words = _tree_words(_shuffled_steps(n, rows, rng))
+    return _protection_scan(words, rng.integers(0, n, size=rows))
+
+
+def _check_run(n: int, trials: int) -> None:
     _check_size(n)
     if trials < 1:
         raise ValueError("trials must be positive")
 
+
+def _survival_stats(
+    statistic: str,
+    n: int,
+    trials: int,
+    seed: int,
+    batch_values: Callable[[int, np.random.Generator], np.ndarray],
+) -> SampleStats:
+    """Tally batch_values(rows, rng) over batches of _batch_rows(n) rows into survival counts."""
     rng = make_rng(seed)
     histogram = np.zeros(n, dtype=np.int64)
     remaining = trials
     height = _batch_rows(n)
     while remaining > 0:
         rows = min(remaining, height)
-        words = _tree_words(_shuffled_steps(n, rows, rng))
-        picks = rng.integers(0, n, size=rows) if statistic == "Y" else np.zeros(rows, dtype=int)
-        histogram += np.bincount(_protection_scan(words, picks), minlength=n)
+        histogram += np.bincount(batch_values(rows, rng), minlength=n)
         remaining -= rows
 
     suffix = np.cumsum(histogram[::-1])[::-1]
     counts = {k: int(suffix[k]) for k in range(n) if suffix[k] > 0}
     return SampleStats(statistic, n, trials, seed, counts)
+
+
+def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleStats:
+    """Monte Carlo survival counts for X (root) or Y (uniform vertex) at size n.
+
+    Deterministic given (statistic, n, trials, seed): trials are processed
+    in batches of _batch_rows(n) rows, the last holding only the trials
+    still needed.  The shuffle fills rows in order, so X counts equal those
+    of the first `trials` rows of full batches.  Y draws a batch's subtree
+    sizes before any of its shuffles, so a short final batch changes them.
+    """
+    if statistic not in ("X", "Y"):
+        raise ValueError("statistic must be 'X' or 'Y'")
+    _check_run(n, trials)
+    if statistic == "X":
+        batch_values = partial(_root_values, n)
+    else:
+        batch_values = partial(_subtree_values, _subtree_size_cdf(n))
+    return _survival_stats(statistic, n, trials, seed, batch_values)
+
+
+def _estimate_Y_by_picks(n: int, trials: int, seed: int) -> SampleStats:
+    """Y survival counts from uniform picks in whole n-vertex trees (stream 3's Y draws).
+
+    The cross-check of the subtree-size route: it does not rest on the
+    pointing decomposition.
+    """
+    _check_run(n, trials)
+    return _survival_stats("Y", n, trials, seed, partial(_pick_values, n))

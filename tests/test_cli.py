@@ -191,7 +191,17 @@ def test_sample_is_seed_deterministic(capsys):
     assert counts[0] == 2000
     params = json.loads(rows[0]["params"])
     assert params["rng_algorithm"] == "numpy.random.PCG64"
-    assert params["rng_stream"] == 3
+    assert params["rng_stream"] == 4
+
+
+def test_sample_provenance_names_the_route(capsys):
+    stamps = {}
+    for statistic in "XY":
+        _, out = _run(capsys, ["sample", statistic, "10", "--trials", "50"])
+        stamps[statistic] = {r["provenance"] for r in _jsonl(out)}
+    assert stamps["X"] == {"sampler: cycle-lemma uniform trees, root scan, numpy.random.PCG64"}
+    (y_stamp,) = stamps["Y"]
+    assert "subtree size" in y_stamp and "PCG64" in y_stamp
 
 
 def test_mellin_check_rows(capsys):
@@ -365,6 +375,14 @@ def test_exact_dist_past_the_size_cap_is_usage_error(capsys, statistic):
     assert "tree size must be at most 10000, got 10001" in capsys.readouterr().err
 
 
+def test_r_explicit_past_the_size_cap_is_usage_error(capsys):
+    # one count costs more than n^2 big-int steps: n = 100000 ran 11 s
+    with pytest.raises(SystemExit) as exc:
+        main(["r-explicit", "100000", "1"])
+    assert exc.value.code == 2
+    assert "tree size must be at most 10000, got 100000" in capsys.readouterr().err
+
+
 def test_exact_dist_small_size_is_accepted(capsys):
     code, out = _run(capsys, ["exact-dist", "Y", "3"])
     assert code == 0
@@ -420,7 +438,9 @@ _EDGE_ARGV = st.one_of(
         _ORACLE_BOUNDS,
         _DIGITS,
     ),
-    st.tuples(st.just("r-explicit"), st.sampled_from(["-1", "0", "1", "7", "500", "x"]), _LEVELS),
+    st.tuples(
+        st.just("r-explicit"), st.sampled_from(["-1", "0", "1", "7", "500", "10001", "x"]), _LEVELS
+    ),
     st.tuples(st.just("limit-dist"), _STATISTICS, st.just("--k"), _LEVEL_RANGES, _DIGITS),
     st.tuples(
         st.just("asym"), _STATISTICS, _LEVELS, st.sampled_from(["-1", "0", "100", "x"]), _DIGITS

@@ -6,10 +6,12 @@ here means a bug, not bad luck.
 
 import math
 from collections import Counter
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
-from treeprotect.exact import dist_X_exact, dist_Y_exact
+from treeprotect.exact import catalan, dist_X_exact, dist_Y_exact
 import numpy as np
 
 from treeprotect import sampler
@@ -71,35 +73,42 @@ def test_batch_height_keeps_arrays_within_the_step_budget():
 
 def test_estimate_survival_draws_batches_of_the_capped_height(monkeypatch):
     # a 2^10-step budget gives 17 rows of 59 steps at n = 30, so 40 trials are
-    # batches of 17, 17 and 6; Y draws each batch's picks after its shuffle,
-    # so its counts depend on where the batches end
+    # batches of 17, 17 and 6; Y draws a batch's subtree sizes before its
+    # shuffles, one group per size in ascending order, so its counts depend
+    # on where the batches end
     n, seed = 30, 405
     monkeypatch.setattr(sampler, "_BATCH_STEPS", 1 << 10)
     assert sampler._batch_rows(n) == 17
     rng = make_rng(seed)
+    cdf = sampler._subtree_size_cdf(n)
     values = []
     for rows in (17, 17, 6):
-        words = sampler._tree_words(sampler._shuffled_steps(n, rows, rng))
-        values.append(sampler._protection_scan(words, rng.integers(0, n, size=rows)))
+        sizes = np.sort(np.searchsorted(cdf, rng.random(rows), side="right") + 1)
+        for m in sorted(set(sizes.tolist())):
+            words = sampler._tree_words(sampler._shuffled_steps(m, int((sizes == m).sum()), rng))
+            values.append(sampler._root_protection(words))
     suffix = np.cumsum(np.bincount(np.concatenate(values), minlength=n)[::-1])[::-1]
     expected = {k: int(c) for k, c in enumerate(suffix) if c > 0}
     assert estimate_survival("Y", n, 40, seed).survival_counts == expected
 
 
-# survival counts of stream 3; every run past n = 2 crosses a batch end
+# survival counts of stream 4 (X counts are stream 3's); every run past
+# n = 2 crosses a batch end
 PINNED_COUNTS = {
     ("X", 1, 500, 1): {0: 500},
     ("Y", 1, 500, 1): {0: 500},
     ("X", 2, 2000, 3): {0: 2000, 1: 2000},
-    ("Y", 2, 2000, 3): {0: 2000, 1: 1020},
+    ("Y", 2, 2000, 3): {0: 2000, 1: 992},
     ("X", 200, 16385, 11): {
         0: 16385, 1: 16385, 2: 7298, 3: 2175, 4: 557, 5: 148, 6: 28, 7: 7, 8: 3, 9: 2, 10: 1
     },
-    ("Y", 200, 16385, 11): {0: 16385, 1: 8105, 2: 2756, 3: 759, 4: 192, 5: 52, 6: 13, 7: 4},
+    ("Y", 200, 16385, 11): {
+        0: 16385, 1: 8067, 2: 2708, 3: 771, 4: 194, 5: 55, 6: 16, 7: 5, 8: 1
+    },
     ("X", 257, 16353, 12): {0: 16353, 1: 16353, 2: 7160, 3: 2112, 4: 552, 5: 138, 6: 29, 7: 5, 8: 2},
-    ("Y", 257, 16353, 12): {0: 16353, 1: 8128, 2: 2704, 3: 767, 4: 193, 5: 41, 6: 6, 7: 4, 8: 1},
+    ("Y", 257, 16353, 12): {0: 16353, 1: 8170, 2: 2692, 3: 754, 4: 189, 5: 45, 6: 14, 7: 1},
     ("X", 1000, 4197, 13): {0: 4197, 1: 4197, 2: 1797, 3: 571, 4: 141, 5: 24, 6: 5, 7: 2, 8: 1},
-    ("Y", 1000, 4197, 13): {0: 4197, 1: 2041, 2: 698, 3: 200, 4: 55, 5: 12, 6: 2, 7: 1},
+    ("Y", 1000, 4197, 13): {0: 4197, 1: 2133, 2: 700, 3: 172, 4: 53, 5: 13, 6: 3, 7: 2},
     # three batches, so that X also pins every draw between its batches
     ("X", 50, 40000, 15): {0: 40000, 1: 40000, 2: 17757, 3: 5414, 4: 1403, 5: 386, 6: 90, 7: 23, 8: 5},
 }
@@ -133,6 +142,76 @@ def test_protection_scan_matches_the_oracle_at_every_vertex():
         for p in range(n):
             got = sampler._protection_scan(words, np.full(len(trees), p))
             assert got.tolist() == expected[:, p].tolist(), (n, p)
+        # the root-only reader of X and of the subtree-size route
+        assert sampler._root_protection(words).tolist() == expected[:, 0].tolist(), n
+
+
+# the whole-tree pick route keeps stream 3's Y draws: its counts are the Y
+# pins of stream 3
+PICK_ROUTE_COUNTS = {
+    (2, 2000, 3): {0: 2000, 1: 1020},
+    (257, 16353, 12): {0: 16353, 1: 8128, 2: 2704, 3: 767, 4: 193, 5: 41, 6: 6, 7: 4, 8: 1},
+}
+
+
+@pytest.mark.parametrize("key", sorted(PICK_ROUTE_COUNTS), ids=lambda key: "-".join(map(str, key)))
+def test_pick_route_reproduces_stream_3_counts(key):
+    assert sampler._estimate_Y_by_picks(*key).survival_counts == PICK_ROUTE_COUNTS[key]
+
+
+def _subtree_size_weights(n: int) -> list[int]:
+    """C_(m-1) L(n-m+1) for m = 1..n: pointed trees whose marked vertex has m descendants."""
+    leaves = [1] + [math.comb(2 * p - 2, p - 1) // 2 for p in range(2, n + 1)]
+    return [catalan(m - 1) * leaves[n - m] for m in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 200, 1000])
+def test_subtree_size_cdf_matches_the_exact_law(n):
+    weights = _subtree_size_weights(n)
+    # every vertex of every n-vertex tree is pointed once
+    total = n * catalan(n - 1)
+    assert sum(weights) == total
+    exact = [float(Fraction(partial, total)) for partial in accumulate(weights)]
+    got = sampler._subtree_size_cdf(n)
+    assert got[-1] == 1.0
+    assert np.all(np.diff(got) > 0)
+    assert np.max(np.abs(got - np.array(exact))) <= 1e-12
+
+
+def test_subtree_size_mean_at_200():
+    n = 200
+    weights = _subtree_size_weights(n)
+    mean = Fraction(sum(m * w for m, w in enumerate(weights, 1)), n * catalan(n - 1))
+    assert round(float(mean), 4) == 13.0096
+    pmf = np.diff(sampler._subtree_size_cdf(n), prepend=0.0)
+    assert round(float(pmf @ np.arange(1, n + 1)), 4) == 13.0096
+
+
+def test_subtree_route_matches_the_oracle_vertex_law():
+    # the law of Y from every vertex of every tree, independent of the
+    # pointing decomposition the route rests on
+    for n in range(1, 10):
+        tally = Counter(v for tree in enumerate_trees(n) for v in _protection_values(tree.parens))
+        vertices = n * catalan(n - 1)
+        trials = 20000
+        stats = estimate_survival("Y", n, trials, seed=500 + n)
+        assert max(stats.survival_counts) <= max(tally), n
+        for k in range(1, max(tally) + 1):
+            p = sum(c for v, c in tally.items() if v >= k) / vertices
+            sigma = math.sqrt(p * (1.0 - p) / trials)
+            assert abs(stats.survival_fraction(k) - p) < 4 * sigma, (n, k)
+
+
+def test_subtree_route_agrees_with_whole_tree_picks():
+    # two-sample test at n = 200: pooled binomial sigma of the difference
+    n, trials = 200, 10**5
+    by_size = estimate_survival("Y", n, trials, seed=3001)
+    by_pick = sampler._estimate_Y_by_picks(n, trials, seed=3002)
+    for k in range(1, 6):
+        a, b = by_size.survival_fraction(k), by_pick.survival_fraction(k)
+        pooled = (a + b) / 2
+        sigma = math.sqrt(pooled * (1.0 - pooled) * 2 / trials)
+        assert abs(a - b) < 4 * sigma, (k, a, b)
 
 
 def test_one_row_must_fit_the_step_budget(monkeypatch):
@@ -179,9 +258,11 @@ def test_sampler_uniform_over_the_five_trees_of_size_four():
 
 
 def test_sampler_uniform_at_n3():
-    # path and cherry, each about half
-    rng = make_rng(31)
-    counts = Counter(sample_tree(3, rng).parens for _ in range(20000))
+    # path and cherry, each about half, from one batch of 20,000 rows
+    rows = sampler._tree_words(sampler._shuffled_steps(3, 20000, make_rng(31)))
+    shapes, tallies = np.unique(rows, axis=0, return_counts=True)
+    words = ("".join("(" if s == 1 else ")" for s in w) for w in shapes)
+    counts = dict(zip(words, tallies.tolist()))
     assert sorted(counts) == ["((()))", "(()())"]
     sigma = math.sqrt(20000 * 0.25)
     assert abs(counts["((()))"] - 10000) < 4 * sigma
