@@ -54,8 +54,6 @@ from .mellin import (
 from .sampler import RNG_ALGORITHM, SampleStats, estimate_survival, make_rng, sample_tree
 from .series import TruncatedPowerSeries
 from .trees import (
-    DEFAULT_ORACLE_BOUND,
-    OracleBoundError,
     PlaneTree,
     ProtectionProfile,
     enumerate_trees,
@@ -72,10 +70,8 @@ __all__ = [
     "AsymptoticValue",
     "CONSTANT_NAMES",
     "ConstantEnclosure",
-    "DEFAULT_ORACLE_BOUND",
     "DistributionTable",
     "MellinEval",
-    "OracleBoundError",
     "PlaneTree",
     "ProtectionProfile",
     "RNG_ALGORITHM",

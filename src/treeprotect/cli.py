@@ -3,9 +3,11 @@
 Output is machine readable: line-delimited JSON (default) or CSV, one
 flat record per result row.  Exact rationals are serialized as decimal
 numerator/denominator strings plus a truncated decimal rendering, never
-as floats.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 oracle size-bound violation, 141 output pipe closed by the
-reader (the status a shell gives a process ended by SIGPIPE).
+as floats.  Every whole-number argument goes through one bounded type,
+and every size, level, range and digit count has a cap.  Exit codes:
+0 success, 1 verification failure, 2 usage error (an input past its cap
+included, such as an oracle size above 16), 141 output pipe closed by
+the reader (the status a shell gives a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Sequence
 
 from .acceptance import MELLIN_ABSCISSAS, run_all
 from .asymptotics import (
+    _MAX_DIGITS,
     CONSTANT_NAMES,
     asym_P_X_ge,
     asym_P_Y_ge,
@@ -42,7 +45,7 @@ from .mellin import (
     second_moment_constant_from_G,
 )
 from .sampler import RNG_ALGORITHM, RNG_STREAM, estimate_survival
-from .trees import DEFAULT_ORACLE_BOUND, OracleBoundError, oracle_r, oracle_s
+from .trees import oracle_r, oracle_s
 
 __all__ = ["main"]
 
@@ -55,96 +58,59 @@ def _rational_fields(prefix: str, value: Fraction, digits: int) -> dict[str, str
     }
 
 
-def _whole_number(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+def _whole_number(what: str, low: int | None = None, high: int | None = None):
+    """An argparse type: a whole number, named `what` in errors, from `low` to `high`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{what} must be at most {high}, got {value}")
+        return value
+
+    return parse
 
 
-def _parse_digits(text: str) -> int:
-    """A --digits value: a whole number of fractional digits, at least 1."""
-    digits = _whole_number(text)
-    if digits < 1:
-        raise argparse.ArgumentTypeError(f"digits must be at least 1, got {digits}")
-    return digits
-
-
-# the oracle walks C_(n-1) words; n = 16 (9.7 million trees) still ends within a minute
-_MAX_ORACLE_BOUND = 16
-
-
-def _parse_oracle_bound(text: str) -> int:
-    """An --oracle-bound value: a tree size from 1 to _MAX_ORACLE_BOUND."""
-    bound = _whole_number(text)
-    if not 1 <= bound <= _MAX_ORACLE_BOUND:
-        raise argparse.ArgumentTypeError(
-            f"oracle bound must be from 1 to {_MAX_ORACLE_BOUND}, got {bound}"
-        )
-    return bound
-
+# every --digits shares the constants' certified limit: a rendering's cost and
+# size grow with its digits, and `exact-dist Y 10000` prints 20,003 decimals
+_digits = _whole_number("digits", 1, _MAX_DIGITS)
 
 # an exact-dist table is held whole until written, and its output grows like n^2;
 # one r-explicit count costs more than n^2 big-int steps
-_MAX_EXACT_N = 10_000
-
-
-def _parse_exact_n(text: str) -> int:
-    """An exact-dist or r-explicit size: a whole number at most _MAX_EXACT_N."""
-    n = _whole_number(text)
-    if n > _MAX_EXACT_N:
-        raise argparse.ArgumentTypeError(f"tree size must be at most {_MAX_EXACT_N}, got {n}")
-    return n
-
+_exact_n = _whole_number("tree size", high=10_000)
 
 # limit values are exact rationals whose digits grow linearly in the level
 _MAX_LEVEL = 1000
-
-
-def _check_level(k: int) -> int:
-    if k > _MAX_LEVEL:
-        raise argparse.ArgumentTypeError(f"level must be at most {_MAX_LEVEL}, got {k}")
-    return k
-
-
-def _parse_level(text: str) -> int:
-    """An asym level: a whole number at most _MAX_LEVEL."""
-    return _check_level(_whole_number(text))
-
 
 # every value of a range becomes rows held in memory until the output is written
 _MAX_RANGE = 1000
 
 
-def _parse_range(text: str) -> range:
-    """Inclusive 'A:B' or a single 'N', at most _MAX_RANGE values wide."""
-    parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            start = stop = int(parts[0])
-        elif len(parts) == 2:
-            start, stop = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N or A:B, got {text!r}") from None
-    if start < 0 or stop < start:
-        raise argparse.ArgumentTypeError(f"range {text!r} is empty or negative")
-    if stop - start >= _MAX_RANGE:
-        raise argparse.ArgumentTypeError(f"range {text!r} has more than {_MAX_RANGE} values")
-    return range(start, stop + 1)
+def _whole_range(what: str, high: int | None = None):
+    """An argparse type: 'A:B' (inclusive) or 'N', from 0 to `high`, at most _MAX_RANGE values."""
+    end = _whole_number(what, 0, high)
 
+    def parse(text: str) -> range:
+        parts = text.split(":")
+        if len(parts) > 2:
+            raise argparse.ArgumentTypeError(f"expected N or A:B, got {text!r}")
+        start, stop = end(parts[0]), end(parts[-1])
+        if stop < start:
+            raise argparse.ArgumentTypeError(f"range {text!r} is empty")
+        if stop - start >= _MAX_RANGE:
+            raise argparse.ArgumentTypeError(f"range {text!r} has more than {_MAX_RANGE} values")
+        return range(start, stop + 1)
 
-def _parse_levels(text: str) -> range:
-    """A limit-dist --k range whose levels are at most _MAX_LEVEL."""
-    levels = _parse_range(text)
-    _check_level(levels[-1])
-    return levels
+    return parse
 
 
 def _cmd_oracle(args: argparse.Namespace) -> list[dict]:
     return [
-        {"kind": kind, "n": n, "k": k, "value": str(count(n, k, args.oracle_bound))}
+        {"kind": kind, "n": n, "k": k, "value": str(count(n, k))}
         for n in args.n
         for k in args.k
         for kind, count in (("r", oracle_r), ("s", oracle_s))
@@ -153,7 +119,7 @@ def _cmd_oracle(args: argparse.Namespace) -> list[dict]:
 
 def _cmd_exact_dist(args: argparse.Namespace) -> list[dict]:
     dist = dist_X_exact if args.statistic == "X" else dist_Y_exact
-    table = dist(args.n, method=args.method, oracle_bound=args.oracle_bound)
+    table = dist(args.n, method=args.method)
     rows = [
         {"kind": kind, "k": k} | _rational_fields("value", value_at(k), args.digits)
         for kind, value_at in (("survival", table.survival_at), ("pmf", table.pmf_at))
@@ -188,15 +154,12 @@ def _cmd_asym(args: argparse.Namespace) -> list[dict]:
     survival = asym_P_X_ge if args.statistic == "X" else asym_P_Y_ge
     value = survival(args.k)
     common = {"k": args.k, "error_order": value.error_order}
-    return [
-        {"kind": "survival_leading"} | common | _rational_fields("value", value.leading, args.digits),
-        {"kind": "survival_correction"}
-        | common
-        | _rational_fields("value", value.correction, args.digits),
-        {"kind": "survival_at", "n": args.n}
-        | common
-        | _rational_fields("value", value.at(args.n), args.digits),
-    ]
+    terms = (
+        ({"kind": "survival_leading"}, value.leading),
+        ({"kind": "survival_correction"}, value.correction),
+        ({"kind": "survival_at", "n": args.n}, value.at(args.n)),
+    )
+    return [head | common | _rational_fields("value", v, args.digits) for head, v in terms]
 
 
 def _cmd_constants(args: argparse.Namespace) -> list[dict]:
@@ -250,18 +213,12 @@ def _cmd_mellin_check(args: argparse.Namespace) -> list[dict]:
 
 def _cmd_sample(args: argparse.Namespace) -> list[dict]:
     stats = estimate_survival(args.statistic, args.n, args.trials, args.seed)
-    rows = []
-    for k in sorted(stats.survival_counts):
-        rows.append(
-            {
-                "kind": "survival",
-                "k": k,
-                "count": str(stats.survival_counts[k]),
-                "fraction": stats.survival_counts[k] / stats.trials,
-            }
-        )
-    rows.append({"kind": "mean", "value": stats.mean})
-    return rows
+    counts = stats.survival_counts
+    rows = [
+        {"kind": "survival", "k": k, "count": str(counts[k]), "fraction": counts[k] / stats.trials}
+        for k in sorted(counts)
+    ]
+    return rows + [{"kind": "mean", "value": stats.mean}]
 
 
 # exact-dist names the route that produced the table; oracle shares its stamp
@@ -284,12 +241,8 @@ def _emit(rows: list[dict], fmt: str, stream) -> None:
         for row in rows:
             stream.write(json.dumps(row) + "\n")
         return
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    writer = csv.DictWriter(stream, fieldnames=fields, restval="")
+    fields = dict.fromkeys(key for row in rows for key in row)
+    writer = csv.DictWriter(stream, fieldnames=list(fields), restval="")
     writer.writeheader()
     writer.writerows(rows)
 
@@ -305,47 +258,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force r/s tables")
     p.set_defaults(handler=_cmd_oracle, provenance=_METHOD_PROVENANCE["oracle"])
-    p.add_argument("--n", type=_parse_range, required=True, help="size or A:B range")
-    p.add_argument("--k", type=_parse_range, default=range(0, 9), help="level or A:B range")
-    p.add_argument("--oracle-bound", type=_parse_oracle_bound, default=DEFAULT_ORACLE_BOUND)
+    p.add_argument("--n", type=_whole_range("tree size"), required=True, help="size or A:B range")
+    p.add_argument("--k", type=_whole_range("level"), default=range(0, 9), help="level or A:B range")
 
     p = sub.add_parser("exact-dist", parents=[common], help="exact distribution at size n")
     p.set_defaults(handler=_cmd_exact_dist)
     p.add_argument("statistic", choices=("X", "Y"))
-    p.add_argument("n", type=_parse_exact_n)
+    p.add_argument("n", type=_exact_n)
     p.add_argument("method", nargs="?", default="explicit", choices=tuple(_METHOD_PROVENANCE))
-    p.add_argument("--oracle-bound", type=_parse_oracle_bound, default=DEFAULT_ORACLE_BOUND)
-    p.add_argument("--digits", type=_parse_digits, default=30)
+    p.add_argument("--digits", type=_digits, default=30)
 
     p = sub.add_parser("r-explicit", parents=[common], help="one k-protected count")
     p.set_defaults(
         handler=_cmd_r_explicit,
         provenance="exact: alternating binomial sum for k-protected trees",
     )
-    p.add_argument("n", type=_parse_exact_n)
-    p.add_argument("k", type=int)
+    p.add_argument("n", type=_exact_n)
+    p.add_argument("k", type=_whole_number("level"))
 
     p = sub.add_parser("limit-dist", parents=[common], help="limit pmf with 1/n corrections")
     p.set_defaults(
         handler=_cmd_limit_dist, provenance="asymptotics: limit law with 1/n correction"
     )
     p.add_argument("statistic", choices=("X", "Y"))
-    p.add_argument("--k", type=_parse_levels, default=range(0, 11))
-    p.add_argument("--digits", type=_parse_digits, default=30)
+    p.add_argument("--k", type=_whole_range("level", _MAX_LEVEL), default=range(0, 11))
+    p.add_argument("--digits", type=_digits, default=30)
 
     p = sub.add_parser("asym", parents=[common], help="survival expansion at one (k, n)")
     p.set_defaults(
         handler=_cmd_asym, provenance="asymptotics: survival expansion leading + correction/n"
     )
     p.add_argument("statistic", choices=("X", "Y"))
-    p.add_argument("k", type=_parse_level)
-    p.add_argument("n", type=int)
-    p.add_argument("--digits", type=_parse_digits, default=30)
+    p.add_argument("k", type=_whole_number("level", high=_MAX_LEVEL))
+    p.add_argument("n", type=_whole_number("tree size"))
+    p.add_argument("--digits", type=_digits, default=30)
 
     p = sub.add_parser("constants", parents=[common], help="certified constant enclosures")
     p.set_defaults(handler=_cmd_constants, provenance="asymptotics: certified rational enclosures")
     p.add_argument("names", nargs="*", metavar="name", help=f"any of {', '.join(CONSTANT_NAMES)}")
-    p.add_argument("--digits", type=_parse_digits, default=50)
+    p.add_argument("--digits", type=_digits, default=50)
 
     p = sub.add_parser("mellin-check", parents=[common], help="functional-equation residuals")
     p.set_defaults(
@@ -355,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", parents=[common], help="Monte Carlo survival estimate")
     p.add_argument("statistic", choices=("X", "Y"))
-    p.add_argument("n", type=int)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("n", type=_whole_number("tree size"))
+    p.add_argument("--trials", type=_whole_number("trials"), default=10000)
+    p.add_argument("--seed", type=_whole_number("seed", 0), default=1)
     # the generator and stream version are stamped after the parameters
     p.set_defaults(handler=_cmd_sample, rng_algorithm=RNG_ALGORITHM, rng_stream=RNG_STREAM)
 
@@ -374,13 +325,6 @@ def _run(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
         rows = args.handler(args)
-    except OracleBoundError as exc:
-        limit = f"n={exc.n} exceeds the enumeration bound {exc.bound}"
-        print(
-            f"error: {limit}; raise it with --oracle-bound (at most {_MAX_ORACLE_BOUND})",
-            file=sys.stderr,
-        )
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

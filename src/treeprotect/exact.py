@@ -55,7 +55,7 @@ from itertools import islice
 from typing import Iterator, Literal
 
 from .series import TruncatedPowerSeries
-from .trees import DEFAULT_ORACLE_BOUND, oracle_r, oracle_s
+from .trees import oracle_r, oracle_s
 
 __all__ = [
     "catalan",
@@ -445,20 +445,18 @@ class DistributionTable:
 Method = Literal["oracle", "explicit"]
 
 
-def dist_X_exact(
-    n: int, method: Method = "explicit", oracle_bound: int = DEFAULT_ORACLE_BOUND
-) -> DistributionTable:
+def dist_X_exact(n: int, method: Method = "explicit") -> DistributionTable:
     """Exact distribution of the root protection number at size n.
 
     Both methods produce identical tables.  "explicit" (the default) reads
     r(n, k) for every k from the one alternating-binomial pass on plain
-    integers; "oracle" enumerates every tree (subject to the size bound)
-    as an independent cross-check.
+    integers; "oracle" enumerates every tree as an independent
+    cross-check, and so raises ValueError for n above 16.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
     if method == "oracle":
-        counts = tuple(oracle_r(n, k, oracle_bound=oracle_bound) for k in range(n))
+        counts = tuple(oracle_r(n, k) for k in range(n))
     elif method == "explicit":
         counts = (catalan(n - 1),) + _protection_counts(n)[0][1:]
     else:
@@ -466,19 +464,18 @@ def dist_X_exact(
     return DistributionTable(n, counts, catalan(n - 1))
 
 
-def dist_Y_exact(
-    n: int, method: Method = "explicit", oracle_bound: int = DEFAULT_ORACLE_BOUND
-) -> DistributionTable:
+def dist_Y_exact(n: int, method: Method = "explicit") -> DistributionTable:
     """Exact distribution of the protection number of a uniform vertex.
 
     "explicit" (the default) halves r(n, k) + u(n, k), the pointed
     alternating binomial sums, for every k from the same pass as
-    dist_X_exact; "oracle" enumerates every tree, as in dist_X_exact.
+    dist_X_exact; "oracle" enumerates every tree, as in dist_X_exact, and
+    so stops at n = 16.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
     if method == "oracle":
-        counts = tuple(oracle_s(n, k, oracle_bound=oracle_bound) for k in range(n))
+        counts = tuple(oracle_s(n, k) for k in range(n))
     elif method == "explicit":
         r, u = _protection_counts(n)
         counts = (n * catalan(n - 1),) + tuple(_halve(r[k] + u[k], n, k) for k in range(1, n))

@@ -60,8 +60,8 @@ def test_every_record_is_stamped(capsys):
 @pytest.mark.parametrize(
     "argv, keys",
     [
-        (["oracle", "--n", "3"], ["n", "k", "oracle_bound"]),
-        (["exact-dist", "X", "4"], ["statistic", "n", "method", "oracle_bound", "digits"]),
+        (["oracle", "--n", "3"], ["n", "k"]),
+        (["exact-dist", "X", "4"], ["statistic", "n", "method", "digits"]),
         (["r-explicit", "6", "2"], ["n", "k"]),
         (["limit-dist", "X", "--k", "1"], ["statistic", "k", "digits"]),
         (["asym", "X", "2", "10"], ["statistic", "k", "n", "digits"]),
@@ -223,16 +223,36 @@ def test_mellin_check_unreachable_tolerance_is_usage_error(capsys, x):
     assert "tolerance" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["exact-dist", "X", "5"], ["limit-dist", "Y"], ["asym", "X", "2", "10"], ["constants", "c0"]],
-)
+_DIGITS_COMMANDS = [
+    ["exact-dist", "X", "5"], ["limit-dist", "Y"], ["asym", "X", "2", "10"], ["constants", "c0"]
+]
+
+
+@pytest.mark.parametrize("argv", _DIGITS_COMMANDS)
 @pytest.mark.parametrize("digits", ["-1", "0"])
 def test_digits_below_one_is_usage_error(capsys, argv, digits):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--digits", digits])
     assert exc.value.code == 2
     assert "digits must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _DIGITS_COMMANDS)
+def test_digits_past_200_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--digits", "201"])
+    assert exc.value.code == 2
+    assert "digits must be at most 200, got 201" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _DIGITS_COMMANDS)
+def test_digits_200_is_accepted(capsys, argv):
+    code, out = _run(capsys, argv + ["--digits", "200"])
+    assert code == 0
+    rows = _jsonl(out)
+    assert all(json.loads(row["params"])["digits"] == 200 for row in rows)
+    decimals = [row.get("value_decimal", row.get("decimal")) for row in rows]
+    assert all(len(d.split(".")[1]) == 200 for d in decimals)
 
 
 def test_usage_error_exit_code():
@@ -253,18 +273,18 @@ def test_sample_past_the_step_budget_is_usage_error(capsys):
     assert "at most 4194304" in capsys.readouterr().err
 
 
-def test_oracle_bound_maps_to_exit_3(capsys):
-    code = main(["oracle", "--n", "30"])
-    assert code == 3
-    assert "error:" in capsys.readouterr().err
+def test_sample_negative_seed_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "X", "5", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: seed must be at least 0, got -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["oracle", "--n", "15"], ["exact-dist", "X", "15", "oracle"]])
+@pytest.mark.parametrize("argv", [["oracle", "--n", "17"], ["exact-dist", "X", "17", "oracle"]])
 def test_oracle_bound_error_names_the_flag_and_limit(capsys, argv):
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert "n=15 exceeds the enumeration bound 14" in err
-    assert "--oracle-bound" in err
+    # the bound is fixed at 16; the message names the tree-size argument and the cap
+    assert main(argv) == 2
+    assert "tree size must be at most 16 for enumeration, got 17" in capsys.readouterr().err
 
 
 _ORACLE_COMMANDS = [["oracle", "--n", "3"], ["exact-dist", "X", "3", "oracle"]]
@@ -273,18 +293,32 @@ _ORACLE_COMMANDS = [["oracle", "--n", "3"], ["exact-dist", "X", "3", "oracle"]]
 @pytest.mark.parametrize("argv", _ORACLE_COMMANDS)
 @pytest.mark.parametrize("bound", ["-1", "0", "17"])
 def test_oracle_bound_outside_1_to_16_is_usage_error(capsys, argv, bound):
+    # --oracle-bound is gone, so every value of it is an unrecognized argument
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--oracle-bound", bound])
     assert exc.value.code == 2
-    assert f"oracle bound must be from 1 to 16, got {bound}" in capsys.readouterr().err
+    assert "unrecognized arguments: --oracle-bound" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", _ORACLE_COMMANDS)
-def test_oracle_bound_16_is_accepted(capsys, argv):
-    code, out = _run(capsys, argv + ["--oracle-bound", "16"])
+@pytest.mark.parametrize("argv", [["oracle", "--n", "16"], ["exact-dist", "X", "16", "oracle"]])
+def test_oracle_bound_16_is_accepted(capsys, monkeypatch, argv):
+    # n = 16 passes the size check on both routes; the 17 s walk is replaced by
+    # the survival counts of the explicit engine, which criterion 1 checks it against
+    from treeprotect import trees
+    from treeprotect.exact import dist_X_exact, dist_Y_exact
+
+    walked = []
+
+    def tallies(n):
+        walked.append(n)
+        return dist_X_exact(n).counts + (0,), dist_Y_exact(n).counts + (0,)
+
+    monkeypatch.setattr(trees, "_survival_tallies", tallies)
+    code, out = _run(capsys, argv)
     assert code == 0
+    assert walked and set(walked) == {16}
     record = _jsonl(out)[0]
-    assert json.loads(record["params"])["oracle_bound"] == 16
+    assert json.loads(record["params"])["n"] in (16, "16:16")
 
 
 def test_bad_range_rejected():
@@ -413,29 +447,22 @@ def test_level_1000_is_accepted(capsys, argv):
 _STATISTICS = st.sampled_from(["X", "Y", "Z"])
 _LEVELS = st.sampled_from(["-1", "0", "1", "3", "1000", "1001", "x"])
 _LEVEL_RANGES = st.sampled_from(["0", "3", "1:4", "4:1", "-1", "0:1000", "995:1001", "1:2:3", "x"])
-_DIGITS = st.sampled_from(
-    [[], ["--digits", "0"], ["--digits", "1"], ["--digits", "200"], ["--digits", "201"]]
-)
+_DIGITS = st.sampled_from([[]] + [["--digits", d] for d in ("0", "1", "200", "201", "100000")])
 _ABSCISSAS = st.lists(
     st.sampled_from(["nan", "inf", "0", "-1", "1e-300", "1e6", "0.7", "x"]), max_size=3
-)
-_ORACLE_BOUNDS = st.sampled_from(
-    [[], ["--oracle-bound", "-1"], ["--oracle-bound", "0"], ["--oracle-bound", "17"]]
 )
 
 _EDGE_ARGV = st.one_of(
     st.tuples(
         st.just(["oracle", "--n"]),
-        st.sampled_from(["-1", "0", "1", "12", "15", "17", "x", "1:4", "4:1"]),
+        st.sampled_from(["-1", "0", "1", "12", "17", "x", "1:4", "4:1"]),
         st.sampled_from([[], ["--k", "0:3"], ["--k", "x"], ["--k", "0:1000"]]),
-        _ORACLE_BOUNDS,
     ),
     st.tuples(
         st.just("exact-dist"),
         _STATISTICS,
         st.sampled_from(["-1", "0", "1", "7", "50", "10001", "x"]),
         st.sampled_from([[], ["explicit"], ["oracle"], ["guess"]]),
-        _ORACLE_BOUNDS,
         _DIGITS,
     ),
     st.tuples(
@@ -466,5 +493,5 @@ def test_edge_inputs_exit_cleanly(argv):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert code in (0, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from treeprotect.exact import catalan
 from treeprotect.trees import (
-    DEFAULT_ORACLE_BOUND,
-    OracleBoundError,
     PlaneTree,
     _balanced_words,
+    _check_oracle_size,
     _protection_values,
     _survival_tallies,
     enumerate_trees,
@@ -150,12 +149,19 @@ def test_survival_tallies_n13_literals():
 
 
 def test_oracle_bound_enforced():
-    with pytest.raises(OracleBoundError):
-        oracle_r(DEFAULT_ORACLE_BOUND + 1, 1)
-    with pytest.raises(OracleBoundError):
+    with pytest.raises(ValueError, match="at most 16 for enumeration, got 17"):
+        oracle_r(17, 1)
+    with pytest.raises(ValueError, match="at most 16 for enumeration, got 20"):
         oracle_s(20, 1)
-    # passing the bound explicitly is allowed; root of any n >= 2 tree is 1-protected
-    assert oracle_r(5, 1, oracle_bound=5) == 14
+    with pytest.raises(ValueError, match="at most 16 for enumeration, got 17"):
+        next(enumerate_trees(17))
+
+
+def test_oracle_size_16_passes_the_check():
+    # the check alone: the n = 16 walk itself takes about 17 s
+    _check_oracle_size(16)
+    with pytest.raises(ValueError, match="got 17"):
+        _check_oracle_size(17)
 
 
 def test_leaf_count_examples():
