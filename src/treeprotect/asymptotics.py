@@ -167,15 +167,8 @@ class ConstantEnclosure:
     decimal: str
 
     @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    @property
     def midpoint(self) -> Fraction:
         return (self.lower + self.upper) / 2
-
-    def contains(self, value: Fraction) -> bool:
-        return self.lower <= value <= self.upper
 
 
 # Summand majorants, each proven for every k >= 1: |term(k)| <= A*(k+1)^p/4^k.
@@ -222,18 +215,6 @@ _MOMENT_COMBOS = {
 }
 
 _Interval = tuple[int, int]
-
-
-def summand_bound(sum_name: str, k: int) -> Fraction:
-    """The documented majorant A*(k+1)^p/4^k for one primitive sum."""
-    _, a, p = _PRIMITIVE_SUMS[sum_name]
-    return Fraction(a * (k + 1) ** p, 4**k)
-
-
-def summand(sum_name: str, k: int) -> Fraction:
-    """The k-th term of one primitive sum (for bound checking)."""
-    term, _, _ = _PRIMITIVE_SUMS[sum_name]
-    return term(k)
 
 
 def _tail_bound(a: int, p: int, cutoff: int) -> Fraction:

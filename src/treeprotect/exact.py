@@ -32,13 +32,13 @@ a leaf-pointed remainder, so S_k(z) = R_k(z) * (1 + (1-4z)^(-1/2)) / 2 and
 
 The binomials of term j lie on lattice lines C(a + da*i, b + db*i); one
 walker (_line_terms) takes a single math.comb at a line's cheap end and an
-exact ratio step per further term.  One cached pass per size n yields every
+exact ratio step per further term.  One cached pass per size n sums every
 r(n, k) and u(n, k) = [z^n] R_k (1-4z)^(-1/2) in O(n log n) steps, split at
-isqrt(n) so that no step jumps more than about 2 sqrt(n); both tables and
-both means read it, and r_explicit, s_explicit serve single points in
-O(n/k) steps.  The series recurrence, the O(n^2) ballot-number tables
-(r_survival_column, root_protection_totals) and the brute-force oracle
-remain as independent cross-checks.
+isqrt(n) so that no step jumps more than about 2 sqrt(n), into the finished
+r(n, k) and s(n, k) that both tables hold and both means read; r_explicit
+and s_explicit serve single points in O(n/k) steps.  The series recurrence,
+the O(n^2) ballot-number tables (r_survival_column, root_protection_totals)
+and the brute-force oracle remain as independent cross-checks.
 
 Everything here is exact and nothing floats: counts, tables and series
 coefficients are plain ints, and Fraction appears only in the returned
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, Literal
+from typing import Callable, Iterator, Literal
 
 from .series import TruncatedPowerSeries
 from .trees import oracle_r, oracle_s
@@ -333,8 +333,11 @@ def s_explicit(n: int, k: int) -> int:
     return _halve(_sum_over_j(n, k, _R_LINES) + _sum_over_j(n, k, _U_LINES), n, k)
 
 
-def survival_X_exact(n: int, k: int) -> Fraction:
-    """P(protection of a uniform n-vertex tree >= k), exact."""
+_Count = Callable[[int, int], int]
+
+
+def _point_survival(n: int, k: int, count: _Count, weight: int) -> Fraction:
+    """count(n, k) / (weight * catalan(n-1)), with the levels 0 and >= n read directly."""
     if n < 1:
         raise ValueError("tree size must be positive")
     if k < 0:
@@ -343,34 +346,31 @@ def survival_X_exact(n: int, k: int) -> Fraction:
         return Fraction(1)
     if k >= n:
         return Fraction(0)
-    return Fraction(r_explicit(n, k), catalan(n - 1))
+    return Fraction(count(n, k), weight * catalan(n - 1))
+
+
+def survival_X_exact(n: int, k: int) -> Fraction:
+    """P(protection of a uniform n-vertex tree >= k), exact."""
+    return _point_survival(n, k, r_explicit, 1)
 
 
 def survival_Y_exact(n: int, k: int) -> Fraction:
     """P(protection of a uniform vertex of a uniform n-vertex tree >= k), exact."""
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    if k < 0:
-        raise ValueError("protection level must be nonnegative")
-    if k == 0:
-        return Fraction(1)
-    if k >= n:
-        return Fraction(0)
-    return Fraction(s_explicit(n, k), n * catalan(n - 1))
+    return _point_survival(n, k, s_explicit, n)
 
 
 # each entry holds O(n^2) digits; two keep X and Y, or both means, at one n
 @lru_cache(maxsize=2)
 def _protection_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(r, u) with r[k] = r(n, k) and u[k] = u(n, k) for k = 1..n-1; r[0] = u[0] = 0.
+    """(r, s) with r[k] = r(n, k) and s[k] = s(n, k) for k = 0..n-1, level 0 counting all.
 
-    The lattice points (j, k) with (k+1)j <= n are split at h = isqrt(n),
-    like a divisor sum: for k < h each k walks its j line into slot k; for
-    k >= h each j walks its k line, adding term i into slot h + i.  No line
-    is long, and the pass is O(n log n) ratio steps.
+    For k >= 1 the lattice points (j, k) with (k+1)j <= n are split at
+    h = isqrt(n), like a divisor sum: for k < h each k walks its j line into
+    slot k; for k >= h each j walks its k line, adding term i into slot h + i.
+    No line is long, and the pass is O(n log n) ratio steps.
     """
     h = math.isqrt(n)
-    counts = []
+    sums = []
     for lines in (_R_LINES, _U_LINES):
         slots = [0] + [_sum_over_j(n, k, lines) for k in range(1, h)] + [0] * (n - h)
         for j in range(1, n // (h + 1) + 1):
@@ -383,39 +383,42 @@ def _protection_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                         slots[h + i] += value
                     else:
                         slots[h + i] -= value
-        counts.append(tuple(slots))
-    return counts[0], counts[1]
+        sums.append(slots)
+    r, u = sums
+    r[0] = catalan(n - 1)
+    return tuple(r), (n * r[0], *(_halve(r[k] + u[k], n, k) for k in range(1, n)))
 
 
 def mean_X_exact(n: int) -> Fraction:
-    """Exact mean root protection number at size n: sum of r(n, k) / catalan(n-1)."""
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    return Fraction(sum(_protection_counts(n)[0]), catalan(n - 1))
+    """Exact mean root protection number at size n."""
+    return dist_X_exact(n).mean
 
 
 def mean_Y_exact(n: int) -> Fraction:
-    """Exact mean vertex protection number at size n: sum of s(n, k) / (n * catalan(n-1))."""
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    r, u = _protection_counts(n)
-    return Fraction(sum(r) + sum(u), 2 * n * catalan(n - 1))
+    """Exact mean vertex protection number at size n."""
+    return dist_Y_exact(n).mean
 
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Exact distribution of one protection statistic at a fixed size n.
+    """Exact distribution of one protection statistic at the size n = len(counts).
 
-    counts[k] of `denominator` equally likely outcomes (trees, or tree and
-    vertex pairs) have value >= k, for k = 0..n-1; from k = n on it is 0.
-    Only these ints are held, and survival_at, pmf_at and the moments build
-    exact Fractions when read: mean = sum over k >= 1 of P(value >= k), and
-    the second moment uses the (2k-1) weights.
+    counts[k] of the counts[0] equally likely outcomes (trees, or tree and
+    vertex pairs) have value >= k, and none has from k = n on.  Only these
+    ints are held, and survival_at, pmf_at and the moments build exact
+    Fractions when read: mean = sum over k >= 1 of P(value >= k), and the
+    second moment uses the (2k-1) weights.
     """
 
-    n: int
     counts: tuple[int, ...]
-    denominator: int
+
+    def __post_init__(self) -> None:
+        if not self.counts:
+            raise ValueError("a distribution table needs the count of all outcomes")
+
+    @property
+    def n(self) -> int:
+        return len(self.counts)
 
     def _count(self, k: int) -> int:
         if k < 0:
@@ -423,19 +426,19 @@ class DistributionTable:
         return self.counts[k] if k < self.n else 0
 
     def survival_at(self, k: int) -> Fraction:
-        return Fraction(self._count(k), self.denominator)
+        return Fraction(self._count(k), self.counts[0])
 
     def pmf_at(self, k: int) -> Fraction:
-        return Fraction(self._count(k) - self._count(k + 1), self.denominator)
+        return Fraction(self._count(k) - self._count(k + 1), self.counts[0])
 
     @property
     def mean(self) -> Fraction:
-        return Fraction(sum(self.counts[1:]), self.denominator)
+        return Fraction(sum(self.counts[1:]), self.counts[0])
 
     @property
     def second_moment(self) -> Fraction:
         weighted = sum((2 * k - 1) * c for k, c in enumerate(self.counts) if k >= 1)
-        return Fraction(weighted, self.denominator)
+        return Fraction(weighted, self.counts[0])
 
     @property
     def variance(self) -> Fraction:
@@ -443,6 +446,17 @@ class DistributionTable:
 
 
 Method = Literal["oracle", "explicit"]
+
+
+def _table(n: int, method: Method, oracle: _Count, slot: int) -> DistributionTable:
+    """One statistic's table: oracle(n, k) for every k, or its slot of the one pass."""
+    if n < 1:
+        raise ValueError("tree size must be positive")
+    if method == "oracle":
+        return DistributionTable(tuple(oracle(n, k) for k in range(n)))
+    if method == "explicit":
+        return DistributionTable(_protection_counts(n)[slot])
+    raise ValueError(f"unknown method {method!r}")
 
 
 def dist_X_exact(n: int, method: Method = "explicit") -> DistributionTable:
@@ -453,32 +467,14 @@ def dist_X_exact(n: int, method: Method = "explicit") -> DistributionTable:
     integers; "oracle" enumerates every tree as an independent
     cross-check, and so raises ValueError for n above 16.
     """
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    if method == "oracle":
-        counts = tuple(oracle_r(n, k) for k in range(n))
-    elif method == "explicit":
-        counts = (catalan(n - 1),) + _protection_counts(n)[0][1:]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return DistributionTable(n, counts, catalan(n - 1))
+    return _table(n, method, oracle_r, 0)
 
 
 def dist_Y_exact(n: int, method: Method = "explicit") -> DistributionTable:
     """Exact distribution of the protection number of a uniform vertex.
 
-    "explicit" (the default) halves r(n, k) + u(n, k), the pointed
-    alternating binomial sums, for every k from the same pass as
-    dist_X_exact; "oracle" enumerates every tree, as in dist_X_exact, and
-    so stops at n = 16.
+    "explicit" (the default) reads s(n, k), the halved pointed sums, for
+    every k from the same pass as dist_X_exact; "oracle" enumerates every
+    tree, as in dist_X_exact, and so stops at n = 16.
     """
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    if method == "oracle":
-        counts = tuple(oracle_s(n, k) for k in range(n))
-    elif method == "explicit":
-        r, u = _protection_counts(n)
-        counts = (n * catalan(n - 1),) + tuple(_halve(r[k] + u[k], n, k) for k in range(1, n))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return DistributionTable(n, counts, n * catalan(n - 1))
+    return _table(n, method, oracle_s, 1)

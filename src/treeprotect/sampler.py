@@ -81,7 +81,6 @@ class SampleStats:
     trials: int
     seed: int
     survival_counts: dict[int, int]
-    rng_algorithm: str = RNG_ALGORITHM
 
     def survival_fraction(self, k: int) -> float:
         if k < 0:

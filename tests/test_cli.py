@@ -280,6 +280,13 @@ def test_sample_negative_seed_names_the_flag(capsys):
     assert "argument --seed: seed must be at least 0, got -1" in capsys.readouterr().err
 
 
+def test_sample_trials_past_the_cap_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "X", "10", "--trials", "10000001"])
+    assert exc.value.code == 2
+    assert "trials must be at most 10000000, got 10000001" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["oracle", "--n", "17"], ["exact-dist", "X", "17", "oracle"]])
 def test_oracle_bound_error_names_the_flag_and_limit(capsys, argv):
     # the bound is fixed at 16; the message names the tree-size argument and the cap
@@ -478,7 +485,7 @@ _EDGE_ARGV = st.one_of(
         st.just("sample"),
         _STATISTICS,
         st.sampled_from(["-1", "0", "1", "10", "4194305", "x"]),
-        st.sampled_from([[], ["--trials", "-1"], ["--trials", "0"], ["--trials", "50"]]),
+        st.sampled_from([[]] + [["--trials", t] for t in ("-1", "0", "50", "10000001")]),
         st.sampled_from([[], ["--seed", "-1"], ["--seed", "7"]]),
     ),
 ).map(lambda parts: [w for part in parts for w in ([part] if isinstance(part, str) else part)])

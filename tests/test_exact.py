@@ -153,10 +153,10 @@ def _series_table(statistic, n):
     """The exact X or Y table read off the substitution recurrence, level by level."""
     levels = islice(exact._R_levels(n), n)
     if statistic == "X":
-        return DistributionTable(n, tuple(R[n] for R in levels), catalan(n - 1))
+        return DistributionTable(tuple(R[n] for R in levels))
     factor = 1 + series_invsqrt(n)
     counts = tuple(exact._halve((R * factor)[n], n, k) for k, R in enumerate(levels))
-    return DistributionTable(n, counts, n * catalan(n - 1))
+    return DistributionTable(counts)
 
 
 def test_dist_methods_agree():
@@ -169,7 +169,8 @@ def test_dist_methods_agree():
 
 def test_dist_X_exact_n4_table():
     table = dist_X_exact(4)
-    assert table == DistributionTable(4, (5, 5, 2, 1), 5)
+    assert table == DistributionTable((5, 5, 2, 1))
+    assert table.n == 4
     assert [table.survival_at(k) for k in range(5)] == [
         Fraction(1),
         Fraction(1),
@@ -196,6 +197,12 @@ def test_distribution_table_accessors():
     assert sum(table.pmf_at(k) for k in range(table.n)) == 1
     with pytest.raises(ValueError):
         table.pmf_at(-1)
+
+
+def test_empty_distribution_table_raises():
+    # counts[0] is the denominator, so a table needs at least that count
+    with pytest.raises(ValueError):
+        DistributionTable(())
 
 
 def test_dist_rejects_unknown_method():
@@ -298,11 +305,12 @@ def test_means_at_moderate_n_are_rational_and_bounded():
 
 
 def _pass_agrees_with_point_kernels(n):
-    r, u = exact._protection_counts(n)
-    assert len(r) == len(u) == n and r[0] == u[0] == 0
+    r, s = exact._protection_counts(n)
+    assert len(r) == len(s) == n
+    assert (r[0], s[0]) == (catalan(n - 1), n * catalan(n - 1))
     for k in range(1, n):
         assert r[k] == r_explicit(n, k)
-        assert exact._halve(r[k] + u[k], n, k) == s_explicit(n, k)
+        assert s[k] == s_explicit(n, k)
 
 
 def test_pass_equals_point_kernels_for_every_n_up_to_150():

@@ -16,7 +16,6 @@ import numpy as np
 
 from treeprotect import sampler
 from treeprotect.sampler import (
-    RNG_ALGORITHM,
     SampleStats,
     estimate_survival,
     make_rng,
@@ -41,7 +40,6 @@ def test_same_seed_reproduces_counts():
     a = estimate_survival("X", 50, 4000, seed=123)
     b = estimate_survival("X", 50, 4000, seed=123)
     assert a.survival_counts == b.survival_counts
-    assert a.rng_algorithm == RNG_ALGORITHM
     c = estimate_survival("X", 50, 4000, seed=124)
     assert c.survival_counts != a.survival_counts
 
