@@ -195,21 +195,14 @@ def _check_normalization() -> tuple[bool, str]:
     tol = Fraction(1, 10**40)
     problems = []
 
-    partial_x = sum((limit_pmf_X(k).leading for k in range(cutoff + 1)), Fraction(0))
-    tail_x = 1 - partial_x
-    if tail_x != asym_P_X_ge(cutoff + 1).leading or not 0 < tail_x < tol:
-        problems.append(f"X normalization tail {float(tail_x):.3e}")
-
-    partial_y = sum((limit_pmf_Y(k).leading for k in range(cutoff + 1)), Fraction(0))
-    tail_y = 1 - partial_y
-    if tail_y != asym_P_Y_ge(cutoff + 1).leading or not 0 < tail_y < tol:
-        problems.append(f"Y normalization tail {float(tail_y):.3e}")
-
-    for k in range(1, 31):
-        if limit_pmf_X(k).leading != asym_P_X_ge(k).leading - asym_P_X_ge(k + 1).leading:
-            problems.append(f"X pmf/survival difference mismatch at k={k}")
-        if limit_pmf_Y(k).leading != asym_P_Y_ge(k).leading - asym_P_Y_ge(k + 1).leading:
-            problems.append(f"Y pmf/survival difference mismatch at k={k}")
+    laws = (("X", limit_pmf_X, asym_P_X_ge), ("Y", limit_pmf_Y, asym_P_Y_ge))
+    for statistic, pmf, survival in laws:
+        tail = 1 - sum((pmf(k).leading for k in range(cutoff + 1)), Fraction(0))
+        if tail != survival(cutoff + 1).leading or not 0 < tail < tol:
+            problems.append(f"{statistic} normalization tail {float(tail):.3e}")
+        for k in range(1, 31):
+            if pmf(k).leading != survival(k).leading - survival(k + 1).leading:
+                problems.append(f"{statistic} pmf/survival difference mismatch at k={k}")
 
     if problems:
         return False, "; ".join(problems[:4])

@@ -160,7 +160,6 @@ class ConstantEnclosure:
     truncation, so every printed digit is certified.
     """
 
-    name: str
     lower: Fraction
     upper: Fraction
     digits: int
@@ -270,7 +269,7 @@ def constant(name: str, digits: int) -> ConstantEnclosure:
     decimal = truncated_decimal(lower, digits)
     if decimal != truncated_decimal(upper, digits):
         raise ArithmeticError(f"bounds of {name} truncate apart at {digits} digits")
-    return ConstantEnclosure(name, lower, upper, digits, decimal)
+    return ConstantEnclosure(lower, upper, digits, decimal)
 
 
 def _two_term_moments(names: tuple[str, ...], n: int) -> tuple[Fraction, Fraction]:

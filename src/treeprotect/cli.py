@@ -108,8 +108,21 @@ def _whole_range(what: str, high: int | None = None):
     return parse
 
 
-def _cmd_oracle(args: argparse.Namespace) -> list[dict]:
-    return [
+# exact-dist names the route that produced the table; oracle shares its stamp
+_METHOD_PROVENANCE = {
+    "oracle": "trees: exhaustive enumeration of plane trees",
+    "explicit": "exact: alternating binomial sums over plain integers",
+}
+
+_SAMPLE_PROVENANCE = {
+    "X": f"sampler: cycle-lemma uniform trees, root scan, {RNG_ALGORITHM}",
+    "Y": f"sampler: root scan of cycle-lemma uniform trees of a drawn subtree size, {RNG_ALGORITHM}",
+}
+
+
+# each _cmd_* returns the provenance stamp of the route it ran and its rows
+def _cmd_oracle(args: argparse.Namespace) -> tuple[str, list[dict]]:
+    return _METHOD_PROVENANCE["oracle"], [
         {"kind": kind, "n": n, "k": k, "value": str(count(n, k))}
         for n in args.n
         for k in args.k
@@ -117,7 +130,7 @@ def _cmd_oracle(args: argparse.Namespace) -> list[dict]:
     ]
 
 
-def _cmd_exact_dist(args: argparse.Namespace) -> list[dict]:
+def _cmd_exact_dist(args: argparse.Namespace) -> tuple[str, list[dict]]:
     dist = dist_X_exact if args.statistic == "X" else dist_Y_exact
     table = dist(args.n, method=args.method)
     rows = [
@@ -130,14 +143,15 @@ def _cmd_exact_dist(args: argparse.Namespace) -> list[dict]:
             {"kind": "moment", "name": name}
             | _rational_fields("value", getattr(table, name), args.digits)
         )
-    return rows
+    return _METHOD_PROVENANCE[args.method], rows
 
 
-def _cmd_r_explicit(args: argparse.Namespace) -> list[dict]:
-    return [{"kind": "r", "n": args.n, "k": args.k, "value": str(r_explicit(args.n, args.k))}]
+def _cmd_r_explicit(args: argparse.Namespace) -> tuple[str, list[dict]]:
+    row = {"kind": "r", "n": args.n, "k": args.k, "value": str(r_explicit(args.n, args.k))}
+    return "exact: alternating binomial sum for k-protected trees", [row]
 
 
-def _cmd_limit_dist(args: argparse.Namespace) -> list[dict]:
+def _cmd_limit_dist(args: argparse.Namespace) -> tuple[str, list[dict]]:
     pmf = limit_pmf_X if args.statistic == "X" else limit_pmf_Y
     rows = []
     for k in args.k:
@@ -147,10 +161,10 @@ def _cmd_limit_dist(args: argparse.Namespace) -> list[dict]:
                 {"kind": kind, "k": k, "error_order": value.error_order}
                 | _rational_fields("value", getattr(value, kind), args.digits)
             )
-    return rows
+    return "asymptotics: limit law with 1/n correction", rows
 
 
-def _cmd_asym(args: argparse.Namespace) -> list[dict]:
+def _cmd_asym(args: argparse.Namespace) -> tuple[str, list[dict]]:
     survival = asym_P_X_ge if args.statistic == "X" else asym_P_Y_ge
     value = survival(args.k)
     common = {"k": args.k, "error_order": value.error_order}
@@ -159,10 +173,11 @@ def _cmd_asym(args: argparse.Namespace) -> list[dict]:
         ({"kind": "survival_correction"}, value.correction),
         ({"kind": "survival_at", "n": args.n}, value.at(args.n)),
     )
-    return [head | common | _rational_fields("value", v, args.digits) for head, v in terms]
+    rows = [head | common | _rational_fields("value", v, args.digits) for head, v in terms]
+    return "asymptotics: survival expansion leading + correction/n", rows
 
 
-def _cmd_constants(args: argparse.Namespace) -> list[dict]:
+def _cmd_constants(args: argparse.Namespace) -> tuple[str, list[dict]]:
     names = args.names or list(CONSTANT_NAMES)
     rows = []
     for name in names:
@@ -179,10 +194,10 @@ def _cmd_constants(args: argparse.Namespace) -> list[dict]:
                 "upper_den": str(enclosure.upper.denominator),
             }
         )
-    return rows
+    return "asymptotics: certified rational enclosures", rows
 
 
-def _cmd_mellin_check(args: argparse.Namespace) -> list[dict]:
+def _cmd_mellin_check(args: argparse.Namespace) -> tuple[str, list[dict]]:
     xs = args.x if args.x else list(MELLIN_ABSCISSAS)
     rows = []
     for x in xs:
@@ -208,32 +223,21 @@ def _cmd_mellin_check(args: argparse.Namespace) -> list[dict]:
         ("reflection_term_G_at_log2", reflection_term_G(log2)),
     ):
         rows.append({"kind": "cross_link", "name": name, "value": value})
-    return rows
+    return "mellin: harmonic sums and functional equations", rows
 
 
-def _cmd_sample(args: argparse.Namespace) -> list[dict]:
+def _cmd_sample(args: argparse.Namespace) -> tuple[str, list[dict]]:
     stats = estimate_survival(args.statistic, args.n, args.trials, args.seed)
     counts = stats.survival_counts
     rows = [
         {"kind": "survival", "k": k, "count": str(counts[k]), "fraction": counts[k] / stats.trials}
         for k in sorted(counts)
     ]
-    return rows + [{"kind": "mean", "value": stats.mean}]
+    return _SAMPLE_PROVENANCE[args.statistic], rows + [{"kind": "mean", "value": stats.mean}]
 
-
-# exact-dist names the route that produced the table; oracle shares its stamp
-_METHOD_PROVENANCE = {
-    "oracle": "trees: exhaustive enumeration of plane trees",
-    "explicit": "exact: alternating binomial sums over plain integers",
-}
-
-_SAMPLE_PROVENANCE = {
-    "X": f"sampler: cycle-lemma uniform trees, root scan, {RNG_ALGORITHM}",
-    "Y": f"sampler: root scan of cycle-lemma uniform trees of a drawn subtree size, {RNG_ALGORITHM}",
-}
 
 # namespace entries that select the computation rather than parameterize it
-_UNSTAMPED = ("command", "format", "handler", "provenance")
+_UNSTAMPED = ("command", "format", "handler")
 
 
 def _emit(rows: list[dict], fmt: str, stream) -> None:
@@ -257,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force r/s tables")
-    p.set_defaults(handler=_cmd_oracle, provenance=_METHOD_PROVENANCE["oracle"])
+    p.set_defaults(handler=_cmd_oracle)
     p.add_argument("--n", type=_whole_range("tree size"), required=True, help="size or A:B range")
     p.add_argument("--k", type=_whole_range("level"), default=range(0, 9), help="level or A:B range")
 
@@ -269,45 +273,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=_digits, default=30)
 
     p = sub.add_parser("r-explicit", parents=[common], help="one k-protected count")
-    p.set_defaults(
-        handler=_cmd_r_explicit,
-        provenance="exact: alternating binomial sum for k-protected trees",
-    )
+    p.set_defaults(handler=_cmd_r_explicit)
     p.add_argument("n", type=_exact_n)
     p.add_argument("k", type=_whole_number("level"))
 
     p = sub.add_parser("limit-dist", parents=[common], help="limit pmf with 1/n corrections")
-    p.set_defaults(
-        handler=_cmd_limit_dist, provenance="asymptotics: limit law with 1/n correction"
-    )
+    p.set_defaults(handler=_cmd_limit_dist)
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("--k", type=_whole_range("level", _MAX_LEVEL), default=range(0, 11))
     p.add_argument("--digits", type=_digits, default=30)
 
     p = sub.add_parser("asym", parents=[common], help="survival expansion at one (k, n)")
-    p.set_defaults(
-        handler=_cmd_asym, provenance="asymptotics: survival expansion leading + correction/n"
-    )
+    p.set_defaults(handler=_cmd_asym)
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("k", type=_whole_number("level", high=_MAX_LEVEL))
     p.add_argument("n", type=_whole_number("tree size"))
     p.add_argument("--digits", type=_digits, default=30)
 
     p = sub.add_parser("constants", parents=[common], help="certified constant enclosures")
-    p.set_defaults(handler=_cmd_constants, provenance="asymptotics: certified rational enclosures")
+    p.set_defaults(handler=_cmd_constants)
     p.add_argument("names", nargs="*", metavar="name", help=f"any of {', '.join(CONSTANT_NAMES)}")
     p.add_argument("--digits", type=_digits, default=50)
 
     p = sub.add_parser("mellin-check", parents=[common], help="functional-equation residuals")
-    p.set_defaults(
-        handler=_cmd_mellin_check, provenance="mellin: harmonic sums and functional equations"
-    )
+    p.set_defaults(handler=_cmd_mellin_check)
     p.add_argument("--x", type=float, nargs="*")
 
     p = sub.add_parser("sample", parents=[common], help="Monte Carlo survival estimate")
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("n", type=_whole_number("tree size"))
-    # the trial count alone sets the run time: 10^7 at n = 10 take 14 s on a 2-vCPU VM
+    # an X run costs about trials * 2n steps: 10^7 trials at n = 10 take 14 s and one
+    # trial at n = 2^22 about 0.8 s on a 2-vCPU VM, so the cap bounds the time only at small n
     p.add_argument("--trials", type=_whole_number("trials", 1, 10**7), default=10000)
     p.add_argument("--seed", type=_whole_number("seed", 0), default=1)
     # the generator and stream version are stamped after the parameters
@@ -325,7 +321,7 @@ def _run(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     try:
-        rows = args.handler(args)
+        provenance, rows = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -338,12 +334,6 @@ def _run(args: argparse.Namespace) -> int:
             if key not in _UNSTAMPED
         }
     )
-    if args.command == "exact-dist":
-        provenance = _METHOD_PROVENANCE[args.method]
-    elif args.command == "sample":
-        provenance = _SAMPLE_PROVENANCE[args.statistic]
-    else:
-        provenance = args.provenance
     stamped = [
         {
             "command": args.command,

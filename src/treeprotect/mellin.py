@@ -50,9 +50,8 @@ _MAX_TERMS = 200_000
 
 @dataclass(frozen=True)
 class MellinEval:
-    """One evaluation: abscissa, partial-sum value, bound on the dropped tail."""
+    """One evaluation: partial-sum value and bound on the dropped tail."""
 
-    x: float
     value: float
     truncation_bound: float
 
@@ -98,7 +97,7 @@ def _partial_sum(
         if t < TOL / 10.0:
             bound = tail(x, k)
             if bound < TOL / 2.0:
-                return MellinEval(x, total, bound)
+                return MellinEval(total, bound)
     raise ArithmeticError(f"{name}({x}) missed the stop test it passes at {_MAX_TERMS} terms")
 
 

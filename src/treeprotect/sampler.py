@@ -76,11 +76,11 @@ class SampleStats:
     starts at trials for k = 0 and is non-increasing.
     """
 
-    statistic: str
-    n: int
-    trials: int
-    seed: int
     survival_counts: dict[int, int]
+
+    @property
+    def trials(self) -> int:
+        return self.survival_counts[0]
 
     def survival_fraction(self, k: int) -> float:
         if k < 0:
@@ -205,11 +205,7 @@ def _check_run(n: int, trials: int) -> None:
 
 
 def _survival_stats(
-    statistic: str,
-    n: int,
-    trials: int,
-    seed: int,
-    batch_values: Callable[[int, np.random.Generator], np.ndarray],
+    n: int, trials: int, seed: int, batch_values: Callable[[int, np.random.Generator], np.ndarray]
 ) -> SampleStats:
     """Tally batch_values(rows, rng) over batches of _batch_rows(n) rows into survival counts."""
     rng = make_rng(seed)
@@ -223,7 +219,7 @@ def _survival_stats(
 
     suffix = np.cumsum(histogram[::-1])[::-1]
     counts = {k: int(suffix[k]) for k in range(n) if suffix[k] > 0}
-    return SampleStats(statistic, n, trials, seed, counts)
+    return SampleStats(counts)
 
 
 def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleStats:
@@ -242,7 +238,7 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
         batch_values = partial(_root_values, n)
     else:
         batch_values = partial(_subtree_values, _subtree_size_cdf(n))
-    return _survival_stats(statistic, n, trials, seed, batch_values)
+    return _survival_stats(n, trials, seed, batch_values)
 
 
 def _estimate_Y_by_picks(n: int, trials: int, seed: int) -> SampleStats:
@@ -252,4 +248,4 @@ def _estimate_Y_by_picks(n: int, trials: int, seed: int) -> SampleStats:
     pointing decomposition.
     """
     _check_run(n, trials)
-    return _survival_stats("Y", n, trials, seed, partial(_pick_values, n))
+    return _survival_stats(n, trials, seed, partial(_pick_values, n))

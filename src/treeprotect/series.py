@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+__all__ = ["TruncatedPowerSeries"]
+
 
 class TruncatedPowerSeries:
     __slots__ = ("coeffs",)

@@ -29,6 +29,17 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
+__all__ = [
+    "PlaneTree",
+    "ProtectionProfile",
+    "protection_number",
+    "protection_profile",
+    "leaf_count",
+    "enumerate_trees",
+    "oracle_r",
+    "oracle_s",
+]
+
 # the oracle walks C_(n-1) words; n = 16 (9.7 million trees) still ends within a minute
 _MAX_ORACLE_N = 16
 

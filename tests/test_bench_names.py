@@ -1,27 +1,40 @@
-"""The benchmark's tracer wraps package names from outside; they must all resolve.
+"""The benchmark looks up package names from outside; they must all resolve.
 
-`bench/spans.py` is executed from its source text rather than imported, so
-no bytecode is written beside it, and this guard sees exactly the names
-the traced benchmark pass looks up.
+`bench/spans.py` (the tracer) and `bench/jobs.py` (the job lists) are
+executed from their source text rather than imported, so no bytecode is
+written beside them, and this guard sees exactly the names the benchmark
+looks up.
 """
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
+import treeprotect
 from treeprotect import asymptotics, exact
 from treeprotect.series import TruncatedPowerSeries
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _exec_source(name: str) -> types.ModuleType:
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    # dataclass() reads the module of the class it decorates from sys.modules
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    module = types.ModuleType("bench_spans")
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
-    return module
+    return _exec_source("spans")
 
 
 def test_every_wrapped_layer_function_resolves(spans):
@@ -40,3 +53,12 @@ def test_every_cached_kernel_reports_cache_info(spans):
     for name in spans.CACHED_KERNELS:
         assert callable(getattr(getattr(exact, name), "cache_info", None)), name
     assert callable(asymptotics.constant.cache_info)
+
+
+def test_every_library_job_resolves_on_the_package():
+    # bench/child.py runs a "lib" job as getattr(treeprotect, name)(*args)
+    jobs = _exec_source("jobs")
+    for workload in jobs.WORKLOADS:
+        for job in jobs.make_jobs(workload, 0):
+            if job.kind == "lib":
+                assert callable(getattr(treeprotect, job.call[0], None)), (workload, job.call)
