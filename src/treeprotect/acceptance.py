@@ -53,7 +53,13 @@ from .mellin import (
     reflection_term_G,
     second_moment_constant_from_G,
 )
-from .sampler import RNG_STREAM, _estimate_Y_by_picks, estimate_survival
+from .sampler import (
+    RNG_STREAM,
+    _chain_counts,
+    _estimate_X_by_words,
+    _estimate_Y_by_picks,
+    estimate_survival,
+)
 from .trees import oracle_r, oracle_s
 
 __all__ = [
@@ -100,14 +106,16 @@ class CriterionResult:
 
 
 def _check_oracle_equivalence() -> tuple[bool, str]:
-    """Five routes to r(n,k), three to s(n,k) and two to sum_k r(n,k) agree for n <= 12."""
+    """Six routes to r(n,k), three to s(n,k) and two to sum_k r(n,k) agree for n <= 12."""
     bad: list[str] = []
     totals = root_protection_totals(12)
     for n in range(1, 13):
+        chain = _chain_counts(n)
         for k in range(0, n + 1):
             routes = {
                 "oracle": oracle_r(n, k),
                 "recurrence": series_R_ge_k_recurrence(k, n)[n],
+                "chain": chain[k] if k < n else 0,
             }
             if k >= 1:
                 routes["closed"] = series_R_ge_k_closed(k, n)[n]
@@ -298,15 +306,17 @@ _MC_MEAN_SEED = 2999
 def _check_monte_carlo() -> tuple[bool, str]:
     """Fixed-seed sampling within 4 sigma of exact survival fractions.
 
-    The Y cells pick vertices in whole trees, so they do not rest on the
-    pointing decomposition that the default Y route (and the mean) uses.
+    The cells simulate the definition on whole shuffled tree words: X at
+    the root, Y at a vertex picked in the whole tree, so they rest neither
+    on the generation chain nor on the pointing decomposition that the
+    default routes (and the mean) use.
     """
     trials = 10**5
     problems = []
     worst = 0.0
     for (statistic, n), seed in _MC_SEEDS.items():
         if statistic == "X":
-            stats = estimate_survival("X", n, trials, seed)
+            stats = _estimate_X_by_words(n, trials, seed)
         else:
             stats = _estimate_Y_by_picks(n, trials, seed)
         exact_fn = survival_X_exact if statistic == "X" else survival_Y_exact
@@ -329,7 +339,10 @@ def _check_monte_carlo() -> tuple[bool, str]:
     if gap >= 0.02:
         problems.append(f"Y mean at n=200: |{mean_stats.mean:.5f} - {target:.5f}| >= 0.02")
 
-    routes = f"Y cells by whole-tree picks, Y mean by subtree size, stream {RNG_STREAM}"
+    routes = (
+        "X cells by tree words (stream 4 draws), Y cells by whole-tree picks (stream 3 draws); "
+        f"Y mean by subtree size and generation chain, stream {RNG_STREAM}"
+    )
     if problems:
         return False, "; ".join(problems) + f" ({routes})"
     return True, f"worst deviation {worst:.2f} sigma; Y mean gap {gap:.5f} ({routes})"

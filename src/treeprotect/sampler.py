@@ -1,17 +1,24 @@
 """Uniform random plane trees and Monte Carlo survival estimates.
 
-Sampling uses the cycle lemma: shuffle a multiset of n-1 rise steps and
-n fall steps (total displacement -1); among its 2n-1 cyclic rotations
-exactly one stays nonnegative until the final step, namely the rotation
-that starts just after the first minimum of the partial sums.  A root
-rise followed by that whole rotation is the tree word of a uniform
-n-vertex plane tree: its parenthesis code, held as a row of 2n int8 steps.
+The root's protection number (X) is the depth of the shallowest leaf, so a
+trial needs only the generations above it.  In a uniform n-vertex plane
+tree let generation j hold d vertices, with m vertices at depth j or
+deeper.  Given (d, m), the forest below generation j is uniform over the
+F(d, m) = (d/m) C(2m-d-1, m-1) plane forests of d trees and m vertices
+(Kemperman's formula, a form of the cycle lemma; F(1, m) = C_(m-1)).  The
+next generation holds e vertices in C(d+e-1, e) F(e, m-d) of them, one
+weak composition of e into d parts per way to hand out the children, and
+in C(e-1, d-1) of those every vertex of generation j has a child.
 
-In a tree word a leaf is a rise immediately followed by a fall, and its
-depth is the walk's height after the rise; the root sits at height 1.  So
-the root's protection number (X) is the lowest height at a rise-then-fall
-pair, minus 1, which one vectorized scan with int32 heights reads from
-every row of a batch.
+So a trial walks the generation chain from (1, n).  At (d, m) it draws one
+uniform against a float table of "generation j holds no leaf and
+generation j+1 holds e vertices"; the mass past the table is "generation j
+holds a leaf", which ends the trial with X = j, and otherwise the walk
+moves on to (e, m-d).  A generation of d vertices is leafless with
+probability about 2^-d, so a trial takes O(1) expected steps at every n.
+Trials are grouped by state, and each state's table is built once per run.
+`_chain_counts` walks the same chain in exact integers; it is criterion
+1's sixth route to r(n, k) and the check of the float tables.
 
 The protection number of a uniform vertex (Y) is read the same way, from
 a smaller tree.  Pointing at a vertex splits an n-vertex tree into the
@@ -19,16 +26,24 @@ vertex's subtree, of some size M, and the rest, an (n-M+1)-vertex tree
 with a marked leaf.  The subtree is a uniform M-vertex tree, so Y_n has
 the law of X_M with P(M = m) = C_(m-1) L(n-m+1) / (n C_(n-1)), where
 L(1) = 1 and L(p) = C(2p-2, p-1)/2 counts the leaves of all p-vertex
-trees.  Each trial draws M by inverse CDF from float weights and reads
-the root of one uniform M-vertex tree; E[M] is about 13 at n = 200.
+trees.  Each trial draws M by inverse CDF from float weights and walks the
+chain from (1, M).
 
-The full-tree pick scan, which reads the protection number of a uniformly
-picked vertex of an n-vertex tree, stays as the independent cross-check of
-that decomposition (`_estimate_Y_by_picks`).
+The word routes simulate the definition and stay as criterion 6's
+cross-checks, with stream 4's draws.  Shuffle a multiset of n-1 rise steps
+and n fall steps (total displacement -1); among its 2n-1 cyclic rotations
+exactly one stays nonnegative until the final step, the one that starts
+just after the first minimum of the partial sums.  A root rise followed by
+that rotation is the tree word of a uniform n-vertex plane tree, held as a
+row of 2n int8 steps.  A leaf is a rise followed by a fall and its depth
+is the walk's height after the rise, so one vectorized scan reads X as the
+lowest such height minus 1 (`_estimate_X_by_words`), or the protection
+number of a uniformly picked vertex (`_estimate_Y_by_picks`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -52,13 +67,18 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 # version of the way draws map to trials; 2: the final batch holds only the
 # trials still needed (version 1 drew a full batch and dropped the surplus);
 # 3: a batch holds at most _BATCH_STEPS steps, so batches are shorter for n >= 257;
-# 4: Y reads the root of an M-vertex tree for a drawn subtree size M (X unchanged)
-RNG_STREAM = 4
+# 4: Y reads the root of an M-vertex tree for a drawn subtree size M (X unchanged);
+# 5: X and Y walk the generation chain in batches of _BATCH trials, one uniform
+# per running trial and generation (the word routes keep stream 4's draws)
+RNG_STREAM = 5
 
-# batch height caps: at most _BATCH rows of 2n-1 steps and at most
-# _BATCH_STEPS steps in all (about 8 MiB per int8 array); one row must fit, so
-# n <= 2^22 and int32 heights stay far from overflow.  The height depends on
-# n alone, so estimates depend only on (statistic, n, trials, seed).
+# the size cap bounds Y's subtree-size table, n floats (32 MiB at the cap)
+# whose rounding grows with n; one word of 2n-1 steps of the largest tree
+# still fits a word-route batch of _BATCH_STEPS steps
+_MAX_SIZE = 1 << 22
+# chain batches hold _BATCH trials at every n; word-route batches hold at
+# most _BATCH rows and at most _BATCH_STEPS steps in all (about 8 MiB per
+# int8 array), so estimates depend only on (statistic, n, trials, seed)
 _BATCH = 1 << 14
 _BATCH_STEPS = 1 << 23
 
@@ -92,6 +112,218 @@ class SampleStats:
         return sum(c for k, c in self.survival_counts.items() if k >= 1) / self.trials
 
 
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("tree size must be positive")
+    if n > _MAX_SIZE:
+        raise ValueError(f"tree size must be at most {_MAX_SIZE}")
+
+
+def _chain_counts(n: int) -> tuple[int, ...]:
+    """r(n, k) for k = 0..n-1: n-vertex plane trees whose root is k-protected.
+
+    The root is k-protected when generations 0..k-1 hold no leaf.  A dict
+    carries each state (d, m) of generation k to the number of ways to
+    build generations 0..k leafless above it; each way extends to F(d, m)
+    trees.  Exact integers throughout, from math.comb alone.
+    """
+    counts = []
+    states = {(1, n): 1}
+    while states:
+        # F(d, m) = (d/m) C(2m-d-1, m-1) forests hang below each way
+        counts.append(
+            sum(ways * d * math.comb(2 * m - d - 1, m - 1) // m for (d, m), ways in states.items())
+        )
+        below: dict[tuple[int, int], int] = {}
+        for (d, m), ways in states.items():
+            for e in range(d, m - d + 1):
+                below[e, m - d] = below.get((e, m - d), 0) + ways * math.comb(e - 1, d - 1)
+        states = below
+    return tuple(counts)
+
+
+def _chain_tables(d: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of the states (d[i], m[i]) end to end, and the length of each.
+
+    State i's table is the CDF over e = d, d+1, ... of "generation j holds
+    no leaf and generation j+1 holds e vertices".  P(e) is proportional to
+    q(e) = C(d+e-1, e) F(e, r) with r = m - d, built from q(1) = 1 by
+    q(e+1)/q(e) = (d+e)(r-e) / (e(2r-e-1)) and normalized by its own sum.
+    The ratio is at most (d+e)/(2e), so past e = 2d+96 the weights left
+    out sum to under 1e-19 of the total at every d, and the table stops
+    there.  Generation j is leafless with probability
+    f(e) = C(e-1, d-1)/C(d+e-1, e), from f(d) = 1/C(2d-1, d) by
+    f(e)/f(e-1) = (e-1)e / ((e-d)(e+d-1)).  A table is empty when r < d,
+    where a leaf is sure.  Products and sums run along each row in order,
+    so a state's table does not depend on the states built beside it.
+    """
+    r = m - d
+    length = np.minimum(r, 2 * d + 96)  # the last e of the table
+    sizes = np.maximum(length - d + 1, 0)
+    live = sizes > 0
+    d, r, length = d[live, None], r[live, None], length[live, None]
+    e = np.arange(1, int(length.max(initial=1)) + 1, dtype=np.float64)
+    q = np.zeros((d.size, e.size))
+    q[:, 0] = 1.0
+    step = e[:-1]
+    np.divide((d + step) * (r - step), step * (2 * r - step - 1), out=q[:, 1:], where=step < length)
+    np.cumprod(q, axis=1, out=q)
+    q /= np.cumsum(q, axis=1)[:, -1:]
+    leafless = np.ones_like(q)
+    np.divide((e - 1) * e, (e - d) * (e + d - 1), out=leafless, where=e > d)
+    first = [1 / math.comb(2 * k - 1, k) for k in d[:, 0].tolist()]
+    leafless[np.arange(d.size), d[:, 0] - 1] = first
+    np.cumprod(leafless, axis=1, out=leafless)
+    table = e >= d
+    q *= leafless * table
+    np.cumsum(q, axis=1, out=q)
+    return q[table & (e <= length)], sizes
+
+
+class _ChainTables:
+    """The table of every state met in one run, end to end in one flat array.
+
+    A state is the key d * 2^32 + m.  `keys` is sorted and starts with the
+    guard -1; `lo` and `hi` bound each key's table in `flat`, whose entries
+    past the last table are +inf.
+    """
+
+    def __init__(self) -> None:
+        self.keys = np.array([-1])
+        self.lo = np.zeros(1, dtype=np.int64)
+        self.hi = np.zeros(1, dtype=np.int64)
+        self.flat = np.full(1 << 12, np.inf)
+        self.used = 0
+
+    def spans(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where in `flat` the table of each of `keys` starts and ends, built on first sight."""
+        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        new = np.unique(keys[self.keys[at] != keys])
+        if not new.size:
+            return self.lo[at], self.hi[at]
+        # a thousand states at a time keep the builder's arrays to a few MiB
+        for part in np.split(new, range(1024, new.size, 1024)):
+            tables, sizes = _chain_tables(part >> 32, part & 0xFFFFFFFF)
+            if self.used + tables.size >= self.flat.size:
+                grown = np.full(2 * (self.used + tables.size), np.inf)
+                grown[: self.used] = self.flat[: self.used]
+                self.flat = grown
+            self.flat[self.used : self.used + tables.size] = tables
+            ends = self.used + np.cumsum(sizes)
+            self.used += tables.size
+            place = np.searchsorted(self.keys, part)
+            self.keys = np.insert(self.keys, place, part)
+            self.lo = np.insert(self.lo, place, ends - sizes)
+            self.hi = np.insert(self.hi, place, ends)
+        at = np.searchsorted(self.keys, keys)
+        return self.lo[at], self.hi[at]
+
+
+def _chain_values(sizes: np.ndarray, rng: np.random.Generator, tables: _ChainTables) -> np.ndarray:
+    """X of one uniform tree of each size in `sizes`, walked down the generation chain.
+
+    Each generation draws one uniform per trial still running, in trial
+    order, and finds it in its state's table by a bisection run on every
+    trial at once (numpy.searchsorted with side="right", row by row).
+    """
+    values = np.empty(len(sizes), dtype=np.int64)
+    trial = np.arange(len(sizes))
+    d = np.ones(len(sizes), dtype=np.int64)
+    m = sizes.astype(np.int64)
+    level = 0
+    while trial.size:
+        u = rng.random(trial.size)
+        lo, end = tables.spans((d << 32) | m)
+        start, hi = lo, end
+        for _ in range(int((end - start).max()).bit_length()):
+            mid = (lo + hi) >> 1
+            right = tables.flat[mid] <= u
+            lo = np.minimum(np.where(right, mid + 1, lo), hi)
+            hi = np.where(right, hi, mid)
+        # lo is now the first entry above u; past the end, generation j holds a leaf
+        leaf = lo == end
+        values[trial[leaf]] = level
+        going = ~leaf
+        trial, m, d = trial[going], m[going] - d[going], (lo - start + d)[going]
+        level += 1
+    return values
+
+
+def _subtree_size_cdf(n: int) -> np.ndarray:
+    """CDF of the subtree size M of a uniform vertex, as floats indexed by m - 1.
+
+    With c_k = C(2k, k)/4^k, P(M = m) = c_(m-1) c_(n-m) / (2m c_(n-1)) for
+    m < n and P(M = n) = 1/n.  The c_k come from one running product of the
+    ratios 1 - 1/(2k), so the table costs O(n) floats and no big ints; it is
+    normalized by its own sum, so its last entry is exactly 1.
+    """
+    c = np.arange(n, dtype=np.float64)
+    c[0] = 1.0
+    c[1:] = 1 - 0.5 / c[1:]
+    np.cumprod(c, out=c)
+    cdf = c / np.arange(1, n + 1)
+    cdf[:-1] *= c[:0:-1] / 2
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _survival_stats(
+    trials: int,
+    seed: int,
+    height: int,
+    batch_values: Callable[[int, np.random.Generator], np.ndarray],
+) -> SampleStats:
+    """Tally batch_values(rows, rng) over batches of `height` rows into survival counts.
+
+    The tally grows with the largest value seen, never with n.
+    """
+    rng = make_rng(seed)
+    histogram = np.zeros(1, dtype=np.int64)
+    remaining = trials
+    while remaining > 0:
+        rows = min(remaining, height)
+        tally = np.bincount(batch_values(rows, rng))
+        if tally.size > histogram.size:
+            histogram = np.pad(histogram, (0, tally.size - histogram.size))
+        histogram[: tally.size] += tally
+        remaining -= rows
+    suffix = np.cumsum(histogram[::-1])[::-1]
+    return SampleStats(dict(enumerate(suffix.tolist())))
+
+
+def _check_run(n: int, trials: int) -> None:
+    _check_size(n)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+
+
+def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleStats:
+    """Monte Carlo survival counts for X (root) or Y (uniform vertex) at size n.
+
+    Deterministic given (statistic, n, trials, seed): trials are walked down
+    the generation chain in batches of _BATCH, the last holding only the
+    trials still needed.  Y draws a batch's subtree sizes before its chain.
+    """
+    if statistic not in ("X", "Y"):
+        raise ValueError("statistic must be 'X' or 'Y'")
+    _check_run(n, trials)
+    tables = _ChainTables()
+    cdf = _subtree_size_cdf(n) if statistic == "Y" else None
+
+    def batch_values(rows: int, rng: np.random.Generator) -> np.ndarray:
+        if cdf is None:
+            sizes = np.full(rows, n)
+        else:
+            sizes = np.searchsorted(cdf, rng.random(rows), side="right") + 1
+        return _chain_values(sizes, rng, tables)
+
+    return _survival_stats(trials, seed, _BATCH, batch_values)
+
+
+# the word routes
+
+
 def _shuffled_steps(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
     base = np.concatenate([np.ones(n - 1, dtype=np.int8), -np.ones(n, dtype=np.int8)])
     return rng.permuted(np.tile(base, (rows, 1)), axis=1)
@@ -111,16 +343,8 @@ def _tree_words(steps: np.ndarray) -> np.ndarray:
 
 
 def _batch_rows(n: int) -> int:
-    """Rows per batch at size n: _BATCH up to n = 256, fewer beyond."""
+    """Word-route rows per batch at size n: _BATCH up to n = 256, fewer beyond."""
     return min(_BATCH, max(1, _BATCH_STEPS // (2 * n - 1)))
-
-
-def _check_size(n: int) -> None:
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    if 2 * n - 1 > _BATCH_STEPS:
-        limit = (_BATCH_STEPS + 1) // 2
-        raise ValueError(f"tree size must be at most {limit}, so 2n-1 steps fit one batch")
 
 
 def sample_tree(n: int, rng: np.random.Generator) -> PlaneTree:
@@ -159,37 +383,9 @@ def _protection_scan(words: np.ndarray, picks: np.ndarray) -> np.ndarray:
     return masked.min(axis=1) - depth
 
 
-def _subtree_size_cdf(n: int) -> np.ndarray:
-    """CDF of the subtree size M of a uniform vertex, as floats indexed by m - 1.
-
-    With c_k = C(2k, k)/4^k, P(M = m) = c_(m-1) c_(n-m) / (2m c_(n-1)) for
-    m < n and P(M = n) = 1/n.  The c_k come from one running product of the
-    ratios 1 - 1/(2k), so the table costs O(n) floats and no big ints; it is
-    normalized by its own sum, so its last entry is exactly 1.
-    """
-    c = np.arange(n, dtype=np.float64)
-    c[0] = 1.0
-    c[1:] = 1 - 0.5 / c[1:]
-    np.cumprod(c, out=c)
-    cdf = c / np.arange(1, n + 1)
-    cdf[:-1] *= c[:0:-1] / 2
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    return cdf
-
-
 def _root_values(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """X of `rows` uniform n-vertex trees."""
+    """X of `rows` uniform n-vertex trees, read from their words."""
     return _root_protection(_tree_words(_shuffled_steps(n, rows, rng)))
-
-
-def _subtree_values(cdf: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Y of `rows` trials: draw every subtree size M, then one group per M, ascending."""
-    drawn = np.searchsorted(cdf, rng.random(rows), side="right") + 1
-    sizes, counts = np.unique(drawn, return_counts=True)
-    return np.concatenate(
-        [_root_values(m, count, rng) for m, count in zip(sizes.tolist(), counts.tolist())]
-    )
 
 
 def _pick_values(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,47 +394,14 @@ def _pick_values(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
     return _protection_scan(words, rng.integers(0, n, size=rows))
 
 
-def _check_run(n: int, trials: int) -> None:
-    _check_size(n)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+def _estimate_X_by_words(n: int, trials: int, seed: int) -> SampleStats:
+    """X survival counts read from whole shuffled tree words (stream 4's X draws).
 
-
-def _survival_stats(
-    n: int, trials: int, seed: int, batch_values: Callable[[int, np.random.Generator], np.ndarray]
-) -> SampleStats:
-    """Tally batch_values(rows, rng) over batches of _batch_rows(n) rows into survival counts."""
-    rng = make_rng(seed)
-    histogram = np.zeros(n, dtype=np.int64)
-    remaining = trials
-    height = _batch_rows(n)
-    while remaining > 0:
-        rows = min(remaining, height)
-        histogram += np.bincount(batch_values(rows, rng), minlength=n)
-        remaining -= rows
-
-    suffix = np.cumsum(histogram[::-1])[::-1]
-    counts = {k: int(suffix[k]) for k in range(n) if suffix[k] > 0}
-    return SampleStats(counts)
-
-
-def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleStats:
-    """Monte Carlo survival counts for X (root) or Y (uniform vertex) at size n.
-
-    Deterministic given (statistic, n, trials, seed): trials are processed
-    in batches of _batch_rows(n) rows, the last holding only the trials
-    still needed.  The shuffle fills rows in order, so X counts equal those
-    of the first `trials` rows of full batches.  Y draws a batch's subtree
-    sizes before any of its shuffles, so a short final batch changes them.
+    The shuffle fills rows in order, so the counts equal those of the first
+    `trials` rows of full batches of _batch_rows(n).
     """
-    if statistic not in ("X", "Y"):
-        raise ValueError("statistic must be 'X' or 'Y'")
     _check_run(n, trials)
-    if statistic == "X":
-        batch_values = partial(_root_values, n)
-    else:
-        batch_values = partial(_subtree_values, _subtree_size_cdf(n))
-    return _survival_stats(n, trials, seed, batch_values)
+    return _survival_stats(trials, seed, _batch_rows(n), partial(_root_values, n))
 
 
 def _estimate_Y_by_picks(n: int, trials: int, seed: int) -> SampleStats:
@@ -248,4 +411,4 @@ def _estimate_Y_by_picks(n: int, trials: int, seed: int) -> SampleStats:
     pointing decomposition.
     """
     _check_run(n, trials)
-    return _survival_stats(n, trials, seed, partial(_pick_values, n))
+    return _survival_stats(trials, seed, _batch_rows(n), partial(_pick_values, n))

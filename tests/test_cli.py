@@ -191,7 +191,7 @@ def test_sample_is_seed_deterministic(capsys):
     assert counts[0] == 2000
     params = json.loads(rows[0]["params"])
     assert params["rng_algorithm"] == "numpy.random.PCG64"
-    assert params["rng_stream"] == 4
+    assert params["rng_stream"] == 5
 
 
 def test_sample_provenance_names_the_route(capsys):
@@ -199,9 +199,9 @@ def test_sample_provenance_names_the_route(capsys):
     for statistic in "XY":
         _, out = _run(capsys, ["sample", statistic, "10", "--trials", "50"])
         stamps[statistic] = {r["provenance"] for r in _jsonl(out)}
-    assert stamps["X"] == {"sampler: cycle-lemma uniform trees, root scan, numpy.random.PCG64"}
+    assert stamps["X"] == {"sampler: generation chain of a uniform tree, numpy.random.PCG64"}
     (y_stamp,) = stamps["Y"]
-    assert "subtree size" in y_stamp and "PCG64" in y_stamp
+    assert "generation chain" in y_stamp and "subtree size" in y_stamp and "PCG64" in y_stamp
 
 
 def test_mellin_check_rows(capsys):
@@ -267,7 +267,7 @@ def test_value_error_maps_to_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sample_past_the_step_budget_is_usage_error(capsys):
+def test_sample_past_the_size_cap_is_usage_error(capsys):
     code = main(["sample", "X", "4194305", "--trials", "1"])
     assert code == 2
     assert "at most 4194304" in capsys.readouterr().err

@@ -5,8 +5,10 @@ here means a bug, not bad luck.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 
 import pytest
@@ -46,7 +48,8 @@ def test_same_seed_reproduces_counts():
 
 def test_short_run_counts_are_the_first_rows_of_a_full_batch():
     # the final batch holds only the trials still needed; the shuffle fills
-    # rows in order, so X counts match the first `trials` rows of a full batch
+    # rows in order, so word-route X counts match the first `trials` rows
+    # of a full batch
     n, seed = 30, 404
     height = sampler._batch_rows(n)
     full = sampler._tree_words(sampler._shuffled_steps(n, height, make_rng(seed)))
@@ -54,7 +57,7 @@ def test_short_run_counts_are_the_first_rows_of_a_full_batch():
     for trials in (1, 999, height - 1):
         suffix = np.cumsum(np.bincount(values[:trials], minlength=n)[::-1])[::-1]
         expected = {k: int(c) for k, c in enumerate(suffix) if c > 0}
-        assert estimate_survival("X", n, trials, seed).survival_counts == expected
+        assert sampler._estimate_X_by_words(n, trials, seed).survival_counts == expected
 
 
 def test_batch_height_keeps_arrays_within_the_step_budget():
@@ -69,52 +72,193 @@ def test_batch_height_keeps_arrays_within_the_step_budget():
         assert rows * (2 * n - 1) <= 2**23 < (rows + 1) * (2 * n - 1)
 
 
+def _chain_by_loop(sizes, rng) -> list[int]:
+    """X per trial, one trial at a time, from the draws the chain makes.
+
+    Each generation takes one uniform per running trial, in trial order,
+    and looks it up in its state's own table with numpy.searchsorted.
+    """
+    tables = {}
+    states = {i: (1, int(m)) for i, m in enumerate(sizes)}
+    values = [0] * len(sizes)
+    level = 0
+    while states:
+        for (i, (d, m)), u in zip(list(states.items()), rng.random(len(states))):
+            if (d, m) not in tables:
+                tables[d, m] = sampler._chain_tables(np.array([d]), np.array([m]))[0]
+            pos = int(np.searchsorted(tables[d, m], u, side="right"))
+            if pos == tables[d, m].size:
+                values[i] = level
+                del states[i]
+            else:
+                states[i] = (d + pos, m - d)
+        level += 1
+    return values
+
+
+def _survival_dict(values) -> dict[int, int]:
+    suffix = np.cumsum(np.bincount(values)[::-1])[::-1]
+    return {k: int(c) for k, c in enumerate(suffix)}
+
+
 def test_estimate_survival_draws_batches_of_the_capped_height(monkeypatch):
-    # a 2^10-step budget gives 17 rows of 59 steps at n = 30, so 40 trials are
-    # batches of 17, 17 and 6; Y draws a batch's subtree sizes before its
-    # shuffles, one group per size in ascending order, so its counts depend
-    # on where the batches end
+    # 40 trials in chain batches of 17 are batches of 17, 17 and 6; Y draws a
+    # batch's subtree sizes before its chain, and each generation draws one
+    # uniform per running trial, so the counts depend on where batches end
     n, seed = 30, 405
-    monkeypatch.setattr(sampler, "_BATCH_STEPS", 1 << 10)
-    assert sampler._batch_rows(n) == 17
-    rng = make_rng(seed)
+    monkeypatch.setattr(sampler, "_BATCH", 17)
     cdf = sampler._subtree_size_cdf(n)
-    values = []
-    for rows in (17, 17, 6):
-        sizes = np.sort(np.searchsorted(cdf, rng.random(rows), side="right") + 1)
-        for m in sorted(set(sizes.tolist())):
-            words = sampler._tree_words(sampler._shuffled_steps(m, int((sizes == m).sum()), rng))
-            values.append(sampler._root_protection(words))
-    suffix = np.cumsum(np.bincount(np.concatenate(values), minlength=n)[::-1])[::-1]
-    expected = {k: int(c) for k, c in enumerate(suffix) if c > 0}
-    assert estimate_survival("Y", n, 40, seed).survival_counts == expected
+    for statistic in "XY":
+        rng = make_rng(seed)
+        values = []
+        for rows in (17, 17, 6):
+            if statistic == "X":
+                sizes = [n] * rows
+            else:
+                sizes = np.searchsorted(cdf, rng.random(rows), side="right") + 1
+            values += _chain_by_loop(sizes, rng)
+        got = estimate_survival(statistic, n, 40, seed).survival_counts
+        assert got == _survival_dict(values), statistic
 
 
-# survival counts of stream 4 (X counts are stream 3's); every run past
-# n = 2 crosses a batch end
+def test_chain_bisection_matches_a_per_trial_searchsorted():
+    # every size up to 40, so that states with empty tables, single-entry
+    # tables and tables of every length meet in one batch
+    sizes = np.arange(1, 41).repeat(50)
+    got = sampler._chain_values(sizes, make_rng(77), sampler._ChainTables())
+    assert got.tolist() == _chain_by_loop(sizes, make_rng(77))
+
+
+# survival counts of stream 5, the generation chain; the 16385-trial runs
+# cross a batch end
 PINNED_COUNTS = {
     ("X", 1, 500, 1): {0: 500},
     ("Y", 1, 500, 1): {0: 500},
     ("X", 2, 2000, 3): {0: 2000, 1: 2000},
     ("Y", 2, 2000, 3): {0: 2000, 1: 992},
-    ("X", 200, 16385, 11): {
-        0: 16385, 1: 16385, 2: 7298, 3: 2175, 4: 557, 5: 148, 6: 28, 7: 7, 8: 3, 9: 2, 10: 1
+    ("X", 9, 20000, 16): {0: 20000, 1: 20000, 2: 8566, 3: 2749, 4: 860, 5: 292, 6: 96, 7: 39, 8: 18},
+    ("Y", 9, 20000, 16): {0: 20000, 1: 10104, 2: 3253, 3: 912, 4: 233, 5: 61, 6: 13, 7: 3, 8: 1},
+    ("X", 200, 16385, 11): {0: 16385, 1: 16385, 2: 7396, 3: 2176, 4: 574, 5: 144, 6: 39, 7: 9},
+    ("Y", 200, 16385, 11): {0: 16385, 1: 8067, 2: 2713, 3: 706, 4: 174, 5: 32, 6: 4, 7: 2},
+    ("X", 257, 16353, 12): {
+        0: 16353, 1: 16353, 2: 7166, 3: 2132, 4: 527, 5: 123, 6: 31, 7: 5, 8: 3, 9: 1
     },
-    ("Y", 200, 16385, 11): {
-        0: 16385, 1: 8067, 2: 2708, 3: 771, 4: 194, 5: 55, 6: 16, 7: 5, 8: 1
+    ("Y", 257, 16353, 12): {0: 16353, 1: 8171, 2: 2672, 3: 714, 4: 215, 5: 58, 6: 16, 7: 4, 8: 2},
+    ("X", 1000, 4197, 13): {0: 4197, 1: 4197, 2: 1852, 3: 564, 4: 143, 5: 52, 6: 12, 7: 3, 8: 1, 9: 1},
+    ("Y", 1000, 4197, 13): {0: 4197, 1: 2133, 2: 725, 3: 217, 4: 57, 5: 13, 6: 5, 7: 2},
+    ("X", 50, 40000, 15): {
+        0: 40000, 1: 40000, 2: 17664, 3: 5416, 4: 1483, 5: 378, 6: 118, 7: 33, 8: 13, 9: 3
     },
-    ("X", 257, 16353, 12): {0: 16353, 1: 16353, 2: 7160, 3: 2112, 4: 552, 5: 138, 6: 29, 7: 5, 8: 2},
-    ("Y", 257, 16353, 12): {0: 16353, 1: 8170, 2: 2692, 3: 754, 4: 189, 5: 45, 6: 14, 7: 1},
-    ("X", 1000, 4197, 13): {0: 4197, 1: 4197, 2: 1797, 3: 571, 4: 141, 5: 24, 6: 5, 7: 2, 8: 1},
-    ("Y", 1000, 4197, 13): {0: 4197, 1: 2133, 2: 700, 3: 172, 4: 53, 5: 13, 6: 3, 7: 2},
-    # three batches, so that X also pins every draw between its batches
-    ("X", 50, 40000, 15): {0: 40000, 1: 40000, 2: 17757, 3: 5414, 4: 1403, 5: 386, 6: 90, 7: 23, 8: 5},
+    ("X", 3000, 20000, 17): {0: 20000, 1: 20000, 2: 9010, 3: 2683, 4: 714, 5: 179, 6: 40, 7: 10, 8: 2},
+    ("Y", 3000, 20000, 17): {0: 20000, 1: 9834, 2: 3284, 3: 862, 4: 227, 5: 55, 6: 15, 7: 6, 8: 2},
 }
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_COUNTS), ids=lambda key: "-".join(map(str, key)))
 def test_stream_reproduces_pinned_counts(key):
     assert estimate_survival(*key).survival_counts == PINNED_COUNTS[key]
+
+
+# the X word route keeps stream 4's draws (and streams 1-3's): its counts
+# are the X pins of stream 4; every run past n = 2 crosses a batch end
+WORD_ROUTE_COUNTS = {
+    (1, 500, 1): {0: 500},
+    (2, 2000, 3): {0: 2000, 1: 2000},
+    (200, 16385, 11): {
+        0: 16385, 1: 16385, 2: 7298, 3: 2175, 4: 557, 5: 148, 6: 28, 7: 7, 8: 3, 9: 2, 10: 1
+    },
+    (257, 16353, 12): {0: 16353, 1: 16353, 2: 7160, 3: 2112, 4: 552, 5: 138, 6: 29, 7: 5, 8: 2},
+    (1000, 4197, 13): {0: 4197, 1: 4197, 2: 1797, 3: 571, 4: 141, 5: 24, 6: 5, 7: 2, 8: 1},
+    # three batches, so that X also pins every draw between its batches
+    (50, 40000, 15): {0: 40000, 1: 40000, 2: 17757, 3: 5414, 4: 1403, 5: 386, 6: 90, 7: 23, 8: 5},
+}
+
+
+@pytest.mark.parametrize("key", sorted(WORD_ROUTE_COUNTS), ids=lambda key: "-".join(map(str, key)))
+def test_word_route_reproduces_stream_4_counts(key):
+    assert sampler._estimate_X_by_words(*key).survival_counts == WORD_ROUTE_COUNTS[key]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 200, 3000])
+def test_chain_matches_the_exact_tables(n):
+    # 4 sigma per level up to 15; a level with probability 0 or 1 must be
+    # reached never or always
+    trials = 10**5
+    for statistic, table in (("X", dist_X_exact(n)), ("Y", dist_Y_exact(n))):
+        stats = estimate_survival(statistic, n, trials, seed=6100 + n)
+        assert max(stats.survival_counts) < n
+        for k in range(1, min(n, 16)):
+            p = float(table.survival_at(k))
+            if p in (0.0, 1.0):
+                assert stats.survival_fraction(k) == p, (statistic, k)
+                continue
+            sigma = math.sqrt(p * (1.0 - p) / trials)
+            assert abs(stats.survival_fraction(k) - p) < 4 * sigma, (statistic, k)
+
+
+def test_chain_counts_equal_the_exact_tables():
+    # exact integers from math.comb alone, against the alternating-sum pass
+    for n in range(1, 41):
+        assert sampler._chain_counts(n) == dist_X_exact(n).counts, n
+
+
+def test_chain_tables_propagate_the_exact_law():
+    # push probability mass through every state with the sampler's float
+    # tables; the mass reaching generation k is P(X_n >= k)
+    tables = {}
+    worst = 0.0
+    for n in range(1, 41):
+        states = {(1, n): 1.0}
+        survival = []
+        while states:
+            survival.append(sum(states.values()))
+            below = {}
+            for (d, m), mass in states.items():
+                if (d, m) not in tables:
+                    cdf = sampler._chain_tables(np.array([d]), np.array([m]))[0]
+                    tables[d, m] = np.diff(cdf, prepend=0.0).tolist()
+                for i, weight in enumerate(tables[d, m]):
+                    below[d + i, m - d] = below.get((d + i, m - d), 0.0) + mass * weight
+            states = below
+        counts = dist_X_exact(n).counts
+        assert len(survival) == len(counts), n
+        worst = max(worst, *(abs(s - c / counts[0]) for s, c in zip(survival, counts)))
+    assert worst <= 1e-15
+
+
+def _forests(d: int, m: int) -> int:
+    """F(d, m): plane forests of d trees and m vertices."""
+    return d * math.comb(2 * m - d - 1, m - 1) // m
+
+
+def test_chain_tables_stop_past_the_bulk():
+    # a state's table runs to e = min(m - d, 2d + 96), empty when m - d < d;
+    # its last entry is the probability that generation j holds no leaf
+    d = np.array([1, 1, 2, 3, 5, 1])
+    m = np.array([1, 2, 3, 500, 9, 10**6])
+    tables, sizes = sampler._chain_tables(d, m)
+    assert sizes.tolist() == [0, 1, 0, 100, 0, 98]
+    assert tables[0] == 1.0  # (1, 2): the root has one child
+    # (3, 500), cut at e = 102 of 497: exact sum over every e
+    leafless = sum(math.comb(e - 1, 2) * _forests(e, 497) for e in range(3, 498))
+    assert abs(tables[100] - leafless / _forests(3, 500)) < 1e-15
+    # (1, 10^6): the root of a huge tree never is a leaf, whatever e it has
+    assert abs(tables[-1] - 1.0) < 1e-15
+
+
+def test_chain_allocates_nothing_of_size_n():
+    # the chain holds its batch and the states it meets, never an array of
+    # length n: an int8 one at n = 2^22 would be 4 MiB
+    n = 2**22
+    estimate_survival("X", n, 10, seed=1)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        stats = estimate_survival("X", n, 1000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.trials == 1000
+    assert peak < 2**20
 
 
 def _preorder_protection(parens: str) -> list[int]:
@@ -140,7 +284,7 @@ def test_protection_scan_matches_the_oracle_at_every_vertex():
         for p in range(n):
             got = sampler._protection_scan(words, np.full(len(trees), p))
             assert got.tolist() == expected[:, p].tolist(), (n, p)
-        # the root-only reader of X and of the subtree-size route
+        # the root-only reader of the X word route
         assert sampler._root_protection(words).tolist() == expected[:, 0].tolist(), n
 
 
@@ -212,20 +356,22 @@ def test_subtree_route_agrees_with_whole_tree_picks():
         assert abs(a - b) < 4 * sigma, (k, a, b)
 
 
-def test_one_row_must_fit_the_step_budget(monkeypatch):
-    # 2n-1 steps per row: n = 2^22 fits 2^23 steps, n = 2^22 + 1 does not
-    with pytest.raises(ValueError, match="at most 4194304"):
-        estimate_survival("X", 2**22 + 1, 1, seed=1)
+def test_sizes_past_the_cap_are_rejected():
+    # 2^22 on every route; the chain walks the largest tree as cheaply as any,
+    # and one word of the largest tree still fits a word-route batch
+    assert estimate_survival("X", 2**22, 1, seed=1).trials == 1
+    assert sampler._batch_rows(2**22) == 1
+    routes = (
+        partial(estimate_survival, "X"),
+        partial(estimate_survival, "Y"),
+        sampler._estimate_X_by_words,
+        sampler._estimate_Y_by_picks,
+    )
+    for route in routes:
+        with pytest.raises(ValueError, match="at most 4194304"):
+            route(2**22 + 1, 1, 1)
     with pytest.raises(ValueError, match="at most 4194304"):
         sample_tree(2**22 + 1, make_rng(1))
-    # the same edge under a 2^10-step budget, where the largest tree is cheap
-    monkeypatch.setattr(sampler, "_BATCH_STEPS", 1 << 10)
-    assert estimate_survival("X", 512, 1, seed=1).trials == 1
-    assert len(sample_tree(512, make_rng(1)).parens) == 1024
-    with pytest.raises(ValueError, match="at most 512"):
-        estimate_survival("Y", 513, 1, seed=1)
-    with pytest.raises(ValueError, match="at most 512"):
-        sample_tree(513, make_rng(1))
 
 
 def test_sample_tree_returns_right_size():
