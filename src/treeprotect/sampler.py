@@ -233,8 +233,8 @@ def _chain_values(sizes: np.ndarray, rng: np.random.Generator, tables: _ChainTab
     level = 0
     while trial.size:
         u = rng.random(trial.size)
-        lo, end = tables.spans((d << 32) | m)
-        start, hi = lo, end
+        start, end = tables.spans((d << 32) | m)
+        lo, hi = start, end
         for _ in range(int((end - start).max()).bit_length()):
             mid = (lo + hi) >> 1
             right = tables.flat[mid] <= u

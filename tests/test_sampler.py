@@ -46,6 +46,12 @@ def test_same_seed_reproduces_counts():
     assert c.survival_counts != a.survival_counts
 
 
+def _survival_dict(values) -> dict[int, int]:
+    """Survival counts of a list of sampled values."""
+    suffix = np.cumsum(np.bincount(values)[::-1])[::-1]
+    return {k: int(c) for k, c in enumerate(suffix)}
+
+
 def test_short_run_counts_are_the_first_rows_of_a_full_batch():
     # the final batch holds only the trials still needed; the shuffle fills
     # rows in order, so word-route X counts match the first `trials` rows
@@ -55,8 +61,7 @@ def test_short_run_counts_are_the_first_rows_of_a_full_batch():
     full = sampler._tree_words(sampler._shuffled_steps(n, height, make_rng(seed)))
     values = sampler._protection_scan(full, np.zeros(height, dtype=int))
     for trials in (1, 999, height - 1):
-        suffix = np.cumsum(np.bincount(values[:trials], minlength=n)[::-1])[::-1]
-        expected = {k: int(c) for k, c in enumerate(suffix) if c > 0}
+        expected = _survival_dict(values[:trials])
         assert sampler._estimate_X_by_words(n, trials, seed).survival_counts == expected
 
 
@@ -94,11 +99,6 @@ def _chain_by_loop(sizes, rng) -> list[int]:
                 states[i] = (d + pos, m - d)
         level += 1
     return values
-
-
-def _survival_dict(values) -> dict[int, int]:
-    suffix = np.cumsum(np.bincount(values)[::-1])[::-1]
-    return {k: int(c) for k, c in enumerate(suffix)}
 
 
 def test_estimate_survival_draws_batches_of_the_capped_height(monkeypatch):
