@@ -238,13 +238,15 @@ def _ivl_mul(a: _Interval, b: _Interval, scale: int) -> _Interval:
     return min(products) // scale, -(-max(products) // scale)
 
 
-def _constant_interval(name: str) -> _Interval:
-    scale = 10**_PLACES
+@lru_cache(maxsize=None)
+def _constant_interval(name: str, places: int) -> _Interval:
+    """The enclosure of one constant in units of 10^-places, summed once per process."""
+    scale = 10**places
     if name not in _MOMENT_COMBOS:
         return _sum_interval(name, scale, _CUTOFF)
     weighted, factor, left, right = _MOMENT_COMBOS[name]
     low, high = _sum_interval(weighted, scale, _CUTOFF)
-    factors = _sum_interval(left, scale, _CUTOFF), _sum_interval(right, scale, _CUTOFF)
+    factors = _constant_interval(left, places), _constant_interval(right, places)
     p_low, p_high = _ivl_mul(*factors, scale)
     return low - factor * p_high, high - factor * p_low
 
@@ -264,7 +266,7 @@ def constant(name: str, digits: int) -> ConstantEnclosure:
         raise ValueError(f"unknown constant {name!r}; expected one of {CONSTANT_NAMES}")
     if not 1 <= digits <= _MAX_DIGITS:
         raise ValueError(f"digits must be between 1 and {_MAX_DIGITS}")
-    low, high = _constant_interval(name)
+    low, high = _constant_interval(name, _PLACES)
     lower, upper = Fraction(low, 10**_PLACES), Fraction(high, 10**_PLACES)
     decimal = truncated_decimal(lower, digits)
     if decimal != truncated_decimal(upper, digits):

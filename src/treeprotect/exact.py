@@ -30,15 +30,15 @@ vertex with protection >= k splits the tree into a k-protected subtree and
 a leaf-pointed remainder, so S_k(z) = R_k(z) * (1 + (1-4z)^(-1/2)) / 2 and
 2 s(n, k) = r(n, k) + [z^n] R_k (1-4z)^(-1/2).
 
-The binomials of term j lie on lattice lines C(a + da*i, b + db*i); one
-walker (_line_terms) takes a single math.comb at a line's cheap end and an
-exact ratio step per further term.  One cached pass per size n sums every
-r(n, k) and u(n, k) = [z^n] R_k (1-4z)^(-1/2) in O(n log n) steps, split at
-isqrt(n) so that no step jumps more than about 2 sqrt(n), into the finished
-r(n, k) and s(n, k) that both tables hold and both means read; r_explicit
-and s_explicit serve single points in O(n/k) steps.  The series recurrence,
-the O(n^2) ballot-number tables (r_survival_column, root_protection_totals)
-and the brute-force oracle remain as independent cross-checks.
+Term j of r(n, k) and of u(n, k) = [z^n] R_k (1-4z)^(-1/2) is read off one
+binomial C(2n - (2k-1)j, n - (k+1)j) per lattice point (j, k), walked along a
+line of points by exact ratio steps from one math.comb.  One cached pass per
+size n sums every r(n, k) and u(n, k) in O(n log n) steps, split at isqrt(n)
+so that no step jumps more than about 2 sqrt(n), into the finished r(n, k)
+and s(n, k) that both tables hold and both means read; r_explicit and
+s_explicit serve single points in O(n/k) steps.  The series recurrence, the
+ballot tables (r_survival_column, root_protection_totals) and the oracle
+remain as independent cross-checks.
 
 Everything here is exact and nothing floats: counts, tables and series
 coefficients are plain ints, and Fraction appears only in the returned
@@ -206,42 +206,45 @@ def _line_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tuple[
         yield i, value
 
 
-def _line_sum(a: int, b: int, da: int, db: int, count: int, sign: int = 1) -> int:
-    """Sum of sign^i * C(a + da*i, b + db*i) over i = 0..count-1, sign = +-1."""
-    parts = [0, 0]  # even and odd i, so that no term is negated
+def _lattice_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tuple[int, int, int]]:
+    """(i, r term, u term) of the lattice points with A = a + da*i and q = b + db*i.
+
+    Only B = C(A, q) is walked; with p = A - q >= q + 3, the terms of the point (j, k) are
+        u term = C(A, q) - C(A-2, q-1) = B (A(A-1) - qp) / (A(A-1)),
+        r term = C(A-3, q) - C(A-3, q-3) = B (p(p-1)(p-2) - q(q-1)(q-2)) / (A(A-1)(A-2))
+               = (p - q)(A u - 2B) / (A(A-2)).
+    A remainder means a broken invariant and raises ArithmeticError.
+    """
     for i, value in _line_terms(a, b, da, db, count):
-        parts[i % 2] += value
-    return parts[0] + sign * parts[1]
+        top, low = a + da * i, b + db * i
+        rest = top - low
+        u, u_rem = divmod(value * (top * (top - 1) - low * rest), top * (top - 1))
+        r, r_rem = divmod((rest - low) * (top * u - 2 * value), top * (top - 2))
+        if r_rem or u_rem:
+            raise ArithmeticError(f"inexact lattice ratio at C({top}, {low})")
+        yield i, r, u
 
 
-# (top offset, bottom offset, coefficient) of the binomials C(A + oa, q + ob)
-# in term j, where A = 2n - (2k-1)j and q = n - (k+1)j:
-# [z^q] (1-z) C(z)^(3j) for r, and [z^q] (1-z) C(z)^(3j) (1-4z)^(-1/2) for u
-_R_LINES = ((-3, 0, 1), (-3, -3, -1))
-_U_LINES = ((0, 0, 1), (-2, -1, -1))
-
-
-def _sum_over_j(n: int, k: int, lines: tuple[tuple[int, int, int], ...]) -> int:
-    """Sum over j >= 1 with (k+1)j <= n of (-1)^(j-1) times the binomials of `lines`."""
-    a, b = 2 * n - (2 * k - 1), n - (k + 1)
-    count = n // (k + 1)
-    return sum(
-        c * _line_sum(a + oa, b + ob, 1 - 2 * k, -k - 1, count, -1) for oa, ob, c in lines
-    )
+def _sum_over_j(n: int, k: int) -> tuple[int, int]:
+    """(r(n, k), u(n, k)): each term summed over j >= 1 with (k+1)j <= n, sign (-1)^(j-1)."""
+    sums = [0, 0, 0, 0]  # r and u at even and odd j - 1, so that no term is negated
+    for i, r, u in _lattice_terms(2 * n - 2 * k + 1, n - k - 1, 1 - 2 * k, -k - 1, n // (k + 1)):
+        sums[i % 2] += r
+        sums[2 + i % 2] += u
+    return sums[0] - sums[1], sums[2] - sums[3]
 
 
 def r_explicit(n: int, k: int) -> int:
-    """r(n, k) as an alternating binomial sum, k >= 1.
+    """r(n, k), k >= 1: the r half of one walk along the k line, one binomial per point j.
 
     Sum over j >= 1 while n - (k+1)j >= 0 of
-        (-1)^(j-1) * [ C(2n-3-(2k-1)j, n-(k+1)j) - C(2n-3-(2k-1)j, n-3-(k+1)j) ],
-    two alternating line sums over j.
+        (-1)^(j-1) * [ C(2n-3-(2k-1)j, n-(k+1)j) - C(2n-3-(2k-1)j, n-3-(k+1)j) ].
     """
     if n < 1:
         raise ValueError("tree size must be positive")
     if k < 1:
         raise ValueError("explicit survival counts need k >= 1; level 0 is catalan(n-1)")
-    return _sum_over_j(n, k, _R_LINES)
+    return _sum_over_j(n, k)[0]
 
 
 def catalan_power_coeffs(exponent: int, count: int) -> tuple[int, ...]:
@@ -320,8 +323,7 @@ def root_protection_totals(order: int) -> tuple[int, ...]:
 def s_explicit(n: int, k: int) -> int:
     """s(n, k) = (r(n, k) + u(n, k)) / 2, u the pointed alternating sum.
 
-    u(n, k) = [z^n] R_k (1-4z)^(-1/2) is the sum over j >= 1 while
-    q = n - (k+1)j >= 0 of
+    u(n, k) = [z^n] R_k (1-4z)^(-1/2) is the sum over j >= 1 with q = n - (k+1)j >= 0 of
         (-1)^(j-1) * [ C(2n-(2k-1)j, q) - C(2n-(2k-1)j-2, q-1) ].
     """
     if n < 1:
@@ -330,7 +332,7 @@ def s_explicit(n: int, k: int) -> int:
         raise ValueError("protection level must be nonnegative")
     if k == 0:
         return n * catalan(n - 1)
-    return _halve(_sum_over_j(n, k, _R_LINES) + _sum_over_j(n, k, _U_LINES), n, k)
+    return _halve(sum(_sum_over_j(n, k)), n, k)
 
 
 _Count = Callable[[int, int], int]
@@ -365,26 +367,21 @@ def _protection_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(r, s) with r[k] = r(n, k) and s[k] = s(n, k) for k = 0..n-1, level 0 counting all.
 
     For k >= 1 the lattice points (j, k) with (k+1)j <= n are split at
-    h = isqrt(n), like a divisor sum: for k < h each k walks its j line into
-    slot k; for k >= h each j walks its k line, adding term i into slot h + i.
-    No line is long, and the pass is O(n log n) ratio steps.
+    h = isqrt(n), like a divisor sum: for k < h the walk steps j along each
+    k line into slot k; for k >= h it steps k along each j line, adding
+    point i into slot h + i.  No line is long; the pass walks O(n log n) points.
     """
     h = math.isqrt(n)
-    sums = []
-    for lines in (_R_LINES, _U_LINES):
-        slots = [0] + [_sum_over_j(n, k, lines) for k in range(1, h)] + [0] * (n - h)
-        for j in range(1, n // (h + 1) + 1):
-            # k = h + i for i = 0..n//j - h - 1: top steps by -2j, bottom by -j
-            a, b = 2 * n - (2 * h - 1) * j, n - (h + 1) * j
-            for oa, ob, c in lines:
-                sign = c if j % 2 else -c  # -= below spares a negated copy of each term
-                for i, value in _line_terms(a + oa, b + ob, -2 * j, -j, n // j - h):
-                    if sign > 0:
-                        slots[h + i] += value
-                    else:
-                        slots[h + i] -= value
-        sums.append(slots)
-    r, u = sums
+    r, u = [0] * n, [0] * n
+    for k in range(1, h):
+        r[k], u[k] = _sum_over_j(n, k)
+    for j in range(1, n // (h + 1) + 1):
+        # k = h + i for i = 0..n//j - h - 1: A steps by -2j, q by -j
+        a, b = 2 * n - (2 * h - 1) * j, n - (h + 1) * j
+        sign = 1 if j % 2 else -1
+        for i, r_term, u_term in _lattice_terms(a, b, -2 * j, -j, n // j - h):
+            r[h + i] += sign * r_term
+            u[h + i] += sign * u_term
     r[0] = catalan(n - 1)
     return tuple(r), (n * r[0], *(_halve(r[k] + u[k], n, k) for k in range(1, n)))
 

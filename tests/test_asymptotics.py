@@ -176,6 +176,32 @@ def test_straddling_enclosure_raises(monkeypatch):
         constant.__wrapped__("c0", 5)
 
 
+def test_each_certified_sum_is_computed_once_per_process(monkeypatch):
+    # the combos c2, c3, d2, d3 read their factors through the cached
+    # intervals, so the eight names need exactly the eight primitive sums
+    sum_interval = asymptotics._sum_interval
+    summed = []
+
+    def counted(name, scale, cutoff):
+        summed.append(name)
+        return sum_interval(name, scale, cutoff)
+
+    asymptotics._constant_interval.cache_clear()
+    constant.cache_clear()
+    monkeypatch.setattr(asymptotics, "_sum_interval", counted)
+    try:
+        for digits in (50, 131):
+            for name in CONSTANT_NAMES:
+                constant(name, digits)
+        asym_moments_X(1000)
+        asym_moments_Y(1000)
+        assert sorted(summed) == sorted(_PRIMITIVE_SUMS)
+        assert asymptotics._constant_interval.cache_info().misses == 8
+    finally:
+        asymptotics._constant_interval.cache_clear()
+        constant.cache_clear()
+
+
 def test_constant_names_and_validation():
     assert CONSTANT_NAMES == ("c0", "c1", "c2", "c3", "d0", "d1", "d2", "d3")
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ Every counting quantity here is computed at least two independent ways;
 agreement is exact (Fraction/int), never approximate.
 """
 
+import math
 from fractions import Fraction
 from itertools import islice
 
@@ -232,17 +233,16 @@ def test_default_tables_equal_series_route_at_n40():
 
 def test_broken_invariants_raise_arithmetic_error(monkeypatch):
     # ArithmeticError, not ValueError: the CLI maps ValueError to a usage error.
-    # A line sum shifted by one makes the pointed-vertex total odd, and so do
+    # An r term shifted by one makes the pointed-vertex total odd, and so do
     # wrong central binomials for the route that reads them; every route that
     # halves the total (integer sum, pointed series) notices.
-    line_sum = exact._line_sum
-    calls = []
+    lattice_terms = exact._lattice_terms
 
-    def shifted_once(*args):
-        calls.append(args)
-        return line_sum(*args) + (1 if len(calls) == 1 else 0)
+    def first_r_term_shifted(*args):
+        for step, (i, r, u) in enumerate(lattice_terms(*args)):
+            yield i, r + (1 if step == 0 else 0), u
 
-    monkeypatch.setattr(exact, "_line_sum", shifted_once)
+    monkeypatch.setattr(exact, "_lattice_terms", first_r_term_shifted)
     with pytest.raises(ArithmeticError):
         s_explicit(3, 1)
     monkeypatch.setattr(exact, "central_binomials", lambda order: (1,) * (order + 1))
@@ -253,18 +253,57 @@ def test_broken_invariants_raise_arithmetic_error(monkeypatch):
 def test_inexact_ratio_step_raises_arithmetic_error(monkeypatch):
     # a wrong starting binomial leaves a remainder at the first ratio step:
     # (C(10, 5) + 1) * 11 / 6 is not an integer
-    assert exact._line_sum(10, 5, 1, 0, 2) == 252 + 462
+    assert list(exact._line_terms(10, 5, 1, 0, 2)) == [(0, 252), (1, 462)]
     monkeypatch.setattr(exact.math, "comb", lambda a, b: 253)
-    with pytest.raises(ArithmeticError):
-        exact._line_sum(10, 5, 1, 0, 2)
+    with pytest.raises(ArithmeticError, match="ratio step"):
+        list(exact._line_terms(10, 5, 1, 0, 2))
 
 
-def test_line_sum_skips_zero_terms_and_alternates():
-    # C(6 - i, 3 - 2i) for i = 0..3 is C(6,3), C(5,1), then zero terms
-    assert exact._line_sum(6, 3, -1, -2, 4, -1) == 20 - 5
+def test_line_terms_skip_zero_terms():
+    # C(6 - i, 3 - 2i) for i = 0..3 is C(6,3), C(5,1), then zero terms; a
+    # line whose top falls is walked upward from its far end
+    assert list(exact._line_terms(6, 3, -1, -2, 4)) == [(1, 5), (0, 20)]
     # C(2 + 2i, i) for i = 0..3, walked upward from the cheap end
-    assert exact._line_sum(2, 0, 2, 1, 4) == 1 + 4 + 15 + 56
-    assert exact._line_sum(3, 5, 1, 0, 2) == 0
+    assert list(exact._line_terms(2, 0, 2, 1, 4)) == [(0, 1), (1, 4), (2, 15), (3, 56)]
+    assert list(exact._line_terms(3, 5, 1, 0, 2)) == []
+
+
+def _binomial(top, low):
+    return math.comb(top, low) if 0 <= low <= top else 0
+
+
+def _direct_terms(n, j, k):
+    """(r term, u term) of the lattice point (j, k), four binomials by math.comb."""
+    a, q = 2 * n - (2 * k - 1) * j, n - (k + 1) * j
+    r = _binomial(a - 3, q) - _binomial(a - 3, q - 3)
+    u = _binomial(a, q) - _binomial(a - 2, q - 1)
+    return r, u
+
+
+def test_lattice_terms_equal_direct_binomials():
+    # every lattice point with n <= 60, reached along its k line and its j line
+    for n in range(2, 61):
+        for k in range(1, n):
+            a, b = 2 * n - (2 * k - 1), n - (k + 1)
+            walked = list(exact._lattice_terms(a, b, 1 - 2 * k, -k - 1, n // (k + 1)))
+            assert sorted(i for i, _, _ in walked) == list(range(n // (k + 1)))
+            for i, r, u in walked:
+                assert (r, u) == _direct_terms(n, i + 1, k)
+        for j in range(1, n // 2 + 1):
+            walked = list(exact._lattice_terms(2 * n - j, n - 2 * j, -2 * j, -j, n // j - 1))
+            assert sorted(i for i, _, _ in walked) == list(range(n // j - 1))
+            for i, r, u in walked:
+                assert (r, u) == _direct_terms(n, j, i + 1)
+
+
+def test_wrong_base_binomial_raises_at_the_lattice_ratio(monkeypatch):
+    # the point (j, k) = (1, 1) at n = 10 has A = 19, q = 8 and B = C(19, 8);
+    # one walked term, so only the derived ratios see the wrong base
+    assert list(exact._lattice_terms(19, 8, -1, -2, 1)) == [(0, *_direct_terms(10, 1, 1))]
+    comb = math.comb
+    monkeypatch.setattr(exact.math, "comb", lambda a, b: comb(a, b) + 1)
+    with pytest.raises(ArithmeticError, match="lattice ratio"):
+        list(exact._lattice_terms(19, 8, -1, -2, 1))
 
 
 @settings(deadline=None, max_examples=30)
@@ -336,7 +375,8 @@ def test_tables_and_means_read_the_one_pass():
 
 
 def test_broken_pass_raises_arithmetic_error(monkeypatch):
-    # every line starting one too large makes some r + u odd, and the table halves it
+    # every walked line starting one too large leaves a remainder at the lattice
+    # ratios of its first point, before any r + u is halved
     line_terms = exact._line_terms
 
     def first_term_shifted(*args):
@@ -346,7 +386,7 @@ def test_broken_pass_raises_arithmetic_error(monkeypatch):
     exact._protection_counts.cache_clear()
     monkeypatch.setattr(exact, "_line_terms", first_term_shifted)
     try:
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match="lattice ratio"):
             dist_Y_exact(30)
     finally:
         exact._protection_counts.cache_clear()
