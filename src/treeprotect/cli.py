@@ -3,11 +3,14 @@
 Output is machine readable: line-delimited JSON (default) or CSV, one
 flat record per result row.  Exact rationals are serialized as decimal
 numerator/denominator strings plus a truncated decimal rendering, never
-as floats.  Every whole-number argument goes through one bounded type,
-and every size, level, range and digit count has a cap.  Exit codes:
-0 success, 1 verification failure, 2 usage error (an input past its cap
-included, such as an oracle size above 16), 141 output pipe closed by
-the reader (the status a shell gives a process ended by SIGPIPE).
+as floats.  Every whole-number argument goes through one bounded type.
+Digit counts, range widths, `sample --trials`, the sizes of `oracle`,
+`exact-dist`, `r-explicit` and `sample`, and the levels of `limit-dist`
+and `asym` have caps (README lists each); `r-explicit`'s level and
+`asym`'s size do not.  Exit codes: 0 success, 1 verification failure,
+2 usage error (an input past its cap included, such as an oracle size
+above 16), 141 output pipe closed by the reader (the status a shell
+gives a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -303,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("n", type=_whole_number("tree size"))
     # a trial walks only the generations above the first leaf, O(1) expected work at any n:
-    # 10^7 trials take about 5 s for X at n = 10 and 16 s for Y at n = 2^22 on a 2-vCPU VM
+    # 10^7 trials take about 5.7 s for X at n = 10 and 14 s for Y at n = 2^22 on a 2-vCPU VM
     p.add_argument("--trials", type=_whole_number("trials", 1, 10**7), default=10000)
     p.add_argument("--seed", type=_whole_number("seed", 0), default=1)
     # the generator and stream version are stamped after the parameters

@@ -180,51 +180,15 @@ def _chain_tables(d: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return q[table & (e <= length)], sizes
 
 
-class _ChainTables:
-    """The table of every state met in one run, end to end in one flat array.
-
-    A state is the key d * 2^32 + m.  `keys` is sorted and starts with the
-    guard -1; `lo` and `hi` bound each key's table in `flat`, whose entries
-    past the last table are +inf.
-    """
-
-    def __init__(self) -> None:
-        self.keys = np.array([-1])
-        self.lo = np.zeros(1, dtype=np.int64)
-        self.hi = np.zeros(1, dtype=np.int64)
-        self.flat = np.full(1 << 12, np.inf)
-        self.used = 0
-
-    def spans(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where in `flat` the table of each of `keys` starts and ends, built on first sight."""
-        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        new = np.unique(keys[self.keys[at] != keys])
-        if not new.size:
-            return self.lo[at], self.hi[at]
-        # a thousand states at a time keep the builder's arrays to a few MiB
-        for part in np.split(new, range(1024, new.size, 1024)):
-            tables, sizes = _chain_tables(part >> 32, part & 0xFFFFFFFF)
-            if self.used + tables.size >= self.flat.size:
-                grown = np.full(2 * (self.used + tables.size), np.inf)
-                grown[: self.used] = self.flat[: self.used]
-                self.flat = grown
-            self.flat[self.used : self.used + tables.size] = tables
-            ends = self.used + np.cumsum(sizes)
-            self.used += tables.size
-            place = np.searchsorted(self.keys, part)
-            self.keys = np.insert(self.keys, place, part)
-            self.lo = np.insert(self.lo, place, ends - sizes)
-            self.hi = np.insert(self.hi, place, ends)
-        at = np.searchsorted(self.keys, keys)
-        return self.lo[at], self.hi[at]
-
-
-def _chain_values(sizes: np.ndarray, rng: np.random.Generator, tables: _ChainTables) -> np.ndarray:
+def _chain_values(sizes: np.ndarray, rng: np.random.Generator, tables: dict[int, np.ndarray]) -> np.ndarray:
     """X of one uniform tree of each size in `sizes`, walked down the generation chain.
 
-    Each generation draws one uniform per trial still running, in trial
-    order, and finds it in its state's table by a bisection run on every
-    trial at once (numpy.searchsorted with side="right", row by row).
+    `tables` maps each state met in the run, as the key d * 2^32 + m, to
+    its table.  Each generation draws one uniform per trial still running,
+    in trial order, builds its new states' tables in one pass, lays its
+    states' tables end to end with a +inf guard (the last may be empty),
+    and finds each uniform in its state's table by a bisection run on
+    every trial at once (numpy.searchsorted with side="right", row by row).
     """
     values = np.empty(len(sizes), dtype=np.int64)
     trial = np.arange(len(sizes))
@@ -233,11 +197,21 @@ def _chain_values(sizes: np.ndarray, rng: np.random.Generator, tables: _ChainTab
     level = 0
     while trial.size:
         u = rng.random(trial.size)
-        start, end = tables.spans((d << 32) | m)
+        states, at = np.unique((d << 32) | m, return_inverse=True)
+        states = states.tolist()
+        new = np.array([key for key in states if key not in tables], dtype=np.int64)
+        if new.size:
+            built, built_sizes = _chain_tables(new >> 32, new & 0xFFFFFFFF)
+            tables.update(zip(new.tolist(), np.split(built, np.cumsum(built_sizes)[:-1])))
+        rows = [tables[key] for key in states]
+        lengths = np.array([row.size for row in rows])
+        flat = np.concatenate([*rows, [np.inf]])
+        end = np.cumsum(lengths)[at]
+        start = end - lengths[at]
         lo, hi = start, end
         for _ in range(int((end - start).max()).bit_length()):
             mid = (lo + hi) >> 1
-            right = tables.flat[mid] <= u
+            right = flat[mid] <= u
             lo = np.minimum(np.where(right, mid + 1, lo), hi)
             hi = np.where(right, hi, mid)
         # lo is now the first entry above u; past the end, generation j holds a leaf
@@ -308,7 +282,7 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     if statistic not in ("X", "Y"):
         raise ValueError("statistic must be 'X' or 'Y'")
     _check_run(n, trials)
-    tables = _ChainTables()
+    tables: dict[int, np.ndarray] = {}
     cdf = _subtree_size_cdf(n) if statistic == "Y" else None
 
     def batch_values(rows: int, rng: np.random.Generator) -> np.ndarray:

@@ -123,10 +123,15 @@ def test_estimate_survival_draws_batches_of_the_capped_height(monkeypatch):
 
 def test_chain_bisection_matches_a_per_trial_searchsorted():
     # every size up to 40, so that states with empty tables, single-entry
-    # tables and tables of every length meet in one batch
+    # tables and tables of every length meet in one batch; the second call
+    # on the same draws through the same dict reads only tables built by the first
     sizes = np.arange(1, 41).repeat(50)
-    got = sampler._chain_values(sizes, make_rng(77), sampler._ChainTables())
-    assert got.tolist() == _chain_by_loop(sizes, make_rng(77))
+    expected = _chain_by_loop(sizes, make_rng(77))
+    tables = {}
+    assert sampler._chain_values(sizes, make_rng(77), tables).tolist() == expected
+    built = set(tables)
+    assert sampler._chain_values(sizes, make_rng(77), tables).tolist() == expected
+    assert set(tables) == built
 
 
 # survival counts of stream 5, the generation chain; the 16385-trial runs
@@ -229,6 +234,19 @@ def test_chain_tables_propagate_the_exact_law():
 def _forests(d: int, m: int) -> int:
     """F(d, m): plane forests of d trees and m vertices."""
     return d * math.comb(2 * m - d - 1, m - 1) // m
+
+
+def test_chain_tables_do_not_depend_on_the_states_built_beside_them():
+    # the run's dict keeps each state's row from whichever batch built it,
+    # so a row built among others must equal, byte for byte, its lone build
+    d, m = zip(*[(d, m) for m in range(1, 61) for d in range(1, m + 1)])
+    d = np.array(d + (1, 7, 40))
+    m = np.array(m + (2**22, 4000000, 4194000))
+    together, sizes = sampler._chain_tables(d, m)
+    rows = np.split(together, np.cumsum(sizes)[:-1])
+    for row, one_d, one_m in zip(rows, d, m):
+        alone = sampler._chain_tables(one_d[None], one_m[None])[0]
+        assert row.tobytes() == alone.tobytes(), (one_d, one_m)
 
 
 def test_chain_tables_stop_past_the_bulk():
