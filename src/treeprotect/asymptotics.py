@@ -254,8 +254,7 @@ def _constant_interval(name: str, places: int) -> _Interval:
 def truncated_decimal(value: Fraction, digits: int) -> str:
     """`value` truncated toward zero to `digits` fractional digits."""
     sign = "-" if value < 0 else ""
-    scaled = abs(value) * 10**digits
-    whole, frac = divmod(scaled.numerator // scaled.denominator, 10**digits)
+    whole, frac = divmod(abs(value.numerator) * 10**digits // value.denominator, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 

@@ -15,11 +15,11 @@ This module is the ground truth for everything else in the package: it
 enumerates every plane tree of up to 16 vertices and counts protection
 numbers directly, so the generating-function and asymptotic routes can be
 checked against brute force.  The oracle tallies come from one
-depth-first walk over the words that shares every prefix among the words
-extending it; it counts each closed vertex once, weighted by the number
-of ways to finish its word, and still reaches every complete word.  Those
-completion counts are built here, so the oracle owes nothing to the exact
-engine it checks.
+depth-first walk, one frame per "(" written, that shares every prefix
+among the words extending it; it counts each closed vertex once, weighted
+by the number of ways to finish its word, and still reaches every complete
+word and tallies its root there.  Those completion counts are built here,
+so the oracle owes nothing to the exact engine it checks.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
     "oracle_s",
 ]
 
-# the oracle walks C_(n-1) words; n = 16 (9.7 million trees) still ends within a minute
+# the oracle walks C_(n-1) words; n = 16 (9.7 million trees) takes about 11 s
 _MAX_ORACLE_N = 16
 
 
@@ -188,49 +188,65 @@ def _survival_tallies(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for k = 0..n.
 
     One depth-first walk over the words "(" + w + ")", w balanced with
-    n - 1 pairs, visits every prefix once and so shares it among all the
-    words that extend it.  A stack holds, for each open vertex, the
-    smallest protection number among its closed children (`none` before
-    the first); every step is undone on backtrack.  A vertex's
-    protection number depends only on its own subtree, which is complete
-    when it closes, so a non-root vertex closing with o opens left at
-    depth d is tallied once, weighted by the ways[o][d - 1] words that
-    finish the prefix.  Once no opens are left the word is forced: its
-    remaining vertices close in a loop, each counted once, and the root
-    is tallied there, so root_ge[0] counts the complete words reached.
+    n - 1 pairs, shares every prefix, one frame per "(" written.  Open
+    vertex j (at depth j) holds low[j], the least depth of a leaf among
+    its closed descendants, so it closes with protection low - j and a run
+    of closes is a running minimum.  A frame has d open vertices, the
+    deepest just opened, and o opens left; it recurses once per number of
+    closes before the next "(", restoring every slot it writes.  A vertex
+    closing at depth j >= 1 is tallied once, weighted by the ways[o][j]
+    words that finish the prefix: its subtree is complete.  At o = 1 each
+    of the d words puts its last leaf under the vertex at some depth L < d;
+    that leaf and its parent (protection 1) are tallied in bulk, and the
+    forced closes below L are a running minimum from depth L + 1 that
+    tallies the root once per word, so root_ge[0] counts the words reached.
     """
+    if n == 1:  # a lone leaf
+        return (1, 0), (1, 0)
     ways = _completion_counts(n)
-    none = n  # above every protection number of an n-vertex tree
+    none = n  # deeper than any leaf of an n-vertex tree
     root_hist = [0] * n
     vertex_hist = [0] * n
-    mins = [none]  # the root is open
+    low = [none] * n
 
-    def walk(opens_left: int, depth: int) -> None:
-        if not opens_left:
-            m = mins[-1]
-            p = 0 if m == none else m + 1
-            for i in range(depth - 2, -1, -1):
-                vertex_hist[p] += 1
-                m = mins[i]
-                p = (m if m < p else p) + 1
-            root_hist[p] += 1
-            vertex_hist[p] += 1
+    def walk(d: int, o: int) -> None:
+        w = ways[o]
+        carry = d - 1  # the vertex just opened is a leaf if it closes first
+        if o == 1:
+            vertex_hist[0] += d
+            vertex_hist[1] += d
+            for j in range(d - 1, 0, -1):
+                m = low[j]
+                if m < carry:
+                    carry = m
+                vertex_hist[carry - j] += w[j]
+            for level in range(d):
+                run = level + 1
+                for i in range(level - 1, -1, -1):
+                    m = low[i]
+                    if m < run:
+                        run = m
+                    vertex_hist[run - i] += 1
+                root_hist[run] += 1
             return
-        mins.append(none)
-        walk(opens_left - 1, depth + 1)
-        mins.pop()
-        if depth > 1:
-            m = mins.pop()
-            p = 0 if m == none else m + 1
-            vertex_hist[p] += ways[opens_left][depth - 1]
-            parent = mins[-1]
-            if p < parent:
-                mins[-1] = p
-            walk(opens_left, depth - 1)
-            mins[-1] = parent
-            mins.append(m)
+        m = low[d]
+        low[d] = none  # slot d may still hold the low of a vertex a caller closed
+        walk(d + 1, o - 1)
+        low[d] = m
+        for j in range(d - 1, 0, -1):
+            m = low[j]
+            if m < carry:
+                carry = m
+            vertex_hist[carry - j] += w[j]
+            parent = low[j - 1]
+            if carry < parent:
+                low[j - 1] = carry
+            low[j] = none
+            walk(j + 1, o - 1)
+            low[j - 1] = parent
+            low[j] = m
 
-    walk(n - 1, 1)
+    walk(1, n - 1)
     root_ge = [0] * (n + 1)
     vertex_ge = [0] * (n + 1)
     for k in range(n - 1, -1, -1):

@@ -282,3 +282,23 @@ def test_moment_combos_track_exact_values():
 def test_constant_digits_one():
     enc = constant("c0", 1)
     assert enc.decimal == "1.6"
+
+
+def test_truncated_decimal_matches_the_reduced_fraction_form():
+    def by_fraction(value, digits):
+        sign = "-" if value < 0 else ""
+        scaled = abs(value) * 10**digits
+        whole, frac = divmod(scaled.numerator // scaled.denominator, 10**digits)
+        return f"{sign}{whole}.{frac:0{digits}d}"
+
+    values = [Fraction(-7, 3), Fraction(-1, 10**250), Fraction(0), Fraction(5), Fraction(-12)]
+    for table in (dist_X_exact(60), dist_Y_exact(60)):
+        values += [table.survival_at(k) for k in range(61)]
+        values += [table.pmf_at(k) for k in range(61)]
+    for digits in (1, 30, 200):
+        for value in values:
+            assert truncated_decimal(value, digits) == by_fraction(value, digits)
+    assert truncated_decimal(Fraction(-7, 3), 1) == "-2.3"
+    assert truncated_decimal(Fraction(-1, 10**250), 30) == "-0." + "0" * 30
+    assert truncated_decimal(Fraction(0), 1) == "0.0"
+    assert truncated_decimal(Fraction(-12), 1) == "-12.0"

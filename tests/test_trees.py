@@ -148,6 +148,13 @@ def test_survival_tallies_n13_literals():
     )
 
 
+def test_survival_tallies_n14_literals():
+    assert _survival_tallies(14) == (
+        (742900, 742900, 325878, 102731, 29737, 8481, 2430, 704, 207, 62, 19, 6, 2, 1, 0),
+        (10400600, 5200300, 1703052, 469369, 123652, 32289, 8436, 2211, 582, 154, 41, 11, 3, 1, 0),
+    )
+
+
 def test_oracle_bound_enforced():
     with pytest.raises(ValueError, match="at most 16 for enumeration, got 17"):
         oracle_r(17, 1)
@@ -158,7 +165,7 @@ def test_oracle_bound_enforced():
 
 
 def test_oracle_size_16_passes_the_check():
-    # the check alone: the n = 16 walk itself takes about 17 s
+    # the check alone: the n = 16 walk itself takes about 11 s
     _check_oracle_size(16)
     with pytest.raises(ValueError, match="got 17"):
         _check_oracle_size(17)
