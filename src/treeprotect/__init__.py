@@ -3,9 +3,9 @@
 The protection number of a vertex is its distance to the nearest leaf of
 its own subtree.  This package computes the distribution of that number
 for the root (X) and for a uniformly chosen vertex (Y) of a uniformly
-chosen n-vertex plane tree, by exhaustive enumeration, by exact
-generating-function arithmetic, and by asymptotic expansion, and checks
-the three against each other.
+chosen n-vertex plane tree, by a brute-force count over every tree word,
+by exact generating-function arithmetic, and by asymptotic expansion, and
+checks the three against each other.
 
 The package root re-exports every name in the `__all__` of its six
 library modules; it does not import `acceptance` or `cli`.

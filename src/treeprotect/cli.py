@@ -113,7 +113,7 @@ def _whole_range(what: str, high: int | None = None):
 
 # exact-dist names the route that produced the table; oracle shares its stamp
 _METHOD_PROVENANCE = {
-    "oracle": "trees: exhaustive enumeration of plane trees",
+    "oracle": "trees: exhaustive enumeration of plane trees by prefix-state counts",
     "explicit": "exact: alternating binomial sums over plain integers",
 }
 

@@ -235,16 +235,31 @@ def _sum_over_j(n: int, k: int) -> tuple[int, int]:
 
 
 def r_explicit(n: int, k: int) -> int:
-    """r(n, k), k >= 1: the r half of one walk along the k line, one binomial per point j.
+    """r(n, k), k >= 1: one walk along the k line, one binomial per point j.
 
     Sum over j >= 1 while n - (k+1)j >= 0 of
-        (-1)^(j-1) * [ C(2n-3-(2k-1)j, n-(k+1)j) - C(2n-3-(2k-1)j, n-3-(k+1)j) ].
+        (-1)^(j-1) * [ C(2n-3-(2k-1)j, n-(k+1)j) - C(2n-3-(2k-1)j, n-3-(k+1)j) ],
+    each term read straight off B = C(A, q) by the first r form of
+    _lattice_terms, so no u term is paid for.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
     if k < 1:
         raise ValueError("explicit survival counts need k >= 1; level 0 is catalan(n-1)")
-    return _sum_over_j(n, k)[0]
+    a, b, da, db = 2 * n - 2 * k + 1, n - k - 1, 1 - 2 * k, -k - 1
+    sums = [0, 0]  # terms at even and odd j - 1, so that no term is negated
+    for i, value in _line_terms(a, b, da, db, n // (k + 1)):
+        top, low = a + da * i, b + db * i
+        rest = top - low
+        falling = rest * (rest - 1) * (rest - 2) - low * (low - 1) * (low - 2)
+        # A(A-1)(A-2) in one divisor spans two 30-bit digits from A > 1024 on,
+        # where CPython's long division is slower than two one-digit divisions
+        scaled, rem = divmod(value * falling, top * (top - 1))
+        r, r_rem = divmod(scaled, top - 2)
+        if rem or r_rem:
+            raise ArithmeticError(f"inexact lattice ratio at C({top}, {low})")
+        sums[i % 2] += r
+    return sums[0] - sums[1]
 
 
 def catalan_power_coeffs(exponent: int, count: int) -> tuple[int, ...]:
@@ -461,8 +476,8 @@ def dist_X_exact(n: int, method: Method = "explicit") -> DistributionTable:
 
     Both methods produce identical tables.  "explicit" (the default) reads
     r(n, k) for every k from the one alternating-binomial pass on plain
-    integers; "oracle" enumerates every tree as an independent
-    cross-check, and so raises ValueError for n above 16.
+    integers; "oracle" counts every tree word by prefix state in trees, an
+    independent cross-check, and so raises ValueError for n above 16.
     """
     return _table(n, method, oracle_r, 0)
 
@@ -471,7 +486,7 @@ def dist_Y_exact(n: int, method: Method = "explicit") -> DistributionTable:
     """Exact distribution of the protection number of a uniform vertex.
 
     "explicit" (the default) reads s(n, k), the halved pointed sums, for
-    every k from the same pass as dist_X_exact; "oracle" enumerates every
-    tree, as in dist_X_exact, and so stops at n = 16.
+    every k from the same pass as dist_X_exact; "oracle" counts every tree
+    word by prefix state, as in dist_X_exact, and so stops at n = 16.
     """
     return _table(n, method, oracle_s, 1)

@@ -1,4 +1,4 @@
-"""Plane trees, protection numbers, and the exhaustive enumeration oracle.
+"""Plane trees, protection numbers, and the brute-force counting oracle.
 
 A plane tree is a rooted tree whose children are linearly ordered.  The
 protection number of a vertex is the distance from that vertex to the
@@ -12,14 +12,15 @@ the vertex's "(", so protection numbers are read off the word in one
 left-to-right scan and the enumeration walks words directly.
 
 This module is the ground truth for everything else in the package: it
-enumerates every plane tree of up to 16 vertices and counts protection
-numbers directly, so the generating-function and asymptotic routes can be
-checked against brute force.  The oracle tallies come from one
-depth-first walk, one frame per "(" written, that shares every prefix
-among the words extending it; it counts each closed vertex once, weighted
-by the number of ways to finish its word, and still reaches every complete
-word and tallies its root there.  Those completion counts are built here,
-so the oracle owes nothing to the exact engine it checks.
+counts protection numbers over every plane tree of up to 16 vertices, so
+the generating-function and asymptotic routes can be checked against
+brute force.  The oracle tallies come from a forward count over prefix
+states: after each "(" a prefix is summed up by the least leaf depth
+below each open vertex, and a dict counts the prefixes that reach each
+state.  Each closed vertex is tallied once per state, weighted by the
+number of prefixes there and by the number of ways to finish the word.
+Those completion counts are built here, so the oracle owes nothing to the
+exact engine it checks.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
     "oracle_s",
 ]
 
-# the oracle walks C_(n-1) words; n = 16 (9.7 million trees) takes about 11 s
+# the oracle's last step holds fewer than 2^(n-1) prefix states: 32,753 at n = 16, about 0.33 s
 _MAX_ORACLE_N = 16
 
 
@@ -187,66 +188,48 @@ def _survival_tallies(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     vertex_ge[k] counts (tree, vertex) pairs with vertex protection >= k,
     for k = 0..n.
 
-    One depth-first walk over the words "(" + w + ")", w balanced with
-    n - 1 pairs, shares every prefix, one frame per "(" written.  Open
-    vertex j (at depth j) holds low[j], the least depth of a leaf among
-    its closed descendants, so it closes with protection low - j and a run
-    of closes is a running minimum.  A frame has d open vertices, the
-    deepest just opened, and o opens left; it recurses once per number of
-    closes before the next "(", restoring every slot it writes.  A vertex
-    closing at depth j >= 1 is tallied once, weighted by the ways[o][j]
-    words that finish the prefix: its subtree is complete.  At o = 1 each
-    of the d words puts its last leaf under the vertex at some depth L < d;
-    that leaf and its parent (protection 1) are tallied in bulk, and the
-    forced closes below L are a running minimum from depth L + 1 that
-    tallies the root once per word, so root_ge[0] counts the words reached.
+    The words "(" + w + ")", w balanced with n - 1 pairs, are counted by
+    prefix state rather than walked.  After each "(" the state is the
+    tuple low[0..d-1] of the d open vertices: low[j] is the least depth of
+    a leaf among vertex j's closed descendants (n if none), so the vertex
+    at depth j closes with protection low - j and a run of closes is a
+    running minimum.  A dict maps each state to the number of prefixes
+    reaching it.  Each of the n - 1 opens after the root's moves a state
+    to its d successors: close c = 0..d-1 innermost vertices, then open
+    one.  A vertex closing at depth j with o opens still to write is
+    tallied once, weighted by the state's count times the ways[o][j]
+    words that finish the prefix; after the last open every state closes
+    out and tallies its root with weight count.
     """
-    if n == 1:  # a lone leaf
-        return (1, 0), (1, 0)
     ways = _completion_counts(n)
     none = n  # deeper than any leaf of an n-vertex tree
     root_hist = [0] * n
     vertex_hist = [0] * n
-    low = [none] * n
-
-    def walk(d: int, o: int) -> None:
+    counts = {(none,): 1}
+    for o in range(n - 1, 0, -1):
         w = ways[o]
-        carry = d - 1  # the vertex just opened is a leaf if it closes first
-        if o == 1:
-            vertex_hist[0] += d
-            vertex_hist[1] += d
-            for j in range(d - 1, 0, -1):
+        step: dict[tuple[int, ...], int] = {}
+        for low, count in counts.items():
+            key = low + (none,)
+            step[key] = step.get(key, 0) + count
+            carry = len(low) - 1  # the vertex just opened is a leaf if it closes first
+            for j in range(len(low) - 1, 0, -1):
                 m = low[j]
                 if m < carry:
                     carry = m
-                vertex_hist[carry - j] += w[j]
-            for level in range(d):
-                run = level + 1
-                for i in range(level - 1, -1, -1):
-                    m = low[i]
-                    if m < run:
-                        run = m
-                    vertex_hist[run - i] += 1
-                root_hist[run] += 1
-            return
-        m = low[d]
-        low[d] = none  # slot d may still hold the low of a vertex a caller closed
-        walk(d + 1, o - 1)
-        low[d] = m
-        for j in range(d - 1, 0, -1):
+                vertex_hist[carry - j] += count * w[j]
+                parent = low[j - 1]
+                key = low[: j - 1] + (carry if carry < parent else parent, none)
+                step[key] = step.get(key, 0) + count
+        counts = step
+    for low, count in counts.items():
+        carry = len(low) - 1
+        for j in range(len(low) - 1, -1, -1):
             m = low[j]
             if m < carry:
                 carry = m
-            vertex_hist[carry - j] += w[j]
-            parent = low[j - 1]
-            if carry < parent:
-                low[j - 1] = carry
-            low[j] = none
-            walk(j + 1, o - 1)
-            low[j - 1] = parent
-            low[j] = m
-
-    walk(1, n - 1)
+            vertex_hist[carry - j] += count
+        root_hist[carry] += count
     root_ge = [0] * (n + 1)
     vertex_ge = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -256,7 +239,7 @@ def _survival_tallies(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def oracle_r(n: int, k: int) -> int:
-    """Count n-vertex trees with protection number >= k, by enumeration."""
+    """Count n-vertex trees with protection number >= k, by brute force."""
     _check_oracle_size(n)
     if k < 0:
         raise ValueError("protection level must be nonnegative")
@@ -264,7 +247,7 @@ def oracle_r(n: int, k: int) -> int:
 
 
 def oracle_s(n: int, k: int) -> int:
-    """Count (tree, vertex) pairs with vertex protection >= k, by enumeration."""
+    """Count (tree, vertex) pairs with vertex protection >= k, by brute force."""
     _check_oracle_size(n)
     if k < 0:
         raise ValueError("protection level must be nonnegative")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import treeprotect
 from treeprotect.cli import build_parser, main
-from treeprotect.exact import catalan
+from treeprotect.exact import catalan, dist_X_exact, dist_Y_exact
 
 
 def _run(capsys, argv):
@@ -105,6 +105,14 @@ def test_oracle_emits_both_tables(capsys):
     assert table[("r", 4, 2)] == 2
     assert table[("r", 4, 3)] == 1
     assert table[("s", 4, 0)] == 4 * 5
+
+
+def test_oracle_at_the_cap_matches_the_exact_tables(capsys):
+    code, out = _run(capsys, ["oracle", "--n", "16", "--k", "0:16"])
+    assert code == 0
+    table = {(r["kind"], r["k"]): int(r["value"]) for r in _jsonl(out)}
+    for kind, dist in (("r", dist_X_exact), ("s", dist_Y_exact)):
+        assert [table[(kind, k)] for k in range(17)] == [*dist(16).counts, 0]
 
 
 def test_csv_round_trips(capsys):
@@ -309,7 +317,7 @@ def test_oracle_bound_outside_1_to_16_is_usage_error(capsys, argv, bound):
 
 @pytest.mark.parametrize("argv", [["oracle", "--n", "16"], ["exact-dist", "X", "16", "oracle"]])
 def test_oracle_bound_16_is_accepted(capsys, monkeypatch, argv):
-    # n = 16 passes the size check on both routes; the 17 s walk is replaced by
+    # n = 16 passes the size check on both routes; the oracle's count is replaced by
     # the survival counts of the explicit engine, which criterion 1 checks it against
     from treeprotect import trees
     from treeprotect.exact import dist_X_exact, dist_Y_exact

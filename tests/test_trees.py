@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeprotect.exact import catalan
+from treeprotect.exact import _protection_counts, catalan
+from treeprotect.sampler import _chain_counts
 from treeprotect.trees import (
     PlaneTree,
     _balanced_words,
@@ -132,11 +133,11 @@ def _tallies_word_by_word(n):
     return survival(root_hist), survival(vertex_hist)
 
 
-def test_prefix_sharing_walk_matches_word_by_word_tallies():
+def test_prefix_state_count_matches_word_by_word_tallies():
     for n in range(1, 12):
         root_ge, vertex_ge = _survival_tallies(n)
         assert (root_ge, vertex_ge) == _tallies_word_by_word(n)
-        # every word was reached, and every vertex of every word tallied
+        # every word was counted, and every vertex of every word tallied
         assert root_ge[0] == catalan(n - 1)
         assert vertex_ge[0] == n * catalan(n - 1)
 
@@ -164,11 +165,16 @@ def test_oracle_bound_enforced():
         next(enumerate_trees(17))
 
 
-def test_oracle_size_16_passes_the_check():
-    # the check alone: the n = 16 walk itself takes about 11 s
+def test_oracle_at_its_cap_matches_the_exact_engine():
     _check_oracle_size(16)
     with pytest.raises(ValueError, match="got 17"):
         _check_oracle_size(17)
+    for n in (15, 16):
+        root_ge, vertex_ge = _survival_tallies(n)
+        r, s = _protection_counts(n)
+        assert root_ge == r + (0,)
+        assert vertex_ge == s + (0,)
+        assert root_ge[:n] == _chain_counts(n)
 
 
 def test_leaf_count_examples():
