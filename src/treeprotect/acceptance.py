@@ -106,10 +106,10 @@ class CriterionResult:
 
 
 def _check_oracle_equivalence() -> tuple[bool, str]:
-    """Six routes to r(n,k), three to s(n,k) and two to sum_k r(n,k) agree for n <= 12."""
+    """Six routes to r(n,k), three to s(n,k) and two to sum_k r(n,k) agree for n <= 16."""
     bad: list[str] = []
-    totals = root_protection_totals(12)
-    for n in range(1, 13):
+    totals = root_protection_totals(16)
+    for n in range(1, 17):
         chain = _chain_counts(n)
         for k in range(0, n + 1):
             routes = {
@@ -120,7 +120,7 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
             if k >= 1:
                 routes["closed"] = series_R_ge_k_closed(k, n)[n]
                 routes["explicit"] = r_explicit(n, k) if k < n else 0
-                routes["ballot"] = r_survival_column(k, 12)[n]
+                routes["ballot"] = r_survival_column(k, 16)[n]
             else:
                 routes["catalan"] = catalan(n - 1)
             if len(set(routes.values())) != 1:
@@ -138,7 +138,7 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
             bad.append(f"sum_k r({n},k): ballot {totals[n]} != oracle {oracle_total}")
     if bad:
         return False, "; ".join(bad[:4])
-    return True, "all routes agree for n <= 12, every k"
+    return True, "all routes agree for n <= 16, every k"
 
 
 # c3, d3: the product its reference string equals, its exact table, its limit variance
@@ -363,7 +363,7 @@ def _check_moments() -> tuple[bool, str]:
 
 
 CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
-    (1, "oracle equivalence of all counting routes (n <= 12)", _check_oracle_equivalence),
+    (1, "oracle equivalence of all counting routes (n <= 16)", _check_oracle_equivalence),
     (2, "50-digit certified constants", _check_constants),
     (3, "limit-law normalization and difference identity", _check_normalization),
     (4, "convergence rate of the 1/n expansions", _check_convergence),

@@ -13,7 +13,7 @@ from itertools import accumulate
 
 import pytest
 
-from treeprotect.exact import catalan, dist_X_exact, dist_Y_exact
+from treeprotect.exact import _protection_counts, catalan, dist_X_exact, dist_Y_exact
 import numpy as np
 
 from treeprotect import sampler
@@ -23,7 +23,7 @@ from treeprotect.sampler import (
     make_rng,
     sample_tree,
 )
-from treeprotect.trees import _protection_values, enumerate_trees
+from treeprotect.trees import _protection_values, enumerate_trees, oracle_r, oracle_s
 
 
 def _max_z(stats: SampleStats, table) -> float:
@@ -360,6 +360,26 @@ def test_subtree_route_matches_the_oracle_vertex_law():
             p = sum(c for v, c in tally.items() if v >= k) / vertices
             sigma = math.sqrt(p * (1.0 - p) / trials)
             assert abs(stats.survival_fraction(k) - p) < 4 * sigma, (n, k)
+
+
+def test_pointing_identity_behind_the_subtree_route():
+    # s(n, k) = sum_m r(m, k) L(n - m + 1) exactly: a pointed vertex is the root of
+    # an m-vertex subtree, and the rest is an (n - m + 1)-vertex tree pointed at
+    # one of its L(n - m + 1) leaves; oracle counts up to its cap, exact beyond
+    top = 60
+    r, s = [None], [None]
+    for m in range(1, top + 1):
+        if m <= 16:
+            r.append([oracle_r(m, k) for k in range(top)])
+            s.append([oracle_s(m, k) for k in range(top)])
+        else:
+            r_m, s_m = _protection_counts(m)
+            r.append(list(r_m) + [0] * (top - m))
+            s.append(list(s_m) + [0] * (top - m))
+    leaves = [0, 1] + [math.comb(2 * p - 2, p - 1) // 2 for p in range(2, top + 1)]
+    for n in range(1, top + 1):
+        for k in range(top):
+            assert s[n][k] == sum(r[m][k] * leaves[n - m + 1] for m in range(1, n + 1)), (n, k)
 
 
 def test_subtree_route_agrees_with_whole_tree_picks():
