@@ -37,9 +37,6 @@ from .exact import (
     r_survival_column,
     root_protection_totals,
     s_explicit,
-    series_R_ge_k_closed,
-    series_R_ge_k_recurrence,
-    series_S_ge_k,
     survival_X_exact,
     survival_Y_exact,
 )
@@ -60,6 +57,7 @@ from .sampler import (
     _estimate_Y_by_picks,
     estimate_survival,
 )
+from .series import _closed_column, _recurrence_counts
 from .trees import oracle_r, oracle_s
 
 __all__ = [
@@ -109,16 +107,18 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
     """Six routes to r(n,k), three to s(n,k) and two to sum_k r(n,k) agree for n <= 16."""
     bad: list[str] = []
     totals = root_protection_totals(16)
+    series_r, series_s = _recurrence_counts(16)
+    closed = {k: _closed_column(k, 16) for k in range(1, 17)}
     for n in range(1, 17):
         chain = _chain_counts(n)
         for k in range(0, n + 1):
             routes = {
                 "oracle": oracle_r(n, k),
-                "recurrence": series_R_ge_k_recurrence(k, n)[n],
+                "recurrence": series_r[k][n],
                 "chain": chain[k] if k < n else 0,
             }
             if k >= 1:
-                routes["closed"] = series_R_ge_k_closed(k, n)[n]
+                routes["closed"] = closed[k][n]
                 routes["explicit"] = r_explicit(n, k) if k < n else 0
                 routes["ballot"] = r_survival_column(k, 16)[n]
             else:
@@ -128,7 +128,7 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
 
             s_routes = {
                 "oracle": oracle_s(n, k),
-                "series": series_S_ge_k(k, n)[n],
+                "series": series_s[k][n],
                 "explicit": s_explicit(n, k),
             }
             if len(set(s_routes.values())) != 1:
@@ -234,7 +234,7 @@ def _check_convergence() -> tuple[bool, str]:
     failures = []
     notes = []
     for statistic in ("X", "Y"):
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             scaled = _scaled_residuals(statistic, k, sizes)
             if all(v == 0.0 for v in scaled):
                 notes.append(f"{statistic} k={k}: residuals identically 0")

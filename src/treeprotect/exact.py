@@ -36,13 +36,15 @@ line of points by exact ratio steps from one math.comb.  One cached pass per
 size n sums every r(n, k) and u(n, k) in O(n log n) steps, split at isqrt(n)
 so that no step jumps more than about 2 sqrt(n), into the finished r(n, k)
 and s(n, k) that both tables hold and both means read; r_explicit and
-s_explicit serve single points in O(n/k) steps.  The series recurrence, the
-ballot tables (r_survival_column, root_protection_totals) and the oracle
-remain as independent cross-checks.
+s_explicit serve single points in O(n/k) steps.  The ballot tables
+(r_survival_column, root_protection_totals) remain here as independent
+cross-checks.  The recurrence, the closed form and the pointing identity
+run as truncated power series in the series module, and brute force in
+trees; this module imports nothing from series, and only the oracle from
+trees.
 
-Everything here is exact and nothing floats: counts, tables and series
-coefficients are plain ints, and Fraction appears only in the returned
-probabilities and moments.
+Everything here is exact and nothing floats: counts and tables are plain
+ints, and Fraction appears only in the returned probabilities and moments.
 """
 
 from __future__ import annotations
@@ -51,20 +53,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Callable, Iterator, Literal
 
-from .series import TruncatedPowerSeries
 from .trees import oracle_r, oracle_s
 
 __all__ = [
     "catalan",
     "central_binomials",
-    "series_R0",
-    "series_invsqrt",
-    "series_R_ge_k_recurrence",
-    "series_R_ge_k_closed",
-    "series_S_ge_k",
     "r_explicit",
     "catalan_power_coeffs",
     "r_survival_column",
@@ -98,64 +93,11 @@ def central_binomials(order: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def series_R0(order: int) -> TruncatedPowerSeries:
-    """All plane trees by vertex count: [z^n] = catalan(n-1), constant 0."""
-    coeffs = [0] * (order + 1)
-    for n in range(1, order + 1):
-        coeffs[n] = catalan(n - 1)
-    return TruncatedPowerSeries(coeffs)
-
-
-def series_invsqrt(order: int) -> TruncatedPowerSeries:
-    """(1 - 4z)^(-1/2): [z^n] = C(2n, n)."""
-    return TruncatedPowerSeries(central_binomials(order))
-
-
-def _R_levels(order: int) -> Iterator[TruncatedPowerSeries]:
-    """R_0, R_1, R_2, ... by the substitution recurrence, one step per level."""
-    R = series_R0(order)
-    while True:
-        yield R
-        R = R.shifted(1) / (1 - R)
-
-
 def _halve(total: int, n: int, k: int) -> int:
     """total / 2 for a coefficient of R_k * (1 + invsqrt), which pointing makes even."""
     if total % 2:
         raise ArithmeticError(f"odd pointed-vertex total at n={n}, k={k}")
     return total // 2
-
-
-def series_R_ge_k_recurrence(k: int, order: int) -> TruncatedPowerSeries:
-    """k-protected trees via k substitution steps from series_R0."""
-    if k < 0:
-        raise ValueError("protection level must be nonnegative")
-    return next(islice(_R_levels(order), k, None))
-
-
-def series_R_ge_k_closed(k: int, order: int) -> TruncatedPowerSeries:
-    """k-protected trees from the closed form, k >= 1.
-
-    R_k = (1-z) * z^(k+1) * Q / (1 + z^(k+1) * Q) with Q = (R0/z)^3, the
-    cube of the Catalan generating function (Q(0) = 1, so the denominator
-    is a unit).
-    """
-    if k < 1:
-        raise ValueError("the closed form applies to protection level k >= 1")
-    r0 = series_R0(order + 1)
-    cat = TruncatedPowerSeries(r0.coeffs[1:])  # R0/z, order `order`
-    q = (cat * cat * cat).shifted(k + 1)
-    one = TruncatedPowerSeries.constant(1, order)
-    z = TruncatedPowerSeries.z(order) if order >= 1 else TruncatedPowerSeries.zero(0)
-    return (one - z) * q / (one + q)
-
-
-def series_S_ge_k(k: int, order: int) -> TruncatedPowerSeries:
-    """Vertices with protection >= k, summed over trees: S_k = R_k*(1+isqrt)/2."""
-    if k < 0:
-        raise ValueError("protection level must be nonnegative")
-    pointed = series_R_ge_k_recurrence(k, order) * (1 + series_invsqrt(order))
-    return TruncatedPowerSeries(_halve(c, n, k) for n, c in enumerate(pointed.coeffs))
 
 
 def _line_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tuple[int, int]]:

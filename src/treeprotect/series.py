@@ -1,17 +1,25 @@
-"""Truncated formal power series with exact integer coefficients.
+"""Truncated power series with integer coefficients, and criterion 1's series route.
 
 A TruncatedPowerSeries holds coefficients for z^0 .. z^N and stands for an
 element of Z[[z]] known modulo z^(N+1).  Binary operations truncate to the
 smaller operand's order, so results never pretend to more precision than
 both inputs carry.  Division uses the standard coefficient recursion and
 insists on a divisor with constant term 1, which keeps every quotient
-integral; every divisor in this package has that shape by construction,
+integral; every divisor in this module has that shape by construction,
 and anything else is a logic error worth surfacing.
+
+The route runs the substitution recurrence R_k = z R_(k-1) / (1 - R_(k-1)),
+its closed form (1-z) q / (1 + q) with q = z^(k+1) C(z)^3, and the pointing
+identity S_k = R_k (1 + (1-4z)^(-1/2)) / 2 on these series.  It reads only
+catalan and central_binomials from exact, so it stays independent of the
+alternating binomial sums it checks.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+from .exact import catalan, central_binomials
 
 __all__ = ["TruncatedPowerSeries"]
 
@@ -28,28 +36,9 @@ class TruncatedPowerSeries:
                 raise TypeError(f"expected int coefficients, got {type(c).__name__}")
         self.coeffs = cs
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedPowerSeries":
-        return cls((0,) * (order + 1))
-
-    @classmethod
-    def constant(cls, value: int, order: int) -> "TruncatedPowerSeries":
-        return cls((value,) + (0,) * order)
-
-    @classmethod
-    def z(cls, order: int) -> "TruncatedPowerSeries":
-        if order < 1:
-            raise ValueError("order must be at least 1 to represent z")
-        return cls((0, 1) + (0,) * (order - 1))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient z^{n} outside truncation order {self.order}")
-        return self.coeffs[n]
 
     def truncated(self, order: int) -> "TruncatedPowerSeries":
         if order > self.order:
@@ -63,15 +52,14 @@ class TruncatedPowerSeries:
         if j == 0:
             return self
         n = self.order
-        if j > n:
-            return TruncatedPowerSeries.zero(n)
+        j = min(j, n + 1)
         return TruncatedPowerSeries((0,) * j + self.coeffs[: n + 1 - j])
 
     def _coerce(self, other: object) -> "TruncatedPowerSeries | None":
         if isinstance(other, TruncatedPowerSeries):
             return other
         if isinstance(other, int):
-            return TruncatedPowerSeries.constant(other, self.order)
+            return TruncatedPowerSeries((other,) + (0,) * self.order)
         return None
 
     def __add__(self, other: object) -> "TruncatedPowerSeries":
@@ -139,21 +127,43 @@ class TruncatedPowerSeries:
     def __pow__(self, exponent: int) -> "TruncatedPowerSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers are supported")
-        result = TruncatedPowerSeries.constant(1, self.order)
+        result = self._coerce(1)
         for _ in range(exponent):
             result = result * self
         return result
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedPowerSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+def _recurrence_counts(order: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(r, s) with r[k][n] = r(n, k) and s[k][n] = s(n, k) for k, n = 0..order.
 
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.order >= 8 else ""
-        return f"TruncatedPowerSeries([{head}{tail}], order={self.order})"
+    One pass of the substitution recurrence from R_0, whose [z^n] is
+    catalan(n-1); each level R_k is pointed by (1 + (1-4z)^(-1/2)) and
+    halved into S_k.  An odd pointed total means a broken invariant and
+    raises ArithmeticError.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    R = TruncatedPowerSeries([0] + [catalan(m) for m in range(order)])
+    pointing = 1 + TruncatedPowerSeries(central_binomials(order))
+    r, s = [], []
+    for k in range(order + 1):
+        pointed = (R * pointing).coeffs
+        for n, total in enumerate(pointed):
+            if total % 2:
+                raise ArithmeticError(f"odd pointed-vertex total at n={n}, k={k}")
+        r.append(R.coeffs)
+        s.append(tuple(total // 2 for total in pointed))
+        R = R.shifted(1) / (1 - R)
+    return tuple(r), tuple(s)
 
+
+def _closed_column(k: int, order: int) -> tuple[int, ...]:
+    """r(n, k) for n = 0..order from the closed form of R_k, k >= 1.
+
+    R_k = (1-z) q / (1 + q) with q = z^(k+1) C(z)^3, the shifted cube of the
+    Catalan generating function (q(0) = 0, so the denominator is a unit).
+    """
+    if k < 1:
+        raise ValueError("the closed form applies to protection level k >= 1")
+    q = (TruncatedPowerSeries(catalan(m) for m in range(order + 1)) ** 3).shifted(k + 1)
+    return ((q - q.shifted(1)) / (1 + q)).coeffs

@@ -116,6 +116,21 @@ def test_error_order_tags():
     assert "n^2" in X_ERROR_ORDER
 
 
+def test_two_term_survival_errors_stay_within_the_stated_order():
+    # X_ERROR_ORDER and Y_ERROR_ORDER read O(k^2 / (3^k n^2)), uniformly in k;
+    # the largest scaled errors are 1.1152 (X, n = 20, k = 7) and 0.1183 (Y, n = 20, k = 2)
+    bounds = {
+        "X": (dist_X_exact, asym_P_X_ge, Fraction(12, 10)),
+        "Y": (dist_Y_exact, asym_P_Y_ge, Fraction(12, 100)),
+    }
+    for n in (20, 50, 100, 200, 400, 800):
+        for statistic, (dist, survival, bound) in bounds.items():
+            table = dist(n)
+            for k in range(1, n):
+                error = abs(table.survival_at(k) - survival(k).at(n))
+                assert n**2 * 3**k * error <= bound * k**2, (statistic, n, k)
+
+
 def test_summand_majorants_hold():
     for name in (
         "c0",
@@ -277,6 +292,22 @@ def test_moment_combos_track_exact_values():
     table_y = dist_Y_exact(200)
     assert abs(float(mean_y - table_y.mean)) < 1e-5
     assert abs(float(var_y - table_y.variance)) < 1e-4
+
+
+def test_moment_residuals_hold_steady_at_the_true_order():
+    # n^2 (E - c0 - c1/n), n^2 (V - c2 - c3/n) and the same with d0..d3 for Y:
+    # a wrong 1/n coefficient makes them grow like n, a missing n^-2 term shrink
+    laws = {"X": (dist_X_exact, asym_moments_X), "Y": (dist_Y_exact, asym_moments_Y)}
+    scaled = {}
+    for n in (400, 800, 1600, 3200):
+        for statistic, (dist, moments) in laws.items():
+            table, (mean, variance) = dist(n), moments(n)
+            scaled.setdefault(f"E({statistic})", []).append(n**2 * (table.mean - mean))
+            scaled.setdefault(f"V({statistic})", []).append(n**2 * (table.variance - variance))
+    for name, values in scaled.items():
+        assert len({v > 0 for v in values}) == 1, (name, [float(v) for v in values])
+        sizes = [abs(v) for v in values]
+        assert 0 < min(sizes) and max(sizes) < Fraction(102, 100) * min(sizes), name
 
 
 def test_constant_digits_one():

@@ -6,13 +6,12 @@ agreement is exact (Fraction/int), never approximate.
 
 import math
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeprotect import exact
+from treeprotect import exact, series
 from treeprotect.exact import (
     DistributionTable,
     catalan,
@@ -26,14 +25,10 @@ from treeprotect.exact import (
     r_survival_column,
     root_protection_totals,
     s_explicit,
-    series_R0,
-    series_invsqrt,
-    series_R_ge_k_closed,
-    series_R_ge_k_recurrence,
-    series_S_ge_k,
     survival_X_exact,
     survival_Y_exact,
 )
+from treeprotect.series import TruncatedPowerSeries, _closed_column, _recurrence_counts
 from treeprotect.trees import (
     enumerate_trees,
     oracle_r,
@@ -50,40 +45,35 @@ def test_central_binomials_sequence():
 
 
 def test_series_R0_coefficients_are_catalans():
-    r0 = series_R0(10)
-    assert r0[0] == 0
-    for n in range(1, 11):
-        assert r0[n] == catalan(n - 1)
+    r0 = _recurrence_counts(10)[0][0]
+    assert r0 == (0,) + tuple(catalan(n - 1) for n in range(1, 11))
 
 
 def test_series_R0_satisfies_functional_equation():
     # root plus a sequence of subtrees: R(1 - R) = z
     order = 32
-    r0 = series_R0(order)
-    z = type(r0).z(order)
-    one = type(r0).constant(1, order)
-    assert r0 * (one - r0) == z
+    r0 = TruncatedPowerSeries(_recurrence_counts(order)[0][0])
+    assert (r0 * (1 - r0)).coeffs == (0, 1) + (0,) * (order - 1)
 
 
 def test_series_invsqrt_squares_to_geometric():
-    # (1-4z) * invsqrt^2 == 1
+    # (1-4z) * invsqrt^2 == 1, invsqrt = (1-4z)^(-1/2) the pointing factor's series
     order = 24
-    s = series_invsqrt(order)
-    one = type(s).constant(1, order)
-    z = type(s).z(order)
-    assert (one - 4 * z) * s * s == one
+    square = TruncatedPowerSeries(central_binomials(order)) ** 2
+    assert (square - 4 * square.shifted(1)).coeffs == (1,) + (0,) * order
 
 
 def test_recurrence_and_closed_series_agree():
+    r = _recurrence_counts(24)[0]
     for k in range(1, 5):
-        assert series_R_ge_k_recurrence(k, 24) == series_R_ge_k_closed(k, 24)
+        assert r[k] == _closed_column(k, 24)
 
 
 def test_r_series_coefficients_match_oracle():
+    r = _recurrence_counts(10)[0]
     for k in range(0, 5):
-        series = series_R_ge_k_recurrence(k, 10)
         for n in range(1, 11):
-            assert series[n] == oracle_r(n, k)
+            assert r[k][n] == oracle_r(n, k)
 
 
 def test_r_explicit_matches_oracle():
@@ -93,9 +83,9 @@ def test_r_explicit_matches_oracle():
 
 
 def test_r_explicit_large_n_consistent_with_series():
-    series = series_R_ge_k_closed(3, 40)
+    column = _closed_column(3, 40)
     for n in (20, 30, 40):
-        assert r_explicit(n, 3) == series[n]
+        assert r_explicit(n, 3) == column[n]
 
 
 def test_r_survival_column_stacks_explicit_values():
@@ -106,10 +96,10 @@ def test_r_survival_column_stacks_explicit_values():
 
 
 def test_s_series_coefficients_match_oracle():
+    s = _recurrence_counts(10)[1]
     for k in range(0, 5):
-        series = series_S_ge_k(k, 10)
         for n in range(1, 11):
-            assert series[n] == oracle_s(n, k)
+            assert s[k][n] == oracle_s(n, k)
 
 
 def test_s_explicit_matches_oracle():
@@ -119,17 +109,10 @@ def test_s_explicit_matches_oracle():
 
 
 def test_catalan_power_coeffs_match_series_power():
-    r0 = series_R0(12)
-    one = type(r0).constant(1, 12)
-    # C(z) = R0/z has constant term 1; build it by dropping the zero coefficient
-    cat = type(r0)(r0.coeffs[1:])
+    # C(z) = R0/z has constant term 1; build it by dropping R0's zero coefficient
+    cat = TruncatedPowerSeries(_recurrence_counts(13)[0][0][1:])
     for t in (1, 2, 3, 5):
-        power = one
-        for _ in range(t):
-            power = power * cat
-        coeffs = catalan_power_coeffs(t, 12)
-        for m in range(12):
-            assert coeffs[m] == power[m]
+        assert catalan_power_coeffs(t, 12) == (cat**t).coeffs
 
 
 def test_root_protection_totals_match_oracle_sums():
@@ -152,12 +135,9 @@ def test_survival_and_means_against_oracle_tables():
 
 def _series_table(statistic, n):
     """The exact X or Y table read off the substitution recurrence, level by level."""
-    levels = islice(exact._R_levels(n), n)
-    if statistic == "X":
-        return DistributionTable(tuple(R[n] for R in levels))
-    factor = 1 + series_invsqrt(n)
-    counts = tuple(exact._halve((R * factor)[n], n, k) for k, R in enumerate(levels))
-    return DistributionTable(counts)
+    r, s = _recurrence_counts(n)
+    levels = r if statistic == "X" else s
+    return DistributionTable(tuple(levels[k][n] for k in range(n)))
 
 
 def test_dist_methods_agree():
@@ -234,8 +214,8 @@ def test_default_tables_equal_series_route_at_n40():
 def test_broken_invariants_raise_arithmetic_error(monkeypatch):
     # ArithmeticError, not ValueError: the CLI maps ValueError to a usage error.
     # An r term shifted by one makes the pointed-vertex total odd, and so do
-    # wrong central binomials for the route that reads them; every route that
-    # halves the total (integer sum, pointed series) notices.
+    # wrong central binomials for the series route that reads them; every route
+    # that halves the total (integer sum, pointed series) notices.
     lattice_terms = exact._lattice_terms
 
     def first_r_term_shifted(*args):
@@ -245,9 +225,9 @@ def test_broken_invariants_raise_arithmetic_error(monkeypatch):
     monkeypatch.setattr(exact, "_lattice_terms", first_r_term_shifted)
     with pytest.raises(ArithmeticError):
         s_explicit(3, 1)
-    monkeypatch.setattr(exact, "central_binomials", lambda order: (1,) * (order + 1))
-    with pytest.raises(ArithmeticError):
-        series_S_ge_k(1, 3)
+    monkeypatch.setattr(series, "central_binomials", lambda order: (1,) * (order + 1))
+    with pytest.raises(ArithmeticError, match="odd pointed-vertex total"):
+        _recurrence_counts(3)
 
 
 def test_inexact_ratio_step_raises_arithmetic_error(monkeypatch):
@@ -331,8 +311,13 @@ def test_default_Y_table_equals_series_route_at_n200():
 
 
 def test_series_route_counts_are_ints():
-    assert all(type(c) is int for c in series_S_ge_k(2, 12).coeffs)
-    assert series_R_ge_k_recurrence(0, 9) == series_R0(9)
+    r, s = _recurrence_counts(12)
+    assert len(r) == len(s) == 13
+    assert all(type(c) is int for row in (*r, *s, _closed_column(2, 12)) for c in row)
+    with pytest.raises(ValueError):
+        _recurrence_counts(-1)
+    with pytest.raises(ValueError):
+        _closed_column(0, 12)
 
 
 def test_means_at_moderate_n_are_rational_and_bounded():
