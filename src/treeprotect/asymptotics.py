@@ -251,11 +251,14 @@ def _constant_interval(name: str, places: int) -> _Interval:
     return low - factor * p_high, high - factor * p_low
 
 
-def truncated_decimal(value: Fraction, digits: int) -> str:
-    """`value` truncated toward zero to `digits` fractional digits."""
-    sign = "-" if value < 0 else ""
-    whole, frac = divmod(abs(value.numerator) * 10**digits // value.denominator, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+def truncated_decimal(num: int, den: int, digits: int, scale: int | None = None) -> str:
+    """`num / den` (den > 0, in any terms) truncated toward zero to `digits` fractional digits.
+
+    A caller rendering many values at one width passes `scale` = 10**digits.
+    """
+    scale = scale or 10**digits
+    whole, frac = divmod(abs(num) * scale // den, scale)
+    return f"{'-' if num < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
 @lru_cache(maxsize=32)
@@ -267,8 +270,8 @@ def constant(name: str, digits: int) -> ConstantEnclosure:
         raise ValueError(f"digits must be between 1 and {_MAX_DIGITS}")
     low, high = _constant_interval(name, _PLACES)
     lower, upper = Fraction(low, 10**_PLACES), Fraction(high, 10**_PLACES)
-    decimal = truncated_decimal(lower, digits)
-    if decimal != truncated_decimal(upper, digits):
+    decimal = truncated_decimal(low, 10**_PLACES, digits)
+    if decimal != truncated_decimal(high, 10**_PLACES, digits):
         raise ArithmeticError(f"bounds of {name} truncate apart at {digits} digits")
     return ConstantEnclosure(lower, upper, digits, decimal)
 

@@ -180,7 +180,9 @@ def test_every_name_settles_at_every_digit_count():
     for name in CONSTANT_NAMES:
         enc = constant(name, 200)
         for digits in range(1, 201):
-            lower, upper = (truncated_decimal(b, digits) for b in (enc.lower, enc.upper))
+            lower, upper = (
+                truncated_decimal(*b.as_integer_ratio(), digits) for b in (enc.lower, enc.upper)
+            )
             assert lower == upper, (name, digits)
 
 
@@ -327,9 +329,16 @@ def test_truncated_decimal_matches_the_reduced_fraction_form():
         values += [table.survival_at(k) for k in range(61)]
         values += [table.pmf_at(k) for k in range(61)]
     for digits in (1, 30, 200):
+        scale = 10**digits
         for value in values:
-            assert truncated_decimal(value, digits) == by_fraction(value, digits)
-    assert truncated_decimal(Fraction(-7, 3), 1) == "-2.3"
-    assert truncated_decimal(Fraction(-1, 10**250), 30) == "-0." + "0" * 30
-    assert truncated_decimal(Fraction(0), 1) == "0.0"
-    assert truncated_decimal(Fraction(-12), 1) == "-12.0"
+            expected = by_fraction(value, digits)
+            num, den = value.as_integer_ratio()
+            assert truncated_decimal(num, den, digits) == expected
+            # the same value in other terms, and with the width's scale passed in
+            assert truncated_decimal(6 * num, 6 * den, digits, scale) == expected
+    assert truncated_decimal(-7, 3, 1) == "-2.3"
+    assert truncated_decimal(-14, 6, 1) == "-2.3"
+    assert truncated_decimal(-1, 10**250, 30) == "-0." + "0" * 30
+    assert truncated_decimal(0, 1, 1) == "0.0"
+    assert truncated_decimal(0, 7, 1) == "0.0"
+    assert truncated_decimal(-12, 1, 1) == "-12.0"

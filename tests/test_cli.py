@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeprotect
+from treeprotect.acceptance import MELLIN_ABSCISSAS
+from treeprotect.asymptotics import truncated_decimal
 from treeprotect.cli import build_parser, main
 from treeprotect.exact import catalan, dist_X_exact, dist_Y_exact
 
@@ -498,3 +500,130 @@ def test_edge_inputs_exit_cleanly(argv):
             code = exc.code
     assert code in (0, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _csv(out):
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("statistic", ["X", "Y"])
+def test_exact_dist_values_match_the_fraction_route(capsys, fmt, statistic):
+    # rows are rendered from the integer counts; the reference reads each value
+    # as a reduced Fraction of the table and truncates that
+    dist = dist_X_exact if statistic == "X" else dist_Y_exact
+    read = _jsonl if fmt == "jsonl" else _csv
+    for n in range(1, 41):
+        for method in ("explicit", "oracle") if n <= 12 else ("explicit",):
+            table = dist(n, method=method)
+            expected = {
+                (kind, k): Fraction(value_at(k))
+                for kind, value_at in (("survival", table.survival_at), ("pmf", table.pmf_at))
+                for k in range(n)
+            }
+            for name in ("mean", "second_moment", "variance"):
+                expected["moment", name] = getattr(table, name)
+            for digits in (1, 30, 200):
+                argv = ["exact-dist", statistic, str(n), method, "--digits", str(digits)]
+                code, out = _run(capsys, argv + ["--format", fmt])
+                assert code == 0
+                rows = read(out)
+                assert len(rows) == len(expected)
+                for row in rows:
+                    key = row["name"] if row["kind"] == "moment" else int(row["k"])
+                    value = expected[row["kind"], key]
+                    assert row["value_num"] == str(value.numerator), (argv, row)
+                    assert row["value_den"] == str(value.denominator), (argv, row)
+                    decimal = truncated_decimal(value.numerator, value.denominator, digits)
+                    assert row["value_decimal"] == decimal, (argv, row)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--n", "1:4", "--k", "0:3"],
+        ["exact-dist", "X", "5"],
+        # more rows than one write's chunk
+        ["exact-dist", "Y", "300", "--digits", "3"],
+        ["r-explicit", "9", "2"],
+        ["limit-dist", "X", "--k", "0:4"],
+        ["limit-dist", "Y", "--digits", "5"],
+        ["asym", "X", "3", "10"],
+        ["asym", "X", "2", "10"],
+        ["constants", "c1", "d3", "--digits", "20"],
+        ["mellin-check", "--x", "0.5", "1.5"],
+        ["sample", "Y", "50", "--trials", "300", "--seed", "4"],
+    ],
+)
+def test_every_line_is_the_encoded_merged_record(capsys, argv):
+    code, out = _run(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines and out.endswith("\n")
+    for line in lines:
+        record = json.loads(line)
+        # one key per field: a field written twice would not survive the round trip
+        assert json.dumps(record) == line
+        keys = list(record)
+        assert keys[:2] == ["command", "params"] and keys[-2:] == ["provenance", "elapsed_s"]
+        assert len(keys) > 4 and record["command"] == argv[0]
+        # params is a JSON string inside the record, its quotes escaped
+        assert line.startswith('{"command": "%s", "params": "{\\"' % argv[0])
+    if argv[0] == "exact-dist":
+        assert len(lines) == 2 * int(argv[2]) + 3
+
+
+def test_records_carry_negative_decimals_and_floats(capsys):
+    _, out = _run(capsys, ["asym", "X", "2", "10"])
+    assert _jsonl(out)[1]["kind"] == "survival_correction"
+    assert _jsonl(out)[1]["value_decimal"].startswith("-0.")
+    _, out = _run(capsys, ["limit-dist", "X", "--k", "0:4"])
+    assert any(r["value_decimal"].startswith("-") for r in _jsonl(out))
+    _, out = _run(capsys, ["mellin-check", "--x", "0.5"])
+    assert isinstance(_jsonl(out)[0]["F_residual"], float)
+    _, out = _run(capsys, ["sample", "X", "10", "--trials", "100"])
+    assert isinstance(_jsonl(out)[-1]["value"], float)
+
+
+@pytest.mark.parametrize(
+    "first, second, check",
+    [
+        (
+            ["exact-dist", "X", "5", "--digits", "3"],
+            ["exact-dist", "X", "5"],
+            lambda rows: all(len(r["value_decimal"].split(".")[1]) == 30 for r in rows),
+        ),
+        (
+            ["mellin-check", "--x", "0.7"],
+            ["mellin-check"],
+            lambda rows: [r["x"] for r in rows if r["kind"] == "functional_eq"]
+            == list(MELLIN_ABSCISSAS),
+        ),
+        (
+            ["r-explicit", "6", "2", "--format", "csv"],
+            ["r-explicit", "6", "2"],
+            lambda rows: rows[0]["value"] == "18"
+            and json.loads(rows[0]["params"]) == {"n": 6, "k": 2},
+        ),
+    ],
+)
+def test_the_reused_parser_keeps_nothing_between_calls(capsys, first, second, check):
+    assert main(first) == 0
+    capsys.readouterr()
+    code, out = _run(capsys, second)
+    assert code == 0
+    assert check(_jsonl(out))
+
+
+def test_a_usage_error_leaves_the_parser_whole(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact-dist", "X", "0:4", "--digits", "7"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = _run(capsys, ["exact-dist", "X", "4", "oracle"])
+    assert code == 0
+    rows = _jsonl(out)
+    assert json.loads(rows[0]["params"]) == {
+        "statistic": "X", "n": 4, "method": "oracle", "digits": 30
+    }
+    assert [r["value_num"] for r in rows if r["kind"] == "survival"] == ["1", "1", "2", "1"]
