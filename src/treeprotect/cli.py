@@ -38,7 +38,7 @@ from .asymptotics import (
     limit_pmf_Y,
     truncated_decimal,
 )
-from .exact import dist_X_exact, dist_Y_exact, r_explicit
+from .exact import DistributionTable, dist_X_exact, dist_Y_exact, r_explicit
 from .mellin import (
     eval_F,
     eval_G,
@@ -140,8 +140,11 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[str, list[dict]]:
 
 
 def _cmd_exact_dist(args: argparse.Namespace) -> tuple[str, list[dict]]:
-    dist = dist_X_exact if args.statistic == "X" else dist_Y_exact
-    table = dist(args.n, method=args.method)
+    oracle, dist = (oracle_r, dist_X_exact) if args.statistic == "X" else (oracle_s, dist_Y_exact)
+    if args.method == "oracle":
+        table = DistributionTable(tuple(oracle(args.n, k) for k in range(args.n)))
+    else:
+        table = dist(args.n)
     # rows read the counts over counts[0] as they stand: no Fraction per row
     counts, scale = table.counts, 10**args.digits
     pmf = (count - below for count, below in zip(counts, counts[1:] + (0,)))

@@ -31,17 +31,17 @@ a leaf-pointed remainder, so S_k(z) = R_k(z) * (1 + (1-4z)^(-1/2)) / 2 and
 2 s(n, k) = r(n, k) + [z^n] R_k (1-4z)^(-1/2).
 
 Term j of r(n, k) and of u(n, k) = [z^n] R_k (1-4z)^(-1/2) is read off one
-binomial C(2n - (2k-1)j, n - (k+1)j) per lattice point (j, k), walked along a
-line of points by exact ratio steps from one math.comb.  One cached pass per
-size n sums every r(n, k) and u(n, k) in O(n log n) steps, split at isqrt(n)
-so that no step jumps more than about 2 sqrt(n), into the finished r(n, k)
-and s(n, k) that both tables hold and both means read; r_explicit and
-s_explicit serve single points in O(n/k) steps.  The ballot tables
-(r_survival_column, root_protection_totals) remain here as independent
-cross-checks.  The recurrence, the closed form and the pointing identity
-run as truncated power series in the series module, and brute force in
-trees; this module imports nothing from series, and only the oracle from
-trees.
+binomial C(2n - (2k-1)j, n - (k+1)j) per lattice point (j, k), and one walk,
+_lattice_terms, reads them along a falling line of points by exact ratio
+steps from one math.comb.  That walk serves single points and the pass
+alike: r_explicit and s_explicit take one k line in O(n/k) steps, and one
+cached pass per size n sums every r(n, k) and u(n, k) in O(n log n) steps,
+split at isqrt(n) so that no step jumps more than about 2 sqrt(n), into the
+finished r(n, k) and s(n, k) that both tables hold and both means read.  The
+ballot tables (r_survival_column, root_protection_totals) remain here as
+independent cross-checks.  The recurrence, the closed form and the pointing
+identity run as truncated power series in the series module, and brute
+force in trees; this module imports nothing from either.
 
 Everything here is exact and nothing floats: counts and tables are plain
 ints, and Fraction appears only in the returned probabilities and moments.
@@ -53,9 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Literal
-
-from .trees import oracle_r, oracle_s
+from typing import Callable, Iterator
 
 __all__ = [
     "catalan",
@@ -100,71 +98,43 @@ def _halve(total: int, n: int, k: int) -> int:
     return total // 2
 
 
-def _line_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tuple[int, int]]:
-    """(i, C(a + da*i, b + db*i)) for the i in 0..count-1 where the binomial is nonzero.
-
-    Only the run where 0 <= b + db*i <= a + da*i is walked; the terms
-    outside it are zero.  The walk starts at the end of that run with the
-    smaller top index, with one math.comb there, and moves to each
-    neighbour by the exact ratio of the two binomials: three falling
-    factorials, one multiply and one divmod.  A nonzero remainder means a
-    broken invariant and raises ArithmeticError.
-    """
-    lo, hi = 0, count - 1
-    for c0, c1 in ((b, db), (a - b, da - db)):  # c0 + c1*i >= 0
-        if c1 > 0:
-            lo = max(lo, -(c0 // c1))
-        elif c1 < 0:
-            hi = min(hi, c0 // -c1)
-        elif c0 < 0:
-            return
-    if lo > hi:
-        return
-    step = -1 if da < 0 else 1
-    i = hi if step < 0 else lo
-    top, low = a + da * i, b + db * i
-    value = math.comb(top, low)
-    yield i, value
-    dt, dl = da * step, db * step  # dt >= 0
-    dr = dt - dl
-    for _ in range(hi - lo):
-        i += step
-        # C(top+dt, low+dl) = C(top, low) * (top+dt)!/top! * low!/(low+dl)! * rest!/(rest+dr)!
-        num = math.perm(top + dt, dt)
-        den = 1
-        if dl >= 0:
-            den = math.perm(low + dl, dl)
-        else:
-            num *= math.perm(low, -dl)
-        rest = top - low
-        if dr >= 0:
-            den *= math.perm(rest + dr, dr)
-        else:
-            num *= math.perm(rest, -dr)
-        top, low = top + dt, low + dl
-        value, rem = divmod(value * num, den)
-        if rem:
-            raise ArithmeticError(f"inexact ratio step to C({top}, {low})")
-        yield i, value
-
-
 def _lattice_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tuple[int, int, int]]:
     """(i, r term, u term) of the lattice points with A = a + da*i and q = b + db*i.
 
-    Only B = C(A, q) is walked; with p = A - q >= q + 3, the terms of the point (j, k) are
+    Every line walked is a falling one, a k line (1-2k, -k-1) or a j line
+    (-2j, -j), whose points i < count all have q >= 0 and p = A - q = q + 3j.
+    So one math.comb gives B = C(A, q) at i = count - 1, and the walk climbs
+    to i = 0 by the exact ratio of neighbouring binomials: three falling
+    factorials, one multiply and one divmod.  The terms of the point (j, k) are
         u term = C(A, q) - C(A-2, q-1) = B (A(A-1) - qp) / (A(A-1)),
-        r term = C(A-3, q) - C(A-3, q-3) = B (p(p-1)(p-2) - q(q-1)(q-2)) / (A(A-1)(A-2))
-               = (p - q)(A u - 2B) / (A(A-2)).
+        r term = C(A-3, q) - C(A-3, q-3) = (p - q)(A u - 2B) / (A(A-2)).
     A remainder means a broken invariant and raises ArithmeticError.
     """
-    for i, value in _line_terms(a, b, da, db, count):
-        top, low = a + da * i, b + db * i
+    if count < 1:
+        return
+    top, low = a + da * (count - 1), b + db * (count - 1)
+    value = math.comb(top, low)
+    dt, dl = -da, -db  # A and q rise as i falls
+    dr = dt - dl  # the step of p: -1 on the k = 1 line, >= 0 on every other
+    for i in range(count - 1, -1, -1):
         rest = top - low
         u, u_rem = divmod(value * (top * (top - 1) - low * rest), top * (top - 1))
-        r, r_rem = divmod((rest - low) * (top * u - 2 * value), top * (top - 2))
+        gap = rest - low  # p - q = 3j
+        r, r_rem = divmod(top * gap * u - 2 * gap * value, top * (top - 2))
         if r_rem or u_rem:
             raise ArithmeticError(f"inexact lattice ratio at C({top}, {low})")
         yield i, r, u
+        if i:
+            # C(top+dt, low+dl) = C(top, low) * (top+dt)!/top! * low!/(low+dl)! * rest!/(rest+dr)!
+            num, den = math.perm(top + dt, dt), math.perm(low + dl, dl)
+            if dr >= 0:
+                den *= math.perm(rest + dr, dr)
+            else:
+                num *= math.perm(rest, -dr)
+            top, low = top + dt, low + dl
+            value, rem = divmod(value * num, den)
+            if rem:
+                raise ArithmeticError(f"inexact ratio step to C({top}, {low})")
 
 
 def _sum_over_j(n: int, k: int) -> tuple[int, int]:
@@ -177,31 +147,17 @@ def _sum_over_j(n: int, k: int) -> tuple[int, int]:
 
 
 def r_explicit(n: int, k: int) -> int:
-    """r(n, k), k >= 1: one walk along the k line, one binomial per point j.
+    """r(n, k), k >= 1: the k line of the same walk that the one pass takes.
 
     Sum over j >= 1 while n - (k+1)j >= 0 of
         (-1)^(j-1) * [ C(2n-3-(2k-1)j, n-(k+1)j) - C(2n-3-(2k-1)j, n-3-(k+1)j) ],
-    each term read straight off B = C(A, q) by the first r form of
-    _lattice_terms, so no u term is paid for.
+    each term read off B = C(A, q) by _lattice_terms.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
     if k < 1:
         raise ValueError("explicit survival counts need k >= 1; level 0 is catalan(n-1)")
-    a, b, da, db = 2 * n - 2 * k + 1, n - k - 1, 1 - 2 * k, -k - 1
-    sums = [0, 0]  # terms at even and odd j - 1, so that no term is negated
-    for i, value in _line_terms(a, b, da, db, n // (k + 1)):
-        top, low = a + da * i, b + db * i
-        rest = top - low
-        falling = rest * (rest - 1) * (rest - 2) - low * (low - 1) * (low - 2)
-        # A(A-1)(A-2) in one divisor spans two 30-bit digits from A > 1024 on,
-        # where CPython's long division is slower than two one-digit divisions
-        scaled, rem = divmod(value * falling, top * (top - 1))
-        r, r_rem = divmod(scaled, top - 2)
-        if rem or r_rem:
-            raise ArithmeticError(f"inexact lattice ratio at C({top}, {low})")
-        sums[i % 2] += r
-    return sums[0] - sums[1]
+    return _sum_over_j(n, k)[0]
 
 
 def catalan_power_coeffs(exponent: int, count: int) -> tuple[int, ...]:
@@ -318,7 +274,8 @@ def survival_Y_exact(n: int, k: int) -> Fraction:
     return _point_survival(n, k, s_explicit, n)
 
 
-# each entry holds O(n^2) digits; two keep X and Y, or both means, at one n
+# each entry holds O(n^2) digits and serves both tables and both means at one n;
+# two keep two sizes, between which a shuffled list of table jobs may alternate
 @lru_cache(maxsize=2)
 def _protection_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(r, s) with r[k] = r(n, k) and s[k] = s(n, k) for k = 0..n-1, level 0 counting all.
@@ -359,9 +316,9 @@ class DistributionTable:
 
     counts[k] of the counts[0] equally likely outcomes (trees, or tree and
     vertex pairs) have value >= k, and none has from k = n on.  Only these
-    ints are held, and survival_at, pmf_at and the moments build exact
-    Fractions when read: mean = sum over k >= 1 of P(value >= k), and the
-    second moment uses the (2k-1) weights.
+    ints are held, and the moments build exact Fractions when read:
+    mean = sum over k >= 1 of P(value >= k), and the second moment uses the
+    (2k-1) weights.
     """
 
     counts: tuple[int, ...]
@@ -373,17 +330,6 @@ class DistributionTable:
     @property
     def n(self) -> int:
         return len(self.counts)
-
-    def _count(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("protection level must be nonnegative")
-        return self.counts[k] if k < self.n else 0
-
-    def survival_at(self, k: int) -> Fraction:
-        return Fraction(self._count(k), self.counts[0])
-
-    def pmf_at(self, k: int) -> Fraction:
-        return Fraction(self._count(k) - self._count(k + 1), self.counts[0])
 
     @property
     def mean(self) -> Fraction:
@@ -399,36 +345,26 @@ class DistributionTable:
         return self.second_moment - self.mean**2
 
 
-Method = Literal["oracle", "explicit"]
-
-
-def _table(n: int, method: Method, oracle: _Count, slot: int) -> DistributionTable:
-    """One statistic's table: oracle(n, k) for every k, or its slot of the one pass."""
+def _table(n: int, slot: int) -> DistributionTable:
+    """One statistic's table: its slot of the one pass at size n."""
     if n < 1:
         raise ValueError("tree size must be positive")
-    if method == "oracle":
-        return DistributionTable(tuple(oracle(n, k) for k in range(n)))
-    if method == "explicit":
-        return DistributionTable(_protection_counts(n)[slot])
-    raise ValueError(f"unknown method {method!r}")
+    return DistributionTable(_protection_counts(n)[slot])
 
 
-def dist_X_exact(n: int, method: Method = "explicit") -> DistributionTable:
+def dist_X_exact(n: int) -> DistributionTable:
     """Exact distribution of the root protection number at size n.
 
-    Both methods produce identical tables.  "explicit" (the default) reads
-    r(n, k) for every k from the one alternating-binomial pass on plain
-    integers; "oracle" counts every tree word by prefix state in trees, an
-    independent cross-check, and so raises ValueError for n above 16.
+    Reads r(n, k) for every k from the one alternating-binomial pass on
+    plain integers.
     """
-    return _table(n, method, oracle_r, 0)
+    return _table(n, 0)
 
 
-def dist_Y_exact(n: int, method: Method = "explicit") -> DistributionTable:
+def dist_Y_exact(n: int) -> DistributionTable:
     """Exact distribution of the protection number of a uniform vertex.
 
-    "explicit" (the default) reads s(n, k), the halved pointed sums, for
-    every k from the same pass as dist_X_exact; "oracle" counts every tree
-    word by prefix state, as in dist_X_exact, and so stops at n = 16.
+    Reads s(n, k), the halved pointed sums, for every k from the same pass
+    as dist_X_exact.
     """
-    return _table(n, method, oracle_s, 1)
+    return _table(n, 1)

@@ -18,7 +18,8 @@ import treeprotect
 from treeprotect.acceptance import MELLIN_ABSCISSAS
 from treeprotect.asymptotics import truncated_decimal
 from treeprotect.cli import build_parser, main
-from treeprotect.exact import catalan, dist_X_exact, dist_Y_exact
+from treeprotect.exact import DistributionTable, catalan, dist_X_exact, dist_Y_exact
+from treeprotect.trees import oracle_r, oracle_s
 
 
 def _run(capsys, argv):
@@ -512,15 +513,17 @@ def test_exact_dist_values_match_the_fraction_route(capsys, fmt, statistic):
     # rows are rendered from the integer counts; the reference reads each value
     # as a reduced Fraction of the table and truncates that
     dist = dist_X_exact if statistic == "X" else dist_Y_exact
+    oracle = oracle_r if statistic == "X" else oracle_s
     read = _jsonl if fmt == "jsonl" else _csv
     for n in range(1, 41):
         for method in ("explicit", "oracle") if n <= 12 else ("explicit",):
-            table = dist(n, method=method)
-            expected = {
-                (kind, k): Fraction(value_at(k))
-                for kind, value_at in (("survival", table.survival_at), ("pmf", table.pmf_at))
-                for k in range(n)
-            }
+            if method == "oracle":
+                table = DistributionTable(tuple(oracle(n, k) for k in range(n)))
+            else:
+                table = dist(n)
+            survival = [Fraction(c, table.counts[0]) for c in table.counts] + [Fraction(0)]
+            expected = {("survival", k): survival[k] for k in range(n)}
+            expected |= {("pmf", k): survival[k] - survival[k + 1] for k in range(n)}
             for name in ("mean", "second_moment", "variance"):
                 expected["moment", name] = getattr(table, name)
             for digits in (1, 30, 200):

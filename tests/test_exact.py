@@ -140,44 +140,30 @@ def _series_table(statistic, n):
     return DistributionTable(tuple(levels[k][n] for k in range(n)))
 
 
+def _oracle_table(statistic, n):
+    """The exact X or Y table counted by brute force, level by level."""
+    oracle = oracle_r if statistic == "X" else oracle_s
+    return DistributionTable(tuple(oracle(n, k) for k in range(n)))
+
+
 def test_dist_methods_agree():
     for n in (1, 3, 4, 8):
-        oracle_x = dist_X_exact(n, method="oracle")
-        assert oracle_x == _series_table("X", n) == dist_X_exact(n, method="explicit")
-        oracle_y = dist_Y_exact(n, method="oracle")
-        assert oracle_y == _series_table("Y", n) == dist_Y_exact(n, method="explicit")
+        for statistic, dist in (("X", dist_X_exact), ("Y", dist_Y_exact)):
+            assert _oracle_table(statistic, n) == _series_table(statistic, n) == dist(n)
 
 
 def test_dist_X_exact_n4_table():
     table = dist_X_exact(4)
     assert table == DistributionTable((5, 5, 2, 1))
     assert table.n == 4
-    assert [table.survival_at(k) for k in range(5)] == [
+    assert [Fraction(c, table.counts[0]) for c in table.counts] == [
         Fraction(1),
         Fraction(1),
         Fraction(2, 5),
         Fraction(1, 5),
-        Fraction(0),
-    ]
-    assert [table.pmf_at(k) for k in range(5)] == [
-        Fraction(0),
-        Fraction(3, 5),
-        Fraction(1, 5),
-        Fraction(1, 5),
-        Fraction(0),
     ]
     assert table.mean == Fraction(8, 5)
     assert table.variance == table.second_moment - table.mean**2
-
-
-def test_distribution_table_accessors():
-    table = dist_X_exact(3)
-    assert table.survival_at(0) == 1
-    assert table.survival_at(99) == 0
-    assert table.pmf_at(1) == table.survival_at(1) - table.survival_at(2)
-    assert sum(table.pmf_at(k) for k in range(table.n)) == 1
-    with pytest.raises(ValueError):
-        table.pmf_at(-1)
 
 
 def test_empty_distribution_table_raises():
@@ -187,23 +173,24 @@ def test_empty_distribution_table_raises():
 
 
 def test_dist_rejects_unknown_method():
-    assert dist_Y_exact(5, method="explicit") == dist_Y_exact(5, method="oracle")
+    # the engine has one route; brute force is the CLI's exact-dist oracle choice
+    assert dist_Y_exact(5) == _oracle_table("Y", 5)
     for dist in (dist_X_exact, dist_Y_exact):
-        for method in ("guess", "series"):
-            with pytest.raises(ValueError):
+        for method in ("oracle", "guess", "series"):
+            with pytest.raises(TypeError):
                 dist(4, method=method)
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=1, max_value=12))
 def test_default_X_table_equals_oracle(n):
-    assert dist_X_exact(n) == dist_X_exact(n, method="oracle")
+    assert dist_X_exact(n) == _oracle_table("X", n)
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=1, max_value=12))
 def test_default_Y_table_equals_oracle(n):
-    assert dist_Y_exact(n) == dist_Y_exact(n, method="oracle")
+    assert dist_Y_exact(n) == _oracle_table("Y", n)
 
 
 def test_default_tables_equal_series_route_at_n40():
@@ -230,22 +217,45 @@ def test_broken_invariants_raise_arithmetic_error(monkeypatch):
         _recurrence_counts(3)
 
 
+def _k_line(n, k):
+    """The _lattice_terms arguments of the k line at size n."""
+    return 2 * n - 2 * k + 1, n - k - 1, 1 - 2 * k, -k - 1, n // (k + 1)
+
+
 def test_inexact_ratio_step_raises_arithmetic_error(monkeypatch):
-    # a wrong starting binomial leaves a remainder at the first ratio step:
-    # (C(10, 5) + 1) * 11 / 6 is not an integer
-    assert list(exact._line_terms(10, 5, 1, 0, 2)) == [(0, 252), (1, 462)]
-    monkeypatch.setattr(exact.math, "comb", lambda a, b: 253)
+    # the k = 1 line at n = 10 has five points; a falling factorial one too
+    # large leaves a remainder at the first ratio step, before any point past
+    # the first is read
+    assert len(list(exact._lattice_terms(*_k_line(10, 1)))) == 5
+    perm = math.perm
+    monkeypatch.setattr(exact.math, "perm", lambda a, b: perm(a, b) + 1)
+    walked = exact._lattice_terms(*_k_line(10, 1))
+    assert next(walked)[0] == 4
     with pytest.raises(ArithmeticError, match="ratio step"):
-        list(exact._line_terms(10, 5, 1, 0, 2))
+        next(walked)
 
 
-def test_line_terms_skip_zero_terms():
-    # C(6 - i, 3 - 2i) for i = 0..3 is C(6,3), C(5,1), then zero terms; a
-    # line whose top falls is walked upward from its far end
-    assert list(exact._line_terms(6, 3, -1, -2, 4)) == [(1, 5), (0, 20)]
-    # C(2 + 2i, i) for i = 0..3, walked upward from the cheap end
-    assert list(exact._line_terms(2, 0, 2, 1, 4)) == [(0, 1), (1, 4), (2, 15), (3, 56)]
-    assert list(exact._line_terms(3, 5, 1, 0, 2)) == []
+def test_lattice_terms_walk_down_from_one_comb(monkeypatch):
+    # each line starts at its last point i = count - 1 with one math.comb and
+    # climbs to i = 0 by ratio steps alone
+    calls = []
+    comb = math.comb
+
+    def counted(a, b):
+        calls.append((a, b))
+        return comb(a, b)
+
+    monkeypatch.setattr(exact.math, "comb", counted)
+    for n, k in ((10, 1), (30, 2), (61, 4)):
+        calls.clear()
+        walked = [i for i, _, _ in exact._lattice_terms(*_k_line(n, k))]
+        assert walked == list(range(n // (k + 1) - 1, -1, -1))
+        # the start point (j, k) = (count, k) has A = 2n - (2k-1)j and q = n - (k+1)j
+        j = n // (k + 1)
+        assert calls == [(2 * n - (2 * k - 1) * j, n - (k + 1) * j)]
+    calls.clear()
+    assert list(exact._lattice_terms(*_k_line(3, 3))) == []
+    assert calls == []
 
 
 def _binomial(top, low):
@@ -361,17 +371,12 @@ def test_tables_and_means_read_the_one_pass():
 
 def test_broken_pass_raises_arithmetic_error(monkeypatch):
     # every walked line starting one too large leaves a remainder at the lattice
-    # ratios of its first point, before any r + u is halved
-    line_terms = exact._line_terms
-
-    def first_term_shifted(*args):
-        for step, (i, value) in enumerate(line_terms(*args)):
-            yield i, value + (1 if step == 0 else 0)
-
+    # ratios of a point or at a ratio step, before any r + u is halved
+    comb = math.comb
     exact._protection_counts.cache_clear()
-    monkeypatch.setattr(exact, "_line_terms", first_term_shifted)
+    monkeypatch.setattr(exact.math, "comb", lambda a, b: comb(a, b) + 1)
     try:
-        with pytest.raises(ArithmeticError, match="lattice ratio"):
+        with pytest.raises(ArithmeticError, match="inexact (lattice ratio|ratio step)"):
             dist_Y_exact(30)
     finally:
         exact._protection_counts.cache_clear()

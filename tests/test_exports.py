@@ -27,7 +27,7 @@ LIBRARY = ("asymptotics", "exact", "mellin", "sampler", "series", "trees")
 # the siblings each library module may import, and which of their names (None: any)
 SIBLING_IMPORTS = {
     "asymptotics": {},
-    "exact": {"trees": None},
+    "exact": {},
     "mellin": {},
     "sampler": {"trees": None},
     "series": {"exact": {"catalan", "central_binomials"}},

@@ -29,7 +29,7 @@ from treeprotect.trees import _protection_values, enumerate_trees, oracle_r, ora
 def _max_z(stats: SampleStats, table) -> float:
     worst = 0.0
     for k in range(1, table.n):
-        p = float(table.survival_at(k))
+        p = table.counts[k] / table.counts[0]
         if p <= 0.0 or p >= 1.0:
             continue
         sigma = math.sqrt(p * (1.0 - p) / stats.trials)
@@ -193,7 +193,7 @@ def test_chain_matches_the_exact_tables(n):
         stats = estimate_survival(statistic, n, trials, seed=6100 + n)
         assert max(stats.survival_counts) < n
         for k in range(1, min(n, 16)):
-            p = float(table.survival_at(k))
+            p = table.counts[k] / table.counts[0]
             if p in (0.0, 1.0):
                 assert stats.survival_fraction(k) == p, (statistic, k)
                 continue
