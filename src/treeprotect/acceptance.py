@@ -53,8 +53,7 @@ from .mellin import (
 from .sampler import (
     RNG_STREAM,
     _chain_counts,
-    _estimate_X_by_words,
-    _estimate_Y_by_picks,
+    _estimate_by_words,
     estimate_survival,
 )
 from .series import _closed_column, _recurrence_counts
@@ -315,10 +314,7 @@ def _check_monte_carlo() -> tuple[bool, str]:
     problems = []
     worst = 0.0
     for (statistic, n), seed in _MC_SEEDS.items():
-        if statistic == "X":
-            stats = _estimate_X_by_words(n, trials, seed)
-        else:
-            stats = _estimate_Y_by_picks(n, trials, seed)
+        stats = _estimate_by_words(statistic, n, trials, seed)
         exact_fn = survival_X_exact if statistic == "X" else survival_Y_exact
         for k in range(1, 6):
             p = float(exact_fn(n, k))

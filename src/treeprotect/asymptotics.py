@@ -72,39 +72,44 @@ class AsymptoticValue:
         return self.leading + self.correction / n
 
 
-def _survival_lead_X(k: int) -> Fraction:
+# the four survival closed forms, each as (num, den) in plain ints with den > 0
+_Ratio = tuple[int, int]
+_ClosedForm = Callable[[int], _Ratio]
+
+
+def _survival_lead_X(k: int) -> _Ratio:
     x = 4**k
-    return Fraction(9 * x, (x + 2) ** 2)
+    return 9 * x, (x + 2) ** 2
 
 
-def _survival_corr_X(k: int) -> Fraction:
+def _survival_corr_X(k: int) -> _Ratio:
     x = 4**k
-    num = 9 * x * ((3 * k - 8) * x * x + 28 * x - (12 * k + 20))
-    return Fraction(num, 2 * (x + 2) ** 4)
+    return 9 * x * ((3 * k - 8) * x * x + 28 * x - (12 * k + 20)), 2 * (x + 2) ** 4
 
 
-def _survival_lead_Y(k: int) -> Fraction:
-    return Fraction(3, 4**k + 2)
+def _survival_lead_Y(k: int) -> _Ratio:
+    return 3, 4**k + 2
 
 
-def _survival_corr_Y(k: int) -> Fraction:
+def _survival_corr_Y(k: int) -> _Ratio:
     x = 4**k
-    num = (3 * k - 10) * x * x + (6 * k + 26) * x - 16
-    return Fraction(num, 2 * (x + 2) ** 3)
+    return (3 * k - 10) * x * x + (6 * k + 26) * x - 16, 2 * (x + 2) ** 3
+
+
+def _survival_value(lead: _ClosedForm, corr: _ClosedForm, k: int, order: str) -> AsymptoticValue:
+    if k < 1:
+        raise ValueError("survival asymptotics require k >= 1; level 0 is exactly 1")
+    return AsymptoticValue(Fraction(*lead(k)), Fraction(*corr(k)), order)
 
 
 def asym_P_X_ge(k: int) -> AsymptoticValue:
     """Asymptotic survival of the root protection number, k >= 1."""
-    if k < 1:
-        raise ValueError("survival asymptotics require k >= 1; level 0 is exactly 1")
-    return AsymptoticValue(_survival_lead_X(k), _survival_corr_X(k), X_ERROR_ORDER)
+    return _survival_value(_survival_lead_X, _survival_corr_X, k, X_ERROR_ORDER)
 
 
 def asym_P_Y_ge(k: int) -> AsymptoticValue:
     """Asymptotic survival of a uniform vertex's protection number, k >= 1."""
-    if k < 1:
-        raise ValueError("survival asymptotics require k >= 1; level 0 is exactly 1")
-    return AsymptoticValue(_survival_lead_Y(k), _survival_corr_Y(k), Y_ERROR_ORDER)
+    return _survival_value(_survival_lead_Y, _survival_corr_Y, k, Y_ERROR_ORDER)
 
 
 def limit_pmf_X(k: int) -> AsymptoticValue:
@@ -144,8 +149,8 @@ def limit_pmf_Y(k: int) -> AsymptoticValue:
     lead = Fraction(9 * x, (4 * x + 2) * (x + 2))
     # P(Y_n >= 0) = 1 and P(Y_n >= 1) = 1/2 hold exactly for n >= 2, so the
     # k = 0 correction is -corr_Y(1), which vanishes.
-    upper = Fraction(0) if k == 0 else _survival_corr_Y(k)
-    corr = upper - _survival_corr_Y(k + 1)
+    upper = Fraction(0) if k == 0 else Fraction(*_survival_corr_Y(k))
+    corr = upper - Fraction(*_survival_corr_Y(k + 1))
     return AsymptoticValue(lead, corr, Y_ERROR_ORDER)
 
 
@@ -186,17 +191,16 @@ class ConstantEnclosure:
 #   (2k-1)*|corr_Y| <= (2k-1)(9k+35)/(4x) <= 24(k+1)^2/(4x) = 6(k+1)^2/x,
 #     because (2k-1)(9k+35) <= 24(k+1)^2 reduces to 6k^2 - 13k + 59 >= 0
 #     (discriminant 169 - 1416 < 0).
-_TermFn = Callable[[int], Fraction]
-
-_PRIMITIVE_SUMS: dict[str, tuple[_TermFn, int, int]] = {
-    "c0": (_survival_lead_X, 9, 1),
-    "c1": (_survival_corr_X, 45, 1),
-    "x_weighted_lead": (lambda k: (2 * k - 1) * _survival_lead_X(k), 18, 1),
-    "x_weighted_corr": (lambda k: (2 * k - 1) * _survival_corr_X(k), 40, 2),
-    "d0": (_survival_lead_Y, 3, 1),
-    "d1": (_survival_corr_Y, 6, 1),
-    "y_weighted_lead": (lambda k: (2 * k - 1) * _survival_lead_Y(k), 6, 1),
-    "y_weighted_corr": (lambda k: (2 * k - 1) * _survival_corr_Y(k), 6, 2),
+# Each entry: the closed form, whether its terms carry the (2k-1) weight, A, p.
+_PRIMITIVE_SUMS: dict[str, tuple[_ClosedForm, bool, int, int]] = {
+    "c0": (_survival_lead_X, False, 9, 1),
+    "c1": (_survival_corr_X, False, 45, 1),
+    "x_weighted_lead": (_survival_lead_X, True, 18, 1),
+    "x_weighted_corr": (_survival_corr_X, True, 40, 2),
+    "d0": (_survival_lead_Y, False, 3, 1),
+    "d1": (_survival_corr_Y, False, 6, 1),
+    "y_weighted_lead": (_survival_lead_Y, True, 6, 1),
+    "y_weighted_corr": (_survival_corr_Y, True, 6, 2),
 }
 
 # enclosures are integers in units of 10^-_PLACES, a few places past the largest
@@ -216,20 +220,22 @@ _MOMENT_COMBOS = {
 _Interval = tuple[int, int]
 
 
-def _tail_bound(a: int, p: int, cutoff: int) -> Fraction:
-    # consecutive majorant terms shrink by at least (3/2)^p/4 once k >= 1,
-    # so the tail is a geometric series dominated by its first term
-    q = Fraction(3, 8) if p == 1 else Fraction(9, 16)
-    first = Fraction(a * (cutoff + 2) ** p, 4 ** (cutoff + 1))
-    return first / (1 - q)
+def _tail_bound(a: int, p: int, cutoff: int) -> _Ratio:
+    # consecutive majorant terms shrink by at least q = (3/2)^p/4 once k >= 1,
+    # so the tail is a geometric series dominated by its first term: first / (1 - q)
+    q_den = 8 if p == 1 else 16
+    return a * (cutoff + 2) ** p * q_den, 4 ** (cutoff + 1) * (q_den - 3**p)
 
 
 def _sum_interval(name: str, scale: int, cutoff: int) -> _Interval:
     """One primitive sum in units of 1/scale; each term's floor is under one unit low."""
-    term, a, p = _PRIMITIVE_SUMS[name]
-    floors = sum(t.numerator * scale // t.denominator for t in map(term, range(1, cutoff + 1)))
-    tail = _tail_bound(a, p, cutoff)
-    tail_units = -(-tail.numerator * scale // tail.denominator)
+    term, weighted, a, p = _PRIMITIVE_SUMS[name]
+    floors = 0
+    for k in range(1, cutoff + 1):
+        num, den = term(k)
+        floors += (2 * k - 1 if weighted else 1) * num * scale // den
+    tail_num, tail_den = _tail_bound(a, p, cutoff)
+    tail_units = -(-tail_num * scale // tail_den)
     return floors - tail_units, floors + cutoff + tail_units
 
 

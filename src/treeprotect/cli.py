@@ -4,15 +4,18 @@ Output is machine readable: line-delimited JSON (default) or CSV, one
 flat record per result row.  Exact rationals are serialized as decimal
 numerator/denominator strings plus a truncated decimal rendering, never
 as floats.  A run encodes its stamp (command, parameters, provenance,
-elapsed time) once and places each row's fields inside it, and a process
-builds `main`'s parser once.  Every whole-number argument goes through
-one bounded type.  Digit counts, range widths, `sample --trials`, the
-sizes of `oracle`, `exact-dist`, `r-explicit` and `sample`, and the
-levels of `limit-dist` and `asym` have caps (README lists each);
-`r-explicit`'s level and `asym`'s size do not.  Exit codes: 0 success,
-1 verification failure, 2 usage error (an input past its cap included,
-such as an oracle size above 16), 141 output pipe closed by the reader
-(the status a shell gives a process ended by SIGPIPE).
+elapsed time) once and places each row's fields inside it.  A default is
+the value it runs, so the stamp of `constants` without names lists all
+eight and that of `mellin-check` without `--x` the seven abscissas.
+`build_parser` is cached, so a process builds one parser.  Every
+whole-number argument goes through one bounded type.  Digit counts,
+range widths, `sample --trials`, the sizes of `oracle`, `exact-dist`,
+`r-explicit` and `sample`, and the levels of `limit-dist` and `asym`
+have caps (README lists each); `r-explicit`'s level and `asym`'s size
+do not.  Exit codes: 0 success, 1 verification failure, 2 usage error
+(an input past its cap included, such as an oracle size above 16, or a
+bare `--x`), 141 output pipe closed by the reader (the status a shell
+gives a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -55,15 +58,13 @@ from .trees import oracle_r, oracle_s
 __all__ = ["main"]
 
 
-def _rational_fields(
-    prefix: str, num: int, den: int, digits: int, scale: int | None = None
-) -> dict[str, str]:
+def _rational_fields(num: int, den: int, digits: int, scale: int | None = None) -> dict[str, str]:
     """`num / den` (den > 0, in any terms) in lowest terms and truncated to `digits` digits."""
     common = math.gcd(num, den)
     return {
-        f"{prefix}_num": str(num // common),
-        f"{prefix}_den": str(den // common),
-        f"{prefix}_decimal": truncated_decimal(num, den, digits, scale),
+        "value_num": str(num // common),
+        "value_den": str(den // common),
+        "value_decimal": truncated_decimal(num, den, digits, scale),
     }
 
 
@@ -149,12 +150,12 @@ def _cmd_exact_dist(args: argparse.Namespace) -> tuple[str, list[dict]]:
     counts, scale = table.counts, 10**args.digits
     pmf = (count - below for count, below in zip(counts, counts[1:] + (0,)))
     rows = [
-        {"kind": kind, "k": k} | _rational_fields("value", count, counts[0], args.digits, scale)
+        {"kind": kind, "k": k} | _rational_fields(count, counts[0], args.digits, scale)
         for kind, column in (("survival", counts), ("pmf", pmf))
         for k, count in enumerate(column)
     ]
     for name in ("mean", "second_moment", "variance"):
-        fields = _rational_fields("value", *getattr(table, name).as_integer_ratio(), args.digits)
+        fields = _rational_fields(*getattr(table, name).as_integer_ratio(), args.digits)
         rows.append({"kind": "moment", "name": name} | fields)
     return _METHOD_PROVENANCE[args.method], rows
 
@@ -172,7 +173,7 @@ def _cmd_limit_dist(args: argparse.Namespace) -> tuple[str, list[dict]]:
         for kind in ("leading", "correction"):
             rows.append(
                 {"kind": kind, "k": k, "error_order": value.error_order}
-                | _rational_fields("value", *getattr(value, kind).as_integer_ratio(), args.digits)
+                | _rational_fields(*getattr(value, kind).as_integer_ratio(), args.digits)
             )
     return "asymptotics: limit law with 1/n correction", rows
 
@@ -187,16 +188,15 @@ def _cmd_asym(args: argparse.Namespace) -> tuple[str, list[dict]]:
         ({"kind": "survival_at", "n": args.n}, value.at(args.n)),
     )
     rows = [
-        head | common | _rational_fields("value", *v.as_integer_ratio(), args.digits)
+        head | common | _rational_fields(*v.as_integer_ratio(), args.digits)
         for head, v in terms
     ]
     return "asymptotics: survival expansion leading + correction/n", rows
 
 
 def _cmd_constants(args: argparse.Namespace) -> tuple[str, list[dict]]:
-    names = args.names or list(CONSTANT_NAMES)
     rows = []
-    for name in names:
+    for name in args.names:
         enclosure = constant(name, args.digits)
         rows.append(
             {
@@ -214,9 +214,8 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[str, list[dict]]:
 
 
 def _cmd_mellin_check(args: argparse.Namespace) -> tuple[str, list[dict]]:
-    xs = args.x if args.x else list(MELLIN_ABSCISSAS)
     rows = []
-    for x in xs:
+    for x in args.x:
         f = eval_F(x)
         g = eval_G(x)
         rows.append(
@@ -275,6 +274,10 @@ def _emit(rows: list[dict], head: dict, tail: dict, fmt: str, stream) -> None:
     writer.writerows(records)
 
 
+# one parser per process, shared by main and every other caller; parse_args keeps
+# no state between calls, each handler is bound when the parser is built, and
+# every default is immutable
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeprotect",
@@ -316,12 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", parents=[common], help="certified constant enclosures")
     p.set_defaults(handler=_cmd_constants)
-    p.add_argument("names", nargs="*", metavar="name", help=f"any of {', '.join(CONSTANT_NAMES)}")
+    known = ", ".join(CONSTANT_NAMES)
+    p.add_argument("names", nargs="*", default=CONSTANT_NAMES, metavar="name", help=f"any of {known}")
     p.add_argument("--digits", type=_digits, default=50)
 
     p = sub.add_parser("mellin-check", parents=[common], help="functional-equation residuals")
     p.set_defaults(handler=_cmd_mellin_check)
-    p.add_argument("--x", type=float, nargs="*")
+    p.add_argument("--x", type=float, nargs="+", default=MELLIN_ABSCISSAS)
 
     p = sub.add_parser("sample", parents=[common], help="Monte Carlo survival estimate")
     p.add_argument("statistic", choices=("X", "Y"))
@@ -335,11 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", help="run the full verification suite")
     return parser
-
-
-# main's one parser per process; parse_args keeps no state between calls, and
-# each handler is bound when the parser is built
-_parser = functools.cache(build_parser)
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -376,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # r-explicit and exact-dist counts pass the 4300-digit str() guard from n ~ 7200
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         status = _run(args)
         sys.stdout.flush()

@@ -328,10 +328,6 @@ class DistributionTable:
             raise ValueError("a distribution table needs the count of all outcomes")
 
     @property
-    def n(self) -> int:
-        return len(self.counts)
-
-    @property
     def mean(self) -> Fraction:
         return Fraction(sum(self.counts[1:]), self.counts[0])
 

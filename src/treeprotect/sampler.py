@@ -29,23 +29,23 @@ L(1) = 1 and L(p) = C(2p-2, p-1)/2 counts the leaves of all p-vertex
 trees.  Each trial draws M by inverse CDF from float weights and walks the
 chain from (1, M).
 
-The word routes simulate the definition and stay as criterion 6's
-cross-checks, with stream 4's draws.  Shuffle a multiset of n-1 rise steps
-and n fall steps (total displacement -1); among its 2n-1 cyclic rotations
-exactly one stays nonnegative until the final step, the one that starts
-just after the first minimum of the partial sums.  A root rise followed by
-that rotation is the tree word of a uniform n-vertex plane tree, held as a
-row of 2n int8 steps.  A leaf is a rise followed by a fall and its depth
-is the walk's height after the rise, so one vectorized scan reads X as the
-lowest such height minus 1 (`_estimate_X_by_words`), or the protection
-number of a uniformly picked vertex (`_estimate_Y_by_picks`).
+The word route simulates the definition and stays as criterion 6's
+cross-check, with stream 4's X draws and stream 3's Y draws.  Shuffle a
+multiset of n-1 rise steps and n fall steps (total displacement -1); among
+its 2n-1 cyclic rotations exactly one stays nonnegative until the final
+step, the one that starts just after the first minimum of the partial
+sums.  A root rise followed by that rotation is the tree word of a uniform
+n-vertex plane tree, held as a row of 2n int8 steps.  A leaf is a rise
+followed by a fall and its depth is the walk's height after the rise, so
+`_estimate_by_words` reads X as the lowest such height minus 1, or Y as
+the protection number of a vertex picked uniformly in the whole tree, one
+vectorized scan per batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -69,7 +69,8 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 # 3: a batch holds at most _BATCH_STEPS steps, so batches are shorter for n >= 257;
 # 4: Y reads the root of an M-vertex tree for a drawn subtree size M (X unchanged);
 # 5: X and Y walk the generation chain in batches of _BATCH trials, one uniform
-# per running trial and generation (the word routes keep stream 4's draws)
+# per running trial and generation (the word route keeps stream 4's X and
+# stream 3's Y draws)
 RNG_STREAM = 5
 
 # the size cap bounds Y's subtree-size table, n floats (32 MiB at the cap)
@@ -266,7 +267,9 @@ def _survival_stats(
     return SampleStats(dict(enumerate(suffix.tolist())))
 
 
-def _check_run(n: int, trials: int) -> None:
+def _check_run(statistic: str, n: int, trials: int) -> None:
+    if statistic not in ("X", "Y"):
+        raise ValueError("statistic must be 'X' or 'Y'")
     _check_size(n)
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -279,9 +282,7 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     the generation chain in batches of _BATCH, the last holding only the
     trials still needed.  Y draws a batch's subtree sizes before its chain.
     """
-    if statistic not in ("X", "Y"):
-        raise ValueError("statistic must be 'X' or 'Y'")
-    _check_run(n, trials)
+    _check_run(statistic, n, trials)
     tables: dict[int, np.ndarray] = {}
     cdf = _subtree_size_cdf(n) if statistic == "Y" else None
 
@@ -357,32 +358,21 @@ def _protection_scan(words: np.ndarray, picks: np.ndarray) -> np.ndarray:
     return masked.min(axis=1) - depth
 
 
-def _root_values(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """X of `rows` uniform n-vertex trees, read from their words."""
-    return _root_protection(_tree_words(_shuffled_steps(n, rows, rng)))
+def _estimate_by_words(statistic: str, n: int, trials: int, seed: int) -> SampleStats:
+    """X or Y survival counts read from whole shuffled tree words: criterion 6's route.
 
-
-def _pick_values(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Y of `rows` uniform n-vertex trees, each at a vertex picked after the shuffle."""
-    words = _tree_words(_shuffled_steps(n, rows, rng))
-    return _protection_scan(words, rng.integers(0, n, size=rows))
-
-
-def _estimate_X_by_words(n: int, trials: int, seed: int) -> SampleStats:
-    """X survival counts read from whole shuffled tree words (stream 4's X draws).
-
-    The shuffle fills rows in order, so the counts equal those of the first
-    `trials` rows of full batches of _batch_rows(n).
+    X reads each word's root (stream 4's X draws); Y reads a vertex picked
+    after the shuffle in the whole tree (stream 3's Y draws), so it does
+    not rest on the pointing decomposition.  The shuffle fills rows in
+    order, so X's counts equal those of the first `trials` rows of full
+    batches of _batch_rows(n).
     """
-    _check_run(n, trials)
-    return _survival_stats(trials, seed, _batch_rows(n), partial(_root_values, n))
+    _check_run(statistic, n, trials)
 
+    def batch_values(rows: int, rng: np.random.Generator) -> np.ndarray:
+        words = _tree_words(_shuffled_steps(n, rows, rng))
+        if statistic == "X":
+            return _root_protection(words)
+        return _protection_scan(words, rng.integers(0, n, size=rows))
 
-def _estimate_Y_by_picks(n: int, trials: int, seed: int) -> SampleStats:
-    """Y survival counts from uniform picks in whole n-vertex trees (stream 3's Y draws).
-
-    The cross-check of the subtree-size route: it does not rest on the
-    pointing decomposition.
-    """
-    _check_run(n, trials)
-    return _survival_stats(trials, seed, _batch_rows(n), partial(_pick_values, n))
+    return _survival_stats(trials, seed, _batch_rows(n), batch_values)

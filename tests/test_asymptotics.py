@@ -97,8 +97,8 @@ def test_leading_terms_follow_the_galton_watson_recursions():
         survival_x.append(b)
         survival_y.append(a)
     for k in range(81):
-        assert survival_y[k] == _survival_lead_Y(k)
-        assert survival_x[k] == _survival_lead_X(k)
+        assert survival_y[k] == Fraction(*_survival_lead_Y(k))
+        assert survival_x[k] == Fraction(*_survival_lead_X(k))
         assert limit_pmf_X(k).leading == survival_x[k] - survival_x[k + 1]
         assert limit_pmf_Y(k).leading == survival_y[k] - survival_y[k + 1]
 
@@ -131,6 +131,12 @@ def test_two_term_survival_errors_stay_within_the_stated_order():
                 assert n**2 * 3**k * error <= bound * k**2, (statistic, n, k)
 
 
+def _summand(name: str, k: int) -> Fraction:
+    """Term k of one primitive sum, as an exact Fraction."""
+    term, weighted, _, _ = _PRIMITIVE_SUMS[name]
+    return (2 * k - 1 if weighted else 1) * Fraction(*term(k))
+
+
 def test_summand_majorants_hold():
     for name in (
         "c0",
@@ -142,20 +148,20 @@ def test_summand_majorants_hold():
         "y_weighted_lead",
         "y_weighted_corr",
     ):
-        term, a, p = _PRIMITIVE_SUMS[name]
+        _, _, a, p = _PRIMITIVE_SUMS[name]
         for k in range(1, 61):
             # the documented majorant A*(k+1)^p/4^k
-            assert abs(term(k)) <= Fraction(a * (k + 1) ** p, 4**k), (name, k)
+            assert abs(_summand(name, k)) <= Fraction(a * (k + 1) ** p, 4**k), (name, k)
 
 
 def test_fixed_point_sums_contain_the_exact_enclosure():
     # coarse scales make every floor and the one unit of slack per term count
-    for name, (term, a, p) in _PRIMITIVE_SUMS.items():
+    for name, (_, _, a, p) in _PRIMITIVE_SUMS.items():
         for scale in (10**3, 10**10):
             for cutoff in (5, 30):
                 low, high = _sum_interval(name, scale, cutoff)
-                partial = sum(term(k) for k in range(1, cutoff + 1))
-                tail = _tail_bound(a, p, cutoff)
+                partial = sum(_summand(name, k) for k in range(1, cutoff + 1))
+                tail = Fraction(*_tail_bound(a, p, cutoff))
                 assert Fraction(low, scale) <= partial - tail, (name, scale, cutoff)
                 assert partial + tail <= Fraction(high, scale), (name, scale, cutoff)
 
@@ -173,8 +179,8 @@ def test_interval_product_rounds_outward_for_every_sign_pattern():
 
 
 def test_every_name_settles_at_every_digit_count():
-    for _, a, p in _PRIMITIVE_SUMS.values():
-        assert _tail_bound(a, p, _CUTOFF) < Fraction(1, 10**211)
+    for _, _, a, p in _PRIMITIVE_SUMS.values():
+        assert Fraction(*_tail_bound(a, p, _CUTOFF)) < Fraction(1, 10**211)
     # bounds that truncate alike at 200 digits also do at every smaller count,
     # but each count is checked anyway
     for name in CONSTANT_NAMES:

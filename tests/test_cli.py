@@ -145,8 +145,11 @@ def test_csv_and_jsonl_carry_same_data(capsys):
 def test_constants_default_names_cover_all_eight(capsys):
     code, out = _run(capsys, ["constants", "--digits", "6"])
     assert code == 0
-    names = [r["name"] for r in _jsonl(out)]
+    rows = _jsonl(out)
+    names = [r["name"] for r in rows]
     assert names == ["c0", "c1", "c2", "c3", "d0", "d1", "d2", "d3"]
+    # the stamp lists the names that ran
+    assert all(json.loads(r["params"]) == {"names": names, "digits": 6} for r in rows)
 
 
 def test_counts_past_the_int_to_str_cap_print(capsys):
@@ -224,6 +227,22 @@ def test_mellin_check_rows(capsys):
     assert all(r["F_residual"] < 1e-12 and r["G_residual"] < 1e-12 for r in eqs)
     links = {r["name"] for r in rows if r["kind"] == "cross_link"}
     assert "mean_constant_from_F" in links
+
+
+def test_mellin_check_default_stamps_the_abscissas_it_runs(capsys):
+    code, out = _run(capsys, ["mellin-check"])
+    assert code == 0
+    rows = _jsonl(out)
+    xs = [r["x"] for r in rows if r["kind"] == "functional_eq"]
+    assert xs == list(MELLIN_ABSCISSAS) and len(xs) == 7
+    assert all(json.loads(r["params"]) == {"x": xs} for r in rows)
+
+
+def test_bare_x_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mellin-check", "--x"])
+    assert exc.value.code == 2
+    assert "expected at least one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("x", ["1e-300", "1e6"])
@@ -616,6 +635,11 @@ def test_the_reused_parser_keeps_nothing_between_calls(capsys, first, second, ch
     code, out = _run(capsys, second)
     assert code == 0
     assert check(_jsonl(out))
+
+
+def test_every_caller_shares_one_parser():
+    # a caller that builds the parser ahead of main, as a warm-up, builds main's
+    assert build_parser() is build_parser()
 
 
 def test_a_usage_error_leaves_the_parser_whole(capsys):

@@ -155,7 +155,7 @@ def test_dist_methods_agree():
 def test_dist_X_exact_n4_table():
     table = dist_X_exact(4)
     assert table == DistributionTable((5, 5, 2, 1))
-    assert table.n == 4
+    assert len(table.counts) == 4
     assert [Fraction(c, table.counts[0]) for c in table.counts] == [
         Fraction(1),
         Fraction(1),

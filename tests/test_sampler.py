@@ -28,7 +28,7 @@ from treeprotect.trees import _protection_values, enumerate_trees, oracle_r, ora
 
 def _max_z(stats: SampleStats, table) -> float:
     worst = 0.0
-    for k in range(1, table.n):
+    for k in range(1, len(table.counts)):
         p = table.counts[k] / table.counts[0]
         if p <= 0.0 or p >= 1.0:
             continue
@@ -62,7 +62,7 @@ def test_short_run_counts_are_the_first_rows_of_a_full_batch():
     values = sampler._protection_scan(full, np.zeros(height, dtype=int))
     for trials in (1, 999, height - 1):
         expected = _survival_dict(values[:trials])
-        assert sampler._estimate_X_by_words(n, trials, seed).survival_counts == expected
+        assert sampler._estimate_by_words("X", n, trials, seed).survival_counts == expected
 
 
 def test_batch_height_keeps_arrays_within_the_step_budget():
@@ -181,7 +181,7 @@ WORD_ROUTE_COUNTS = {
 
 @pytest.mark.parametrize("key", sorted(WORD_ROUTE_COUNTS), ids=lambda key: "-".join(map(str, key)))
 def test_word_route_reproduces_stream_4_counts(key):
-    assert sampler._estimate_X_by_words(*key).survival_counts == WORD_ROUTE_COUNTS[key]
+    assert sampler._estimate_by_words("X", *key).survival_counts == WORD_ROUTE_COUNTS[key]
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 200, 3000])
@@ -316,7 +316,7 @@ PICK_ROUTE_COUNTS = {
 
 @pytest.mark.parametrize("key", sorted(PICK_ROUTE_COUNTS), ids=lambda key: "-".join(map(str, key)))
 def test_pick_route_reproduces_stream_3_counts(key):
-    assert sampler._estimate_Y_by_picks(*key).survival_counts == PICK_ROUTE_COUNTS[key]
+    assert sampler._estimate_by_words("Y", *key).survival_counts == PICK_ROUTE_COUNTS[key]
 
 
 def _subtree_size_weights(n: int) -> list[int]:
@@ -386,7 +386,7 @@ def test_subtree_route_agrees_with_whole_tree_picks():
     # two-sample test at n = 200: pooled binomial sigma of the difference
     n, trials = 200, 10**5
     by_size = estimate_survival("Y", n, trials, seed=3001)
-    by_pick = sampler._estimate_Y_by_picks(n, trials, seed=3002)
+    by_pick = sampler._estimate_by_words("Y", n, trials, seed=3002)
     for k in range(1, 6):
         a, b = by_size.survival_fraction(k), by_pick.survival_fraction(k)
         pooled = (a + b) / 2
@@ -402,8 +402,8 @@ def test_sizes_past_the_cap_are_rejected():
     routes = (
         partial(estimate_survival, "X"),
         partial(estimate_survival, "Y"),
-        sampler._estimate_X_by_words,
-        sampler._estimate_Y_by_picks,
+        partial(sampler._estimate_by_words, "X"),
+        partial(sampler._estimate_by_words, "Y"),
     )
     for route in routes:
         with pytest.raises(ValueError, match="at most 4194304"):
@@ -497,3 +497,10 @@ def test_validation_errors():
         estimate_survival("X", 0, 100, seed=1)
     with pytest.raises(ValueError):
         estimate_survival("X", 5, 0, seed=1)
+
+
+@pytest.mark.parametrize("statistic", ["Z", "x", ""])
+def test_word_route_rejects_other_statistics(statistic):
+    # without the check, any statistic but "X" would be read at a picked vertex as Y
+    with pytest.raises(ValueError, match="statistic must be 'X' or 'Y'"):
+        sampler._estimate_by_words(statistic, 5, 100, 1)
