@@ -8,7 +8,9 @@ by exact generating-function arithmetic, and by asymptotic expansion, and
 checks the three against each other.
 
 The package root re-exports every name in the `__all__` of its six
-library modules; it does not import `acceptance` or `cli`.
+library modules; it does not import `acceptance` or `cli`.  Names that
+only criterion 1, the tests and the benchmark's tracer use stay
+module-level, off those lists.
 """
 
 from . import asymptotics, exact, mellin, sampler, series, trees

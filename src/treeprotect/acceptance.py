@@ -41,6 +41,7 @@ from .exact import (
     survival_Y_exact,
 )
 from .mellin import (
+    MELLIN_ABSCISSAS,
     check_F_functional_eq,
     check_G_functional_eq,
     eval_F,
@@ -77,9 +78,6 @@ REFERENCE_DIGITS = {
     "d2": "0.81689937948362892278879205623322983539562628691031631640757",
     "d3": "0.014197899249123624176745586362758197533680269252844749278840",
 }
-
-# where criterion 5 and `mellin-check` (by default) test the functional equations
-MELLIN_ABSCISSAS = (0.5, math.log(2.0), 1.0, 2.0, math.e, math.pi, 5.0)
 
 REFLECTION_F_PREFIX = 0.0000134525077
 REFLECTION_G_PREFIX = 0.0000134525165276

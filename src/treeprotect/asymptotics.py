@@ -245,24 +245,21 @@ def _ivl_mul(a: _Interval, b: _Interval, scale: int) -> _Interval:
 
 
 @lru_cache(maxsize=None)
-def _constant_interval(name: str, places: int) -> _Interval:
-    """The enclosure of one constant in units of 10^-places, summed once per process."""
-    scale = 10**places
+def _constant_interval(name: str) -> _Interval:
+    """The enclosure of one constant in units of 10^-_PLACES, summed once per process."""
+    scale = 10**_PLACES
     if name not in _MOMENT_COMBOS:
         return _sum_interval(name, scale, _CUTOFF)
     weighted, factor, left, right = _MOMENT_COMBOS[name]
     low, high = _sum_interval(weighted, scale, _CUTOFF)
-    factors = _constant_interval(left, places), _constant_interval(right, places)
+    factors = _constant_interval(left), _constant_interval(right)
     p_low, p_high = _ivl_mul(*factors, scale)
     return low - factor * p_high, high - factor * p_low
 
 
-def truncated_decimal(num: int, den: int, digits: int, scale: int | None = None) -> str:
-    """`num / den` (den > 0, in any terms) truncated toward zero to `digits` fractional digits.
-
-    A caller rendering many values at one width passes `scale` = 10**digits.
-    """
-    scale = scale or 10**digits
+def truncated_decimal(num: int, den: int, digits: int) -> str:
+    """`num / den` (den > 0, in any terms) truncated toward zero to `digits` fractional digits."""
+    scale = 10**digits
     whole, frac = divmod(abs(num) * scale // den, scale)
     return f"{'-' if num < 0 else ''}{whole}.{frac:0{digits}d}"
 
@@ -274,7 +271,7 @@ def constant(name: str, digits: int) -> ConstantEnclosure:
         raise ValueError(f"unknown constant {name!r}; expected one of {CONSTANT_NAMES}")
     if not 1 <= digits <= _MAX_DIGITS:
         raise ValueError(f"digits must be between 1 and {_MAX_DIGITS}")
-    low, high = _constant_interval(name, _PLACES)
+    low, high = _constant_interval(name)
     lower, upper = Fraction(low, 10**_PLACES), Fraction(high, 10**_PLACES)
     decimal = truncated_decimal(low, 10**_PLACES, digits)
     if decimal != truncated_decimal(high, 10**_PLACES, digits):

@@ -30,7 +30,7 @@ import sys
 import time
 from typing import Sequence
 
-from .acceptance import MELLIN_ABSCISSAS, run_all
+from .acceptance import run_all
 from .asymptotics import (
     _MAX_DIGITS,
     CONSTANT_NAMES,
@@ -43,6 +43,7 @@ from .asymptotics import (
 )
 from .exact import DistributionTable, dist_X_exact, dist_Y_exact, r_explicit
 from .mellin import (
+    MELLIN_ABSCISSAS,
     eval_F,
     eval_G,
     check_F_functional_eq,
@@ -58,13 +59,13 @@ from .trees import oracle_r, oracle_s
 __all__ = ["main"]
 
 
-def _rational_fields(num: int, den: int, digits: int, scale: int | None = None) -> dict[str, str]:
+def _rational_fields(num: int, den: int, digits: int) -> dict[str, str]:
     """`num / den` (den > 0, in any terms) in lowest terms and truncated to `digits` digits."""
     common = math.gcd(num, den)
     return {
         "value_num": str(num // common),
         "value_den": str(den // common),
-        "value_decimal": truncated_decimal(num, den, digits, scale),
+        "value_decimal": truncated_decimal(num, den, digits),
     }
 
 
@@ -147,10 +148,10 @@ def _cmd_exact_dist(args: argparse.Namespace) -> tuple[str, list[dict]]:
     else:
         table = dist(args.n)
     # rows read the counts over counts[0] as they stand: no Fraction per row
-    counts, scale = table.counts, 10**args.digits
+    counts = table.counts
     pmf = (count - below for count, below in zip(counts, counts[1:] + (0,)))
     rows = [
-        {"kind": kind, "k": k} | _rational_fields(count, counts[0], args.digits, scale)
+        {"kind": kind, "k": k} | _rational_fields(count, counts[0], args.digits)
         for kind, column in (("survival", counts), ("pmf", pmf))
         for k, count in enumerate(column)
     ]
@@ -243,10 +244,9 @@ def _cmd_mellin_check(args: argparse.Namespace) -> tuple[str, list[dict]]:
 
 def _cmd_sample(args: argparse.Namespace) -> tuple[str, list[dict]]:
     stats = estimate_survival(args.statistic, args.n, args.trials, args.seed)
-    counts = stats.survival_counts
     rows = [
-        {"kind": "survival", "k": k, "count": str(counts[k]), "fraction": counts[k] / stats.trials}
-        for k in sorted(counts)
+        {"kind": "survival", "k": k, "count": str(count), "fraction": count / stats.trials}
+        for k, count in enumerate(stats.counts)
     ]
     return _SAMPLE_PROVENANCE[args.statistic], rows + [{"kind": "mean", "value": stats.mean}]
 

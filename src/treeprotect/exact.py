@@ -38,10 +38,12 @@ alike: r_explicit and s_explicit take one k line in O(n/k) steps, and one
 cached pass per size n sums every r(n, k) and u(n, k) in O(n log n) steps,
 split at isqrt(n) so that no step jumps more than about 2 sqrt(n), into the
 finished r(n, k) and s(n, k) that both tables hold and both means read.  The
-ballot tables (r_survival_column, root_protection_totals) remain here as
-independent cross-checks.  The recurrence, the closed form and the pointing
-identity run as truncated power series in the series module, and brute
-force in trees; this module imports nothing from either.
+ballot tables (r_survival_column, root_protection_totals, built on
+catalan_power_coeffs) remain here as independent cross-checks; they and
+central_binomials serve only criterion 1 and the tests, so they stay out of
+__all__.  The recurrence, the closed form and the pointing identity run as
+truncated power series in the series module, and brute force in trees;
+this module imports nothing from either.
 
 Everything here is exact and nothing floats: counts and tables are plain
 ints, and Fraction appears only in the returned probabilities and moments.
@@ -57,11 +59,7 @@ from typing import Callable, Iterator
 
 __all__ = [
     "catalan",
-    "central_binomials",
     "r_explicit",
-    "catalan_power_coeffs",
-    "r_survival_column",
-    "root_protection_totals",
     "s_explicit",
     "survival_X_exact",
     "survival_Y_exact",

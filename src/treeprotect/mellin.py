@@ -47,6 +47,9 @@ __all__ = [
 TOL = 1e-14
 _MAX_TERMS = 200_000
 
+# where criterion 5 and `mellin-check` (by default) test the functional equations
+MELLIN_ABSCISSAS = (0.5, math.log(2.0), 1.0, 2.0, math.e, math.pi, 5.0)
+
 
 @dataclass(frozen=True)
 class MellinEval:

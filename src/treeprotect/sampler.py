@@ -39,7 +39,10 @@ n-vertex plane tree, held as a row of 2n int8 steps.  A leaf is a rise
 followed by a fall and its depth is the walk's height after the rise, so
 `_estimate_by_words` reads X as the lowest such height minus 1, or Y as
 the protection number of a vertex picked uniformly in the whole tree, one
-vectorized scan per batch.
+vectorized scan per batch.  `sample_tree`, one such word as a PlaneTree,
+serves only the tests and the benchmark's tracer and is not exported.
+Every route returns survival counts indexed by level, total first, the
+shape of DistributionTable.counts.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ __all__ = [
     "RNG_STREAM",
     "SampleStats",
     "make_rng",
-    "sample_tree",
     "estimate_survival",
 ]
 
@@ -93,24 +95,25 @@ def make_rng(seed: int) -> np.random.Generator:
 class SampleStats:
     """Survival counts of one protection statistic over Monte Carlo trials.
 
-    survival_counts[k] is the number of samples with statistic >= k; it
-    starts at trials for k = 0 and is non-increasing.
+    counts[k] is the number of trials whose statistic is >= k, for k up to
+    the largest value seen; counts[0] is the number of trials, and the
+    counts are non-increasing.
     """
 
-    survival_counts: dict[int, int]
+    counts: tuple[int, ...]
 
     @property
     def trials(self) -> int:
-        return self.survival_counts[0]
+        return self.counts[0]
 
     def survival_fraction(self, k: int) -> float:
         if k < 0:
             raise ValueError("protection level must be nonnegative")
-        return self.survival_counts.get(k, 0) / self.trials
+        return (self.counts[k] if k < len(self.counts) else 0) / self.trials
 
     @property
     def mean(self) -> float:
-        return sum(c for k, c in self.survival_counts.items() if k >= 1) / self.trials
+        return sum(self.counts[1:]) / self.trials
 
 
 def _check_size(n: int) -> None:
@@ -264,7 +267,7 @@ def _survival_stats(
         histogram[: tally.size] += tally
         remaining -= rows
     suffix = np.cumsum(histogram[::-1])[::-1]
-    return SampleStats(dict(enumerate(suffix.tolist())))
+    return SampleStats(tuple(suffix.tolist()))
 
 
 def _check_run(statistic: str, n: int, trials: int) -> None:

@@ -12,7 +12,8 @@ The route runs the substitution recurrence R_k = z R_(k-1) / (1 - R_(k-1)),
 its closed form (1-z) q / (1 + q) with q = z^(k+1) C(z)^3, and the pointing
 identity S_k = R_k (1 + (1-4z)^(-1/2)) / 2 on these series.  It reads only
 catalan and central_binomials from exact, so it stays independent of the
-alternating binomial sums it checks.
+alternating binomial sums it checks.  Criterion 1 and the tests are its
+only users, so the module exports nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable
 
 from .exact import catalan, central_binomials
 
-__all__ = ["TruncatedPowerSeries"]
+__all__: list[str] = []
 
 
 class TruncatedPowerSeries:

@@ -22,6 +22,9 @@ which is tallied once per state, weighted by the number of prefixes
 there and by the number of ways to finish the word.
 Those completion counts are built here, so the oracle owes nothing to the
 exact engine it checks.
+
+`protection_profile` (survival counts indexed by level, total first) and
+`leaf_count` check single trees in the tests and are not exported.
 """
 
 from __future__ import annotations
@@ -33,10 +36,7 @@ from typing import Iterator
 
 __all__ = [
     "PlaneTree",
-    "ProtectionProfile",
     "protection_number",
-    "protection_profile",
-    "leaf_count",
     "enumerate_trees",
     "oracle_r",
     "oracle_s",
@@ -69,25 +69,6 @@ class PlaneTree:
             raise ValueError("empty or unbalanced tree text")
 
 
-@dataclass(frozen=True, eq=True)
-class ProtectionProfile:
-    """Survival counts of the protection numbers inside one tree.
-
-    counts[k] is the number of vertices whose protection number is >= k;
-    counts[0] equals the vertex count and the values are non-increasing.
-    Keys run from 0 to the tree's maximum protection number; at_least(k)
-    returns 0 beyond that.
-    """
-
-    n: int
-    counts: dict[int, int]
-
-    def at_least(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("protection level must be nonnegative")
-        return self.counts.get(k, 0)
-
-
 def _protection_values(parens: str) -> list[int]:
     """Protection number of every vertex, in subtree-closing order (root last)."""
     stack: list[list[int]] = [[]]
@@ -110,14 +91,17 @@ def protection_number(tree: PlaneTree) -> int:
     return _protection_values(tree.parens)[-1]
 
 
-def protection_profile(tree: PlaneTree) -> ProtectionProfile:
-    """Survival counts of all vertex protection numbers, one traversal."""
+def protection_profile(tree: PlaneTree) -> tuple[int, ...]:
+    """Survival counts of the vertex protection numbers, one traversal.
+
+    Entry k is the number of vertices whose protection number is >= k, up
+    to the largest; entry 0 is the vertex count.
+    """
     values = _protection_values(tree.parens)
     hist = [0] * (max(values) + 1)
     for p in values:
         hist[p] += 1
-    survival = list(accumulate(reversed(hist)))[::-1]
-    return ProtectionProfile(n=len(values), counts=dict(enumerate(survival)))
+    return tuple(accumulate(reversed(hist)))[::-1]
 
 
 def leaf_count(tree: PlaneTree) -> int:

@@ -193,10 +193,15 @@ def test_every_name_settles_at_every_digit_count():
 
 
 def test_straddling_enclosure_raises(monkeypatch):
-    # at 10^-5 units the per-term slack alone makes the enclosure 362 units wide
+    # at 10^-5 units the per-term slack alone makes the enclosure 362 units wide;
+    # the cached intervals are in units of the real _PLACES, so they are cleared
     monkeypatch.setattr(asymptotics, "_PLACES", 5)
-    with pytest.raises(ArithmeticError):
-        constant.__wrapped__("c0", 5)
+    asymptotics._constant_interval.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            constant.__wrapped__("c0", 5)
+    finally:
+        asymptotics._constant_interval.cache_clear()
 
 
 def test_each_certified_sum_is_computed_once_per_process(monkeypatch):
@@ -336,13 +341,12 @@ def test_truncated_decimal_matches_the_reduced_fraction_form():
         values += [Fraction(c, counts[0]) for c in counts]
         values += [Fraction(c - below, counts[0]) for c, below in zip(counts, counts[1:] + (0,))]
     for digits in (1, 30, 200):
-        scale = 10**digits
         for value in values:
             expected = by_fraction(value, digits)
             num, den = value.as_integer_ratio()
             assert truncated_decimal(num, den, digits) == expected
-            # the same value in other terms, and with the width's scale passed in
-            assert truncated_decimal(6 * num, 6 * den, digits, scale) == expected
+            # the same value in other terms
+            assert truncated_decimal(6 * num, 6 * den, digits) == expected
     assert truncated_decimal(-7, 3, 1) == "-2.3"
     assert truncated_decimal(-14, 6, 1) == "-2.3"
     assert truncated_decimal(-1, 10**250, 30) == "-0." + "0" * 30

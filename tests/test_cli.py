@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeprotect
-from treeprotect.acceptance import MELLIN_ABSCISSAS
 from treeprotect.asymptotics import truncated_decimal
 from treeprotect.cli import build_parser, main
 from treeprotect.exact import DistributionTable, catalan, dist_X_exact, dist_Y_exact
+from treeprotect.mellin import MELLIN_ABSCISSAS
 from treeprotect.trees import oracle_r, oracle_s
 
 

@@ -2,6 +2,8 @@
 
 The package root declares no name of its own: it re-exports the `__all__`
 of its six library modules, and leaves `acceptance` and `cli` unloaded.
+Names that only criterion 1, the tests and the benchmark use stay defined
+in their modules but off the root.
 Each library module imports only the siblings that keep its routes
 independent of the engines they check.
 """
@@ -50,6 +52,34 @@ def test_root_reexports_the_library_modules():
     for module in modules:
         for attr in module.__all__:
             assert getattr(treeprotect, attr) is getattr(module, attr), (module.__name__, attr)
+
+
+# names that only criterion 1, the tests and the benchmark's tracer use: each
+# stays defined in its module but is not re-exported (ProtectionProfile is gone)
+MODULE_LEVEL = {
+    "exact": (
+        "central_binomials",
+        "catalan_power_coeffs",
+        "r_survival_column",
+        "root_protection_totals",
+    ),
+    "series": ("TruncatedPowerSeries",),
+    "trees": ("protection_profile", "leaf_count"),
+    "sampler": ("sample_tree",),
+}
+
+
+def test_test_only_names_stay_off_the_root():
+    assert len(treeprotect.__all__) == 40
+    for module_name, names in MODULE_LEVEL.items():
+        module = importlib.import_module(f"treeprotect.{module_name}")
+        for name in names:
+            assert name not in treeprotect.__all__, name
+            assert name not in module.__all__, (module_name, name)
+            assert not hasattr(treeprotect, name), name
+            assert getattr(module, name, None) is not None, (module_name, name)
+    assert "ProtectionProfile" not in treeprotect.__all__
+    assert not hasattr(importlib.import_module("treeprotect.trees"), "ProtectionProfile")
 
 
 def test_root_import_leaves_acceptance_and_cli_unloaded():

@@ -23,7 +23,14 @@ from treeprotect.sampler import (
     make_rng,
     sample_tree,
 )
-from treeprotect.trees import _protection_values, enumerate_trees, oracle_r, oracle_s
+from treeprotect.trees import (
+    PlaneTree,
+    _protection_values,
+    enumerate_trees,
+    oracle_r,
+    oracle_s,
+    protection_profile,
+)
 
 
 def _max_z(stats: SampleStats, table) -> float:
@@ -41,15 +48,15 @@ def _max_z(stats: SampleStats, table) -> float:
 def test_same_seed_reproduces_counts():
     a = estimate_survival("X", 50, 4000, seed=123)
     b = estimate_survival("X", 50, 4000, seed=123)
-    assert a.survival_counts == b.survival_counts
+    assert a.counts == b.counts
     c = estimate_survival("X", 50, 4000, seed=124)
-    assert c.survival_counts != a.survival_counts
+    assert c.counts != a.counts
 
 
-def _survival_dict(values) -> dict[int, int]:
-    """Survival counts of a list of sampled values."""
+def _survival_tuple(values) -> tuple[int, ...]:
+    """Survival counts of a list of sampled values, indexed by level."""
     suffix = np.cumsum(np.bincount(values)[::-1])[::-1]
-    return {k: int(c) for k, c in enumerate(suffix)}
+    return tuple(int(c) for c in suffix)
 
 
 def test_short_run_counts_are_the_first_rows_of_a_full_batch():
@@ -61,8 +68,8 @@ def test_short_run_counts_are_the_first_rows_of_a_full_batch():
     full = sampler._tree_words(sampler._shuffled_steps(n, height, make_rng(seed)))
     values = sampler._protection_scan(full, np.zeros(height, dtype=int))
     for trials in (1, 999, height - 1):
-        expected = _survival_dict(values[:trials])
-        assert sampler._estimate_by_words("X", n, trials, seed).survival_counts == expected
+        expected = _survival_tuple(values[:trials])
+        assert sampler._estimate_by_words("X", n, trials, seed).counts == expected
 
 
 def test_batch_height_keeps_arrays_within_the_step_budget():
@@ -117,8 +124,8 @@ def test_estimate_survival_draws_batches_of_the_capped_height(monkeypatch):
             else:
                 sizes = np.searchsorted(cdf, rng.random(rows), side="right") + 1
             values += _chain_by_loop(sizes, rng)
-        got = estimate_survival(statistic, n, 40, seed).survival_counts
-        assert got == _survival_dict(values), statistic
+        got = estimate_survival(statistic, n, 40, seed).counts
+        assert got == _survival_tuple(values), statistic
 
 
 def test_chain_bisection_matches_a_per_trial_searchsorted():
@@ -161,7 +168,7 @@ PINNED_COUNTS = {
 
 @pytest.mark.parametrize("key", sorted(PINNED_COUNTS), ids=lambda key: "-".join(map(str, key)))
 def test_stream_reproduces_pinned_counts(key):
-    assert estimate_survival(*key).survival_counts == PINNED_COUNTS[key]
+    assert dict(enumerate(estimate_survival(*key).counts)) == PINNED_COUNTS[key]
 
 
 # the X word route keeps stream 4's draws (and streams 1-3's): its counts
@@ -181,7 +188,7 @@ WORD_ROUTE_COUNTS = {
 
 @pytest.mark.parametrize("key", sorted(WORD_ROUTE_COUNTS), ids=lambda key: "-".join(map(str, key)))
 def test_word_route_reproduces_stream_4_counts(key):
-    assert sampler._estimate_by_words("X", *key).survival_counts == WORD_ROUTE_COUNTS[key]
+    assert dict(enumerate(sampler._estimate_by_words("X", *key).counts)) == WORD_ROUTE_COUNTS[key]
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 200, 3000])
@@ -191,7 +198,7 @@ def test_chain_matches_the_exact_tables(n):
     trials = 10**5
     for statistic, table in (("X", dist_X_exact(n)), ("Y", dist_Y_exact(n))):
         stats = estimate_survival(statistic, n, trials, seed=6100 + n)
-        assert max(stats.survival_counts) < n
+        assert len(stats.counts) <= n
         for k in range(1, min(n, 16)):
             p = table.counts[k] / table.counts[0]
             if p in (0.0, 1.0):
@@ -316,7 +323,7 @@ PICK_ROUTE_COUNTS = {
 
 @pytest.mark.parametrize("key", sorted(PICK_ROUTE_COUNTS), ids=lambda key: "-".join(map(str, key)))
 def test_pick_route_reproduces_stream_3_counts(key):
-    assert sampler._estimate_by_words("Y", *key).survival_counts == PICK_ROUTE_COUNTS[key]
+    assert dict(enumerate(sampler._estimate_by_words("Y", *key).counts)) == PICK_ROUTE_COUNTS[key]
 
 
 def _subtree_size_weights(n: int) -> list[int]:
@@ -355,7 +362,7 @@ def test_subtree_route_matches_the_oracle_vertex_law():
         vertices = n * catalan(n - 1)
         trials = 20000
         stats = estimate_survival("Y", n, trials, seed=500 + n)
-        assert max(stats.survival_counts) <= max(tally), n
+        assert len(stats.counts) <= max(tally) + 1, n
         for k in range(1, max(tally) + 1):
             p = sum(c for v, c in tally.items() if v >= k) / vertices
             sigma = math.sqrt(p * (1.0 - p) / trials)
@@ -464,18 +471,28 @@ def test_vertex_statistic_matches_exact_distribution():
     assert _max_z(stats50, dist_Y_exact(50)) < 4.0
 
 
+def test_sample_and_tree_profile_are_counts_led_by_the_total():
+    # the shape of DistributionTable.counts: entry k counts statistic >= k
+    stats = estimate_survival("Y", 30, 500, seed=8)
+    assert type(stats.counts) is tuple and stats.counts[0] == 500 == stats.trials
+    assert all(a >= b for a, b in zip(stats.counts, stats.counts[1:]))
+    profile = protection_profile(PlaneTree("((())(()()))"))
+    assert type(profile) is tuple and profile[0] == 6
+    assert profile == (6, 3, 1)
+
+
 def test_single_vertex_tree_is_degenerate():
     stats = estimate_survival("X", 1, 500, seed=1)
-    assert stats.survival_counts == {0: 500}
+    assert stats.counts == (500,)
     assert stats.mean == 0.0
     stats_y = estimate_survival("Y", 1, 500, seed=1)
-    assert stats_y.survival_counts == {0: 500}
+    assert stats_y.counts == (500,)
 
 
 def test_two_vertex_tree_split():
     # root is 1-protected, the leaf is not; Y picks each with probability 1/2
     stats = estimate_survival("X", 2, 2000, seed=3)
-    assert stats.survival_counts == {0: 2000, 1: 2000}
+    assert stats.counts == (2000, 2000)
     stats_y = estimate_survival("Y", 2, 20000, seed=3)
     frac = stats_y.survival_fraction(1)
     assert abs(frac - 0.5) < 4 * math.sqrt(0.25 / 20000)
@@ -484,10 +501,10 @@ def test_two_vertex_tree_split():
 def test_sample_stats_mean_matches_counts():
     stats = estimate_survival("X", 10, 3000, seed=44)
     # mean of the statistic = sum over k >= 1 of survival fractions
-    total = sum(
-        count for k, count in stats.survival_counts.items() if k >= 1
-    )
-    assert stats.mean == pytest.approx(total / stats.trials)
+    total = sum(stats.survival_fraction(k) for k in range(1, len(stats.counts)))
+    assert stats.mean == pytest.approx(total)
+    # past the largest value seen, no trial survives
+    assert stats.survival_fraction(len(stats.counts)) == 0.0
 
 
 def test_validation_errors():

@@ -25,6 +25,11 @@ from treeprotect.trees import (
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
 
+def _at_least(profile: tuple[int, ...], k: int) -> int:
+    """Vertices with protection >= k; a profile stops at the largest level present."""
+    return profile[k] if k < len(profile) else 0
+
+
 def test_parens_roundtrip_small():
     # the word is the whole tree: no second, nested form is kept
     assert [field.name for field in dataclasses.fields(PlaneTree)] == ["parens"]
@@ -40,7 +45,7 @@ def test_from_parens_rejects_malformed():
 
 def test_vertex_count_matches_parens_length():
     tree = PlaneTree("((())()(()))")
-    assert protection_profile(tree).n == len(tree.parens) // 2 == 6
+    assert protection_profile(tree)[0] == len(tree.parens) // 2 == 6
 
 
 def test_enumeration_counts_are_catalan():
@@ -71,19 +76,16 @@ def test_protection_number_examples():
 
 def test_protection_profile_survival_counts():
     tree = PlaneTree("((())())")
-    profile = protection_profile(tree)
-    assert profile.n == 4
     # two leaves, the vertex above one of them, and the root (leaf child)
-    assert profile.counts == {0: 4, 1: 2}
+    assert protection_profile(tree) == (4, 2)
 
 
 def test_profile_at_least_is_survival_count():
     tree = PlaneTree("(((())))")
     profile = protection_profile(tree)
-    assert profile.at_least(0) == 4
-    assert profile.at_least(1) == 3
-    assert profile.at_least(3) == 1
-    assert profile.at_least(4) == 0
+    assert profile == (4, 3, 2, 1)
+    assert _at_least(profile, 3) == 1
+    assert _at_least(profile, 4) == 0
 
 
 def test_oracle_r_golden_values():
@@ -113,7 +115,7 @@ def test_oracle_r_matches_direct_enumeration():
 def test_oracle_s_matches_profile_sums():
     for n in range(1, 9):
         for k in range(0, n + 1):
-            direct = sum(protection_profile(t).at_least(k) for t in enumerate_trees(n))
+            direct = sum(_at_least(protection_profile(t), k) for t in enumerate_trees(n))
             assert oracle_s(n, k) == direct
 
 
@@ -218,6 +220,6 @@ def test_roundtrip_and_profile_consistency(tree):
     assert PlaneTree(tree.parens) == tree
     assert hash(PlaneTree(tree.parens)) == hash(tree)
     profile = protection_profile(tree)
-    assert profile.at_least(protection_number(tree)) >= 1
-    assert profile.counts[0] == len(tree.parens) // 2
-    assert profile.at_least(0) - profile.at_least(1) == leaf_count(tree)
+    assert _at_least(profile, protection_number(tree)) >= 1
+    assert profile[0] == len(tree.parens) // 2
+    assert profile[0] - _at_least(profile, 1) == leaf_count(tree)
