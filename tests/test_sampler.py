@@ -1,7 +1,9 @@
 """Monte Carlo sampler: exact uniformity at small n, fixed-seed statistics.
 
-Statistical assertions use fixed seeds and a 4 sigma budget, so a failure
-here means a bug, not bad luck.
+Statistical assertions use fixed seeds.  The chain's gates take the exact
+binomial tail of each observed count and fail below the two-sided level
+of 4 sigma, so a correct sampler fails one of them about once in 200 runs
+of new seeds, however small a cell's expected count.
 """
 
 import math
@@ -33,16 +35,41 @@ from treeprotect.trees import (
 )
 
 
-def _max_z(stats: SampleStats, table) -> float:
-    worst = 0.0
-    for k in range(1, len(table.counts)):
-        p = table.counts[k] / table.counts[0]
-        if p <= 0.0 or p >= 1.0:
-            continue
-        sigma = math.sqrt(p * (1.0 - p) / stats.trials)
-        z = abs(stats.survival_fraction(k) - p) / sigma
-        worst = max(worst, z)
-    return worst
+# the two-sided normal tail at 4 sigma, 2 (1 - Phi(4))
+_LEVEL = 6.334e-5
+
+
+def _binomial_tail(count: int, trials: int, p: float) -> float:
+    """Two-sided exact tail of `count` successes in `trials` draws of probability p.
+
+    Twice the smaller of P(C <= count) and P(C >= count), at most 1; the
+    terms fall away from the mean, so the sum stops once they are
+    negligible.  With p = 0 or 1 the tail is 1 at the sure count and 0
+    elsewhere.
+    """
+    if p in (0.0, 1.0):
+        return float(count == trials * p)
+    head = math.lgamma(trials + 1)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    step = 1 if count >= trials * p else -1
+    tail, j = 0.0, count
+    while 0 <= j <= trials:
+        term = math.exp(
+            head - math.lgamma(j + 1) - math.lgamma(trials - j + 1) + j * log_p + (trials - j) * log_q
+        )
+        tail += term
+        if term <= tail * 1e-17:
+            break
+        j += step
+    return min(1.0, 2 * tail)
+
+
+def _min_tail(stats: SampleStats, table) -> float:
+    """The smallest two-sided tail of the survival counts against an exact table."""
+    return min(
+        _binomial_tail(stats.counts[k] if k < len(stats.counts) else 0, stats.trials, c / table.counts[0])
+        for k, c in enumerate(table.counts[1:], 1)
+    )
 
 
 def test_same_seed_reproduces_counts():
@@ -193,19 +220,16 @@ def test_word_route_reproduces_stream_4_counts(key):
 
 @pytest.mark.parametrize("n", [1, 2, 9, 200, 3000])
 def test_chain_matches_the_exact_tables(n):
-    # 4 sigma per level up to 15; a level with probability 0 or 1 must be
-    # reached never or always
+    # the exact binomial tail per level up to 15; a level with probability
+    # 0 or 1 must be reached never or always
     trials = 10**5
     for statistic, table in (("X", dist_X_exact(n)), ("Y", dist_Y_exact(n))):
         stats = estimate_survival(statistic, n, trials, seed=6100 + n)
         assert len(stats.counts) <= n
         for k in range(1, min(n, 16)):
+            count = stats.counts[k] if k < len(stats.counts) else 0
             p = table.counts[k] / table.counts[0]
-            if p in (0.0, 1.0):
-                assert stats.survival_fraction(k) == p, (statistic, k)
-                continue
-            sigma = math.sqrt(p * (1.0 - p) / trials)
-            assert abs(stats.survival_fraction(k) - p) < 4 * sigma, (statistic, k)
+            assert _binomial_tail(count, trials, p) >= _LEVEL, (statistic, k)
 
 
 def test_chain_counts_equal_the_exact_tables():
@@ -365,8 +389,8 @@ def test_subtree_route_matches_the_oracle_vertex_law():
         assert len(stats.counts) <= max(tally) + 1, n
         for k in range(1, max(tally) + 1):
             p = sum(c for v, c in tally.items() if v >= k) / vertices
-            sigma = math.sqrt(p * (1.0 - p) / trials)
-            assert abs(stats.survival_fraction(k) - p) < 4 * sigma, (n, k)
+            count = stats.counts[k] if k < len(stats.counts) else 0
+            assert _binomial_tail(count, trials, p) >= _LEVEL, (n, k)
 
 
 def test_pointing_identity_behind_the_subtree_route():
@@ -459,16 +483,16 @@ def test_sampler_uniform_at_n3():
 
 def test_root_statistic_matches_exact_distribution():
     stats = estimate_survival("X", 4, 100000, seed=5)
-    assert _max_z(stats, dist_X_exact(4)) < 4.0
+    assert _min_tail(stats, dist_X_exact(4)) >= _LEVEL
     # k = 1 is certain for any tree with more than one vertex
     assert stats.survival_fraction(1) == 1.0
 
 
 def test_vertex_statistic_matches_exact_distribution():
     stats = estimate_survival("Y", 4, 100000, seed=6)
-    assert _max_z(stats, dist_Y_exact(4)) < 4.0
+    assert _min_tail(stats, dist_Y_exact(4)) >= _LEVEL
     stats50 = estimate_survival("Y", 50, 50000, seed=9)
-    assert _max_z(stats50, dist_Y_exact(50)) < 4.0
+    assert _min_tail(stats50, dist_Y_exact(50)) >= _LEVEL
 
 
 def test_sample_and_tree_profile_are_counts_led_by_the_total():
@@ -494,8 +518,7 @@ def test_two_vertex_tree_split():
     stats = estimate_survival("X", 2, 2000, seed=3)
     assert stats.counts == (2000, 2000)
     stats_y = estimate_survival("Y", 2, 20000, seed=3)
-    frac = stats_y.survival_fraction(1)
-    assert abs(frac - 0.5) < 4 * math.sqrt(0.25 / 20000)
+    assert _binomial_tail(stats_y.counts[1], 20000, 0.5) >= _LEVEL
 
 
 def test_sample_stats_mean_matches_counts():
