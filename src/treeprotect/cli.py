@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("n", type=_whole_number("tree size"))
     # a trial walks only the generations above the first leaf, O(1) expected work at any n,
-    # so the cap bounds a run at O(10^7) generation steps whatever the size
+    # and trials at one state share one draw, so the cap bounds a run at O(10^7) chain
+    # states whatever the size
     p.add_argument("--trials", type=_whole_number("trials", 1, 10**7), default=10000)
     p.add_argument("--seed", type=_whole_number("seed", 0), default=1)
     # the generator and stream version are stamped after the parameters

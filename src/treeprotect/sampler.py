@@ -10,13 +10,15 @@ next generation holds e vertices in C(d+e-1, e) F(e, m-d) of them, one
 weak composition of e into d parts per way to hand out the children, and
 in C(e-1, d-1) of those every vertex of generation j has a child.
 
-So a trial walks the generation chain from (1, n).  At (d, m) it draws one
-uniform against a float table of "generation j holds no leaf and
-generation j+1 holds e vertices"; the mass past the table is "generation j
-holds a leaf", which ends the trial with X = j, and otherwise the walk
-moves on to (e, m-d).  A generation of d vertices is leafless with
-probability about 2^-d, so a trial takes O(1) expected steps at every n.
-Trials are grouped by state, and each state's table is built once per run.
+So a trial walks the generation chain from (1, n).  At (d, m) a float
+table gives the chance of "generation j holds no leaf and generation j+1
+holds e vertices"; the mass past the table is "generation j holds a
+leaf", which ends the trial with X = j, and otherwise the walk moves on
+to (e, m-d).  A generation of d vertices is leafless with probability
+about 2^-d, so a trial takes O(1) expected steps at every n.  Trials at
+one state are exchangeable, so a run holds only the count of trials at
+each state and splits it over the state's table with one multinomial
+draw per generation: the work follows the states, not the trials.
 `_chain_counts` walks the same chain in exact integers; it is criterion
 1's sixth route to r(n, k) and the check of the float tables.
 
@@ -26,8 +28,8 @@ vertex's subtree, of some size M, and the rest, an (n-M+1)-vertex tree
 with a marked leaf.  The subtree is a uniform M-vertex tree, so Y_n has
 the law of X_M with P(M = m) = C_(m-1) L(n-m+1) / (n C_(n-1)), where
 L(1) = 1 and L(p) = C(2p-2, p-1)/2 counts the leaves of all p-vertex
-trees.  Each trial draws M by inverse CDF from float weights and walks the
-chain from (1, M).
+trees.  One multinomial draw over float weights splits the trials over M,
+and the trials of each M walk the chain from (1, M).
 
 The word route simulates the definition and stays as criterion 6's
 cross-check, with stream 4's X draws and stream 3's Y draws.  Shuffle a
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -72,14 +75,17 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 # 4: Y reads the root of an M-vertex tree for a drawn subtree size M (X unchanged);
 # 5: X and Y walk the generation chain in batches of _BATCH trials, one uniform
 # per running trial and generation (the word route keeps stream 4's X and
-# stream 3's Y draws)
-RNG_STREAM = 5
+# stream 3's Y draws);
+# 6: X and Y split each chain state's trial count with one multinomial draw per
+# generation, and Y first splits the trials over subtree sizes the same way
+RNG_STREAM = 6
 
 # the size cap bounds Y's subtree-size table, n floats (32 MiB at the cap)
 # whose rounding grows with n; one word of 2n-1 steps of the largest tree
 # still fits a word-route batch of _BATCH_STEPS steps
 _MAX_SIZE = 1 << 22
-# chain batches hold _BATCH trials at every n; word-route batches hold at
+# a chain generation builds the tables of at most _BATCH states at once, which
+# bounds its memory and leaves its draws unchanged; word-route batches hold at
 # most _BATCH rows and at most _BATCH_STEPS steps in all (about 8 MiB per
 # int8 array), so estimates depend only on (statistic, n, trials, seed)
 _BATCH = 1 << 14
@@ -184,49 +190,6 @@ def _chain_tables(d: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return q[table & (e <= length)], sizes
 
 
-def _chain_values(sizes: np.ndarray, rng: np.random.Generator, tables: dict[int, np.ndarray]) -> np.ndarray:
-    """X of one uniform tree of each size in `sizes`, walked down the generation chain.
-
-    `tables` maps each state met in the run, as the key d * 2^32 + m, to
-    its table.  Each generation draws one uniform per trial still running,
-    in trial order, builds its new states' tables in one pass, lays its
-    states' tables end to end with a +inf guard (the last may be empty),
-    and finds each uniform in its state's table by a bisection run on
-    every trial at once (numpy.searchsorted with side="right", row by row).
-    """
-    values = np.empty(len(sizes), dtype=np.int64)
-    trial = np.arange(len(sizes))
-    d = np.ones(len(sizes), dtype=np.int64)
-    m = sizes.astype(np.int64)
-    level = 0
-    while trial.size:
-        u = rng.random(trial.size)
-        states, at = np.unique((d << 32) | m, return_inverse=True)
-        states = states.tolist()
-        new = np.array([key for key in states if key not in tables], dtype=np.int64)
-        if new.size:
-            built, built_sizes = _chain_tables(new >> 32, new & 0xFFFFFFFF)
-            tables.update(zip(new.tolist(), np.split(built, np.cumsum(built_sizes)[:-1])))
-        rows = [tables[key] for key in states]
-        lengths = np.array([row.size for row in rows])
-        flat = np.concatenate([*rows, [np.inf]])
-        end = np.cumsum(lengths)[at]
-        start = end - lengths[at]
-        lo, hi = start, end
-        for _ in range(int((end - start).max()).bit_length()):
-            mid = (lo + hi) >> 1
-            right = flat[mid] <= u
-            lo = np.minimum(np.where(right, mid + 1, lo), hi)
-            hi = np.where(right, hi, mid)
-        # lo is now the first entry above u; past the end, generation j holds a leaf
-        leaf = lo == end
-        values[trial[leaf]] = level
-        going = ~leaf
-        trial, m, d = trial[going], m[going] - d[going], (lo - start + d)[going]
-        level += 1
-    return values
-
-
 def _subtree_size_cdf(n: int) -> np.ndarray:
     """CDF of the subtree size M of a uniform vertex, as floats indexed by m - 1.
 
@@ -281,22 +244,44 @@ def _check_run(statistic: str, n: int, trials: int) -> None:
 def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleStats:
     """Monte Carlo survival counts for X (root) or Y (uniform vertex) at size n.
 
-    Deterministic given (statistic, n, trials, seed): trials are walked down
-    the generation chain in batches of _BATCH, the last holding only the
-    trials still needed.  Y draws a batch's subtree sizes before its chain.
+    Deterministic given (statistic, n, trials, seed).  The trials at one
+    state are exchangeable, so each generation splits every state's count
+    over its table and its leaf with one multinomial draw, state by state
+    in ascending key d * 2^32 + m, in chunks of at most _BATCH states;
+    Y first splits the trials over subtree sizes with one multinomial draw.
     """
     _check_run(statistic, n, trials)
-    tables: dict[int, np.ndarray] = {}
-    cdf = _subtree_size_cdf(n) if statistic == "Y" else None
-
-    def batch_values(rows: int, rng: np.random.Generator) -> np.ndarray:
-        if cdf is None:
-            sizes = np.full(rows, n)
-        else:
-            sizes = np.searchsorted(cdf, rng.random(rows), side="right") + 1
-        return _chain_values(sizes, rng, tables)
-
-    return _survival_stats(trials, seed, _BATCH, batch_values)
+    rng = make_rng(seed)
+    if statistic == "X":
+        m, count = np.array([n]), np.array([trials])
+    else:
+        count = rng.multinomial(trials, np.diff(_subtree_size_cdf(n), prepend=0.0))
+        m = np.flatnonzero(count) + 1
+        count = count[m - 1]
+    d = np.ones_like(m)
+    leaves = []
+    while d.size:
+        tally, keys, counts = 0, [], []
+        for lo in range(0, d.size, _BATCH):
+            dd, mm = d[lo : lo + _BATCH], m[lo : lo + _BATCH]
+            cdf, sizes = _chain_tables(dd, mm)
+            # one row per state: its table's steps, then the leaf's column, which
+            # numpy fills with the mass left; padding takes the row's last CDF
+            # value, so its steps are zero and draw nothing
+            width = int(sizes.max(initial=0))
+            rows = np.zeros((sizes.size, width + 1))
+            rows[:, :width][np.arange(width) < sizes[:, None]] = cdf
+            rows = np.diff(np.maximum.accumulate(rows, axis=1), axis=1, prepend=0.0)
+            draws = rng.multinomial(count[lo : lo + _BATCH], rows)
+            tally += int(draws[:, -1].sum())
+            state, step = np.nonzero(draws[:, :-1])
+            keys.append((dd[state] + step) << 32 | (mm - dd)[state])
+            counts.append(draws[state, step])
+        leaves.append(tally)
+        keys, at = np.unique(np.concatenate(keys), return_inverse=True)
+        count = np.bincount(at, weights=np.concatenate(counts)).astype(np.int64)
+        d, m = keys >> 32, keys & 0xFFFFFFFF
+    return SampleStats(tuple(accumulate(reversed(leaves)))[::-1])
 
 
 # the word routes

@@ -205,7 +205,7 @@ def test_sample_is_seed_deterministic(capsys):
     assert counts[0] == 2000
     params = json.loads(rows[0]["params"])
     assert params["rng_algorithm"] == "numpy.random.PCG64"
-    assert params["rng_stream"] == 5
+    assert params["rng_stream"] == 6
 
 
 def test_sample_provenance_names_the_route(capsys):

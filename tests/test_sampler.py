@@ -39,14 +39,16 @@ from treeprotect.trees import (
 _LEVEL = 6.334e-5
 
 
-def _binomial_tail(count: int, trials: int, p: float) -> float:
-    """Two-sided exact tail of `count` successes in `trials` draws of probability p.
+def _survival_tail(stats: SampleStats, k: int, p: float) -> float:
+    """Two-sided exact binomial tail of the count of trials with statistic >= k.
 
-    Twice the smaller of P(C <= count) and P(C >= count), at most 1; the
-    terms fall away from the mean, so the sum stops once they are
-    negligible.  With p = 0 or 1 the tail is 1 at the sure count and 0
-    elsewhere.
+    Twice the smaller of P(C <= count) and P(C >= count) for C binomial
+    over the trials with probability p, at most 1; the terms fall away
+    from the mean, so the sum stops once they are negligible.  With p = 0
+    or 1 the tail is 1 at the sure count and 0 elsewhere.
     """
+    count = stats.counts[k] if k < len(stats.counts) else 0
+    trials = stats.trials
     if p in (0.0, 1.0):
         return float(count == trials * p)
     head = math.lgamma(trials + 1)
@@ -66,10 +68,7 @@ def _binomial_tail(count: int, trials: int, p: float) -> float:
 
 def _min_tail(stats: SampleStats, table) -> float:
     """The smallest two-sided tail of the survival counts against an exact table."""
-    return min(
-        _binomial_tail(stats.counts[k] if k < len(stats.counts) else 0, stats.trials, c / table.counts[0])
-        for k, c in enumerate(table.counts[1:], 1)
-    )
+    return min(_survival_tail(stats, k, c / table.counts[0]) for k, c in enumerate(table.counts[1:], 1))
 
 
 def test_same_seed_reproduces_counts():
@@ -111,85 +110,75 @@ def test_batch_height_keeps_arrays_within_the_step_budget():
         assert rows * (2 * n - 1) <= 2**23 < (rows + 1) * (2 * n - 1)
 
 
-def _chain_by_loop(sizes, rng) -> list[int]:
-    """X per trial, one trial at a time, from the draws the chain makes.
+def _chain_by_states(statistic, n, trials, seed) -> tuple[int, ...]:
+    """Survival counts from one 1-D multinomial draw per chain state.
 
-    Each generation takes one uniform per running trial, in trial order,
-    and looks it up in its state's own table with numpy.searchsorted.
+    Y first splits the trials over subtree sizes; then each generation
+    takes its states in ascending key order, each with its own table.
     """
-    tables = {}
-    states = {i: (1, int(m)) for i, m in enumerate(sizes)}
-    values = [0] * len(sizes)
-    level = 0
+    rng = make_rng(seed)
+    if statistic == "X":
+        states = {(1, n): trials}
+    else:
+        sizes = rng.multinomial(trials, np.diff(sampler._subtree_size_cdf(n), prepend=0.0))
+        states = {(1, m): int(c) for m, c in enumerate(sizes.tolist(), 1) if c}
+    leaves = []
     while states:
-        for (i, (d, m)), u in zip(list(states.items()), rng.random(len(states))):
-            if (d, m) not in tables:
-                tables[d, m] = sampler._chain_tables(np.array([d]), np.array([m]))[0]
-            pos = int(np.searchsorted(tables[d, m], u, side="right"))
-            if pos == tables[d, m].size:
-                values[i] = level
-                del states[i]
-            else:
-                states[i] = (d + pos, m - d)
-        level += 1
-    return values
+        below, tally = {}, 0
+        for d, m in sorted(states):
+            cdf = sampler._chain_tables(np.array([d]), np.array([m]))[0]
+            *steps, leaf = rng.multinomial(states[d, m], np.append(np.diff(cdf, prepend=0.0), 0.0)).tolist()
+            tally += leaf
+            for i, c in enumerate(steps):
+                if c:
+                    below[d + i, m - d] = below.get((d + i, m - d), 0) + c
+        leaves.append(tally)
+        states = below
+    return tuple(accumulate(reversed(leaves)))[::-1]
 
 
-def test_estimate_survival_draws_batches_of_the_capped_height(monkeypatch):
-    # 40 trials in chain batches of 17 are batches of 17, 17 and 6; Y draws a
-    # batch's subtree sizes before its chain, and each generation draws one
-    # uniform per running trial, so the counts depend on where batches end
-    n, seed = 30, 405
+@pytest.mark.parametrize("statistic", ["X", "Y"])
+@pytest.mark.parametrize("n", [30, 200])
+def test_estimate_survival_draws_one_multinomial_per_state(monkeypatch, statistic, n):
+    # chunks of 17 states, so that generations cross chunk ends: numpy draws
+    # a 2-D multinomial row by row, and a zero cell draws nothing
     monkeypatch.setattr(sampler, "_BATCH", 17)
-    cdf = sampler._subtree_size_cdf(n)
-    for statistic in "XY":
-        rng = make_rng(seed)
-        values = []
-        for rows in (17, 17, 6):
-            if statistic == "X":
-                sizes = [n] * rows
-            else:
-                sizes = np.searchsorted(cdf, rng.random(rows), side="right") + 1
-            values += _chain_by_loop(sizes, rng)
-        got = estimate_survival(statistic, n, 40, seed).counts
-        assert got == _survival_tuple(values), statistic
+    expected = _chain_by_states(statistic, n, 2000, 405)
+    assert estimate_survival(statistic, n, 2000, 405).counts == expected
 
 
-def test_chain_bisection_matches_a_per_trial_searchsorted():
-    # every size up to 40, so that states with empty tables, single-entry
-    # tables and tables of every length meet in one batch; the second call
-    # on the same draws through the same dict reads only tables built by the first
-    sizes = np.arange(1, 41).repeat(50)
-    expected = _chain_by_loop(sizes, make_rng(77))
-    tables = {}
-    assert sampler._chain_values(sizes, make_rng(77), tables).tolist() == expected
-    built = set(tables)
-    assert sampler._chain_values(sizes, make_rng(77), tables).tolist() == expected
-    assert set(tables) == built
-
-
-# survival counts of stream 5, the generation chain; the 16385-trial runs
-# cross a batch end
+# survival counts of stream 6, one multinomial draw per chain state and
+# generation; Y first splits the trials over subtree sizes
 PINNED_COUNTS = {
     ("X", 1, 500, 1): {0: 500},
     ("Y", 1, 500, 1): {0: 500},
     ("X", 2, 2000, 3): {0: 2000, 1: 2000},
-    ("Y", 2, 2000, 3): {0: 2000, 1: 992},
-    ("X", 9, 20000, 16): {0: 20000, 1: 20000, 2: 8566, 3: 2749, 4: 860, 5: 292, 6: 96, 7: 39, 8: 18},
-    ("Y", 9, 20000, 16): {0: 20000, 1: 10104, 2: 3253, 3: 912, 4: 233, 5: 61, 6: 13, 7: 3, 8: 1},
-    ("X", 200, 16385, 11): {0: 16385, 1: 16385, 2: 7396, 3: 2176, 4: 574, 5: 144, 6: 39, 7: 9},
-    ("Y", 200, 16385, 11): {0: 16385, 1: 8067, 2: 2713, 3: 706, 4: 174, 5: 32, 6: 4, 7: 2},
+    ("Y", 2, 2000, 3): {0: 2000, 1: 1006},
+    ("X", 9, 20000, 16): {
+        0: 20000, 1: 20000, 2: 8707, 3: 2798, 4: 891, 5: 257, 6: 73, 7: 25, 8: 15
+    },
+    ("Y", 9, 20000, 16): {0: 20000, 1: 9951, 2: 3227, 3: 879, 4: 233, 5: 57, 6: 10, 7: 3, 8: 1},
+    ("X", 200, 16385, 11): {
+        0: 16385, 1: 16385, 2: 7237, 3: 2129, 4: 568, 5: 137, 6: 35, 7: 11, 8: 4, 9: 1, 10: 1
+    },
+    ("Y", 200, 16385, 11): {0: 16385, 1: 8147, 2: 2644, 3: 738, 4: 188, 5: 50, 6: 11, 7: 2},
     ("X", 257, 16353, 12): {
-        0: 16353, 1: 16353, 2: 7166, 3: 2132, 4: 527, 5: 123, 6: 31, 7: 5, 8: 3, 9: 1
+        0: 16353, 1: 16353, 2: 7240, 3: 2098, 4: 538, 5: 137, 6: 33, 7: 11, 8: 3, 9: 2, 10: 1
     },
-    ("Y", 257, 16353, 12): {0: 16353, 1: 8171, 2: 2672, 3: 714, 4: 215, 5: 58, 6: 16, 7: 4, 8: 2},
-    ("X", 1000, 4197, 13): {0: 4197, 1: 4197, 2: 1852, 3: 564, 4: 143, 5: 52, 6: 12, 7: 3, 8: 1, 9: 1},
-    ("Y", 1000, 4197, 13): {0: 4197, 1: 2133, 2: 725, 3: 217, 4: 57, 5: 13, 6: 5, 7: 2},
+    ("Y", 257, 16353, 12): {
+        0: 16353, 1: 8091, 2: 2707, 3: 722, 4: 194, 5: 51, 6: 11, 7: 2, 8: 1, 9: 1
+    },
+    ("X", 1000, 4197, 13): {0: 4197, 1: 4197, 2: 1830, 3: 494, 4: 133, 5: 35, 6: 10},
+    ("Y", 1000, 4197, 13): {0: 4197, 1: 2122, 2: 743, 3: 209, 4: 53, 5: 14, 6: 2},
     ("X", 50, 40000, 15): {
-        0: 40000, 1: 40000, 2: 17664, 3: 5416, 4: 1483, 5: 378, 6: 118, 7: 33, 8: 13, 9: 3
+        0: 40000, 1: 40000, 2: 17728, 3: 5381, 4: 1512, 5: 383, 6: 108, 7: 22, 8: 6, 9: 2, 10: 1
     },
-    ("X", 3000, 20000, 17): {0: 20000, 1: 20000, 2: 9010, 3: 2683, 4: 714, 5: 179, 6: 40, 7: 10, 8: 2},
-    ("Y", 3000, 20000, 17): {0: 20000, 1: 9834, 2: 3284, 3: 862, 4: 227, 5: 55, 6: 15, 7: 6, 8: 2},
+    ("X", 3000, 20000, 17): {
+        0: 20000, 1: 20000, 2: 8943, 3: 2659, 4: 717, 5: 172, 6: 43, 7: 7, 8: 2
+    },
+    ("Y", 3000, 20000, 17): {
+        0: 20000, 1: 10013, 2: 3343, 3: 923, 4: 229, 5: 57, 6: 14, 7: 3, 8: 2, 9: 1
+    },
 }
 
 
@@ -227,9 +216,8 @@ def test_chain_matches_the_exact_tables(n):
         stats = estimate_survival(statistic, n, trials, seed=6100 + n)
         assert len(stats.counts) <= n
         for k in range(1, min(n, 16)):
-            count = stats.counts[k] if k < len(stats.counts) else 0
             p = table.counts[k] / table.counts[0]
-            assert _binomial_tail(count, trials, p) >= _LEVEL, (statistic, k)
+            assert _survival_tail(stats, k, p) >= _LEVEL, (statistic, k)
 
 
 def test_chain_counts_equal_the_exact_tables():
@@ -268,8 +256,8 @@ def _forests(d: int, m: int) -> int:
 
 
 def test_chain_tables_do_not_depend_on_the_states_built_beside_them():
-    # the run's dict keeps each state's row from whichever batch built it,
-    # so a row built among others must equal, byte for byte, its lone build
+    # a generation builds each state's row among the others of its chunk,
+    # so that row must equal, byte for byte, its lone build
     d, m = zip(*[(d, m) for m in range(1, 61) for d in range(1, m + 1)])
     d = np.array(d + (1, 7, 40))
     m = np.array(m + (2**22, 4000000, 4194000))
@@ -389,8 +377,7 @@ def test_subtree_route_matches_the_oracle_vertex_law():
         assert len(stats.counts) <= max(tally) + 1, n
         for k in range(1, max(tally) + 1):
             p = sum(c for v, c in tally.items() if v >= k) / vertices
-            count = stats.counts[k] if k < len(stats.counts) else 0
-            assert _binomial_tail(count, trials, p) >= _LEVEL, (n, k)
+            assert _survival_tail(stats, k, p) >= _LEVEL, (n, k)
 
 
 def test_pointing_identity_behind_the_subtree_route():
@@ -518,7 +505,7 @@ def test_two_vertex_tree_split():
     stats = estimate_survival("X", 2, 2000, seed=3)
     assert stats.counts == (2000, 2000)
     stats_y = estimate_survival("Y", 2, 20000, seed=3)
-    assert _binomial_tail(stats_y.counts[1], 20000, 0.5) >= _LEVEL
+    assert _survival_tail(stats_y, 1, 0.5) >= _LEVEL
 
 
 def test_sample_stats_mean_matches_counts():
