@@ -92,7 +92,7 @@ _digits = _whole_number("digits", 1, _MAX_DIGITS)
 
 # an exact-dist table is held whole until written, and its output grows like n^2;
 # one r-explicit count costs more than n^2 big-int steps
-_exact_n = _whole_number("tree size", high=10_000)
+_exact_n = _whole_number("tree size", 1, 10_000)
 
 # limit values are exact rationals whose digits grow linearly in the level
 _MAX_LEVEL = 1000

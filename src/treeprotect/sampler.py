@@ -10,15 +10,16 @@ next generation holds e vertices in C(d+e-1, e) F(e, m-d) of them, one
 weak composition of e into d parts per way to hand out the children, and
 in C(e-1, d-1) of those every vertex of generation j has a child.
 
-So a trial walks the generation chain from (1, n).  At (d, m) a float
-table gives the chance of "generation j holds no leaf and generation j+1
-holds e vertices"; the mass past the table is "generation j holds a
-leaf", which ends the trial with X = j, and otherwise the walk moves on
-to (e, m-d).  A generation of d vertices is leafless with probability
-about 2^-d, so a trial takes O(1) expected steps at every n.  Trials at
-one state are exchangeable, so a run holds only the count of trials at
-each state and splits it over the state's table with one multinomial
-draw per generation: the work follows the states, not the trials.
+So a trial walks the generation chain from (1, n).  At (d, m) a row of
+floats gives, in its column e - 1, the chance of "generation j holds no
+leaf and generation j+1 holds e vertices" (0 for e < d); the mass left
+is "generation j holds a leaf", which ends the trial with X = j, and
+otherwise the walk moves on to (e, m-d).  A generation of d vertices is
+leafless with probability about 2^-d, so a trial takes O(1) expected
+steps at every n.  Trials at one state are exchangeable, so a run holds
+only the count of trials at each state and splits it over the state's
+row and its leaf with one multinomial draw per generation: the work
+follows the states, not the trials.
 `_chain_counts` walks the same chain in exact integers; it is criterion
 1's sixth route to r(n, k) and the check of the float tables.
 
@@ -52,7 +53,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -152,26 +152,25 @@ def _chain_counts(n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _chain_tables(d: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tables of the states (d[i], m[i]) end to end, and the length of each.
+def _chain_tables(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The tables of the states (d[i], m[i]), one row each, the column of e at e - 1.
 
-    State i's table is the CDF over e = d, d+1, ... of "generation j holds
-    no leaf and generation j+1 holds e vertices".  P(e) is proportional to
-    q(e) = C(d+e-1, e) F(e, r) with r = m - d, built from q(1) = 1 by
-    q(e+1)/q(e) = (d+e)(r-e) / (e(2r-e-1)) and normalized by its own sum.
-    The ratio is at most (d+e)/(2e), so past e = 2d+96 the weights left
-    out sum to under 1e-19 of the total at every d, and the table stops
-    there.  Generation j is leafless with probability
-    f(e) = C(e-1, d-1)/C(d+e-1, e), from f(d) = 1/C(2d-1, d) by
-    f(e)/f(e-1) = (e-1)e / ((e-d)(e+d-1)).  A table is empty when r < d,
-    where a leaf is sure.  Products and sums run along each row in order,
-    so a state's table does not depend on the states built beside it.
+    Row i holds P(e), the chance of "generation j holds no leaf and
+    generation j+1 holds e vertices", for e = 1 up to the chunk's largest
+    table end; the entries below e = d and past the state's own end are 0.
+    P(e) is proportional to q(e) = C(d+e-1, e) F(e, r) with r = m - d,
+    built from q(1) = 1 by q(e+1)/q(e) = (d+e)(r-e) / (e(2r-e-1)) and
+    normalized by its own sum.  The ratio is at most (d+e)/(2e), so past
+    e = 2d+96 the weights left out sum to under 1e-19 of the total at every
+    d, and the table stops there.  Generation j is leafless with
+    probability f(e) = C(e-1, d-1)/C(d+e-1, e), from f(d) = 1/C(2d-1, d)
+    by f(e)/f(e-1) = (e-1)e / ((e-d)(e+d-1)).  A row is all zeros when
+    r < d, where a leaf is sure.  The entries are the steps of the running
+    sum of f(e) P(e), and products and sums run along each row in order, so
+    a state's row does not depend on the states built beside it.
     """
-    r = m - d
+    d, r = d[:, None], (m - d)[:, None]
     length = np.minimum(r, 2 * d + 96)  # the last e of the table
-    sizes = np.maximum(length - d + 1, 0)
-    live = sizes > 0
-    d, r, length = d[live, None], r[live, None], length[live, None]
     e = np.arange(1, int(length.max(initial=1)) + 1, dtype=np.float64)
     q = np.zeros((d.size, e.size))
     q[:, 0] = 1.0
@@ -181,13 +180,12 @@ def _chain_tables(d: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     q /= np.cumsum(q, axis=1)[:, -1:]
     leafless = np.ones_like(q)
     np.divide((e - 1) * e, (e - d) * (e + d - 1), out=leafless, where=e > d)
-    first = [1 / math.comb(2 * k - 1, k) for k in d[:, 0].tolist()]
-    leafless[np.arange(d.size), d[:, 0] - 1] = first
+    first = np.array([1 / math.comb(2 * k - 1, k) for k in d[:, 0].tolist()])[:, None]
+    np.copyto(leafless, first, where=e == d)
     np.cumprod(leafless, axis=1, out=leafless)
-    table = e >= d
-    q *= leafless * table
+    q *= leafless * ((d <= e) & (e <= length))
     np.cumsum(q, axis=1, out=q)
-    return q[table & (e <= length)], sizes
+    return np.diff(q, axis=1, prepend=0.0)
 
 
 def _subtree_size_cdf(n: int) -> np.ndarray:
@@ -207,30 +205,6 @@ def _subtree_size_cdf(n: int) -> np.ndarray:
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     return cdf
-
-
-def _survival_stats(
-    trials: int,
-    seed: int,
-    height: int,
-    batch_values: Callable[[int, np.random.Generator], np.ndarray],
-) -> SampleStats:
-    """Tally batch_values(rows, rng) over batches of `height` rows into survival counts.
-
-    The tally grows with the largest value seen, never with n.
-    """
-    rng = make_rng(seed)
-    histogram = np.zeros(1, dtype=np.int64)
-    remaining = trials
-    while remaining > 0:
-        rows = min(remaining, height)
-        tally = np.bincount(batch_values(rows, rng))
-        if tally.size > histogram.size:
-            histogram = np.pad(histogram, (0, tally.size - histogram.size))
-        histogram[: tally.size] += tally
-        remaining -= rows
-    suffix = np.cumsum(histogram[::-1])[::-1]
-    return SampleStats(tuple(suffix.tolist()))
 
 
 def _check_run(statistic: str, n: int, trials: int) -> None:
@@ -264,19 +238,13 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
         tally, keys, counts = 0, [], []
         for lo in range(0, d.size, _BATCH):
             dd, mm = d[lo : lo + _BATCH], m[lo : lo + _BATCH]
-            cdf, sizes = _chain_tables(dd, mm)
-            # one row per state: its table's steps, then the leaf's column, which
-            # numpy fills with the mass left; padding takes the row's last CDF
-            # value, so its steps are zero and draw nothing
-            width = int(sizes.max(initial=0))
-            rows = np.zeros((sizes.size, width + 1))
-            rows[:, :width][np.arange(width) < sizes[:, None]] = cdf
-            rows = np.diff(np.maximum.accumulate(rows, axis=1), axis=1, prepend=0.0)
+            # the leaf's column comes last, and numpy fills it with the mass left
+            rows = np.pad(_chain_tables(dd, mm), ((0, 0), (0, 1)))
             draws = rng.multinomial(count[lo : lo + _BATCH], rows)
             tally += int(draws[:, -1].sum())
-            state, step = np.nonzero(draws[:, :-1])
-            keys.append((dd[state] + step) << 32 | (mm - dd)[state])
-            counts.append(draws[state, step])
+            state, column = np.nonzero(draws[:, :-1])
+            keys.append((column + 1) << 32 | (mm - dd)[state])
+            counts.append(draws[state, column])
         leaves.append(tally)
         keys, at = np.unique(np.concatenate(keys), return_inverse=True)
         count = np.bincount(at, weights=np.concatenate(counts)).astype(np.int64)
@@ -356,11 +324,19 @@ def _estimate_by_words(statistic: str, n: int, trials: int, seed: int) -> Sample
     batches of _batch_rows(n).
     """
     _check_run(statistic, n, trials)
-
-    def batch_values(rows: int, rng: np.random.Generator) -> np.ndarray:
+    rng = make_rng(seed)
+    height = _batch_rows(n)
+    # the tally grows with the largest value seen, never with n
+    histogram = np.zeros(1, dtype=np.int64)
+    for first in range(0, trials, height):
+        rows = min(height, trials - first)
         words = _tree_words(_shuffled_steps(n, rows, rng))
         if statistic == "X":
-            return _root_protection(words)
-        return _protection_scan(words, rng.integers(0, n, size=rows))
-
-    return _survival_stats(trials, seed, _batch_rows(n), batch_values)
+            values = _root_protection(words)
+        else:
+            values = _protection_scan(words, rng.integers(0, n, size=rows))
+        tally = np.bincount(values, minlength=histogram.size)
+        tally[: histogram.size] += histogram
+        histogram = tally
+    suffix = np.cumsum(histogram[::-1])[::-1]
+    return SampleStats(tuple(suffix.tolist()))

@@ -324,6 +324,25 @@ def test_oracle_bound_error_names_the_flag_and_limit(capsys, argv):
     assert "tree size must be at most 16 for enumeration, got 17" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact-dist", "X", "N"],
+        ["exact-dist", "Y", "N"],
+        ["exact-dist", "X", "N", "oracle"],
+        ["exact-dist", "Y", "N", "oracle"],
+        ["r-explicit", "N", "0"],
+    ],
+)
+def test_size_below_1_error_names_the_tree_size(capsys, argv, size):
+    # both exact-dist routes and r-explicit reject it at parse time
+    with pytest.raises(SystemExit) as exc:
+        main([size if arg == "N" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert f"argument n: tree size must be at least 1, got {size}" in capsys.readouterr().err
+
+
 _ORACLE_COMMANDS = [["oracle", "--n", "3"], ["exact-dist", "X", "3", "oracle"]]
 
 

@@ -5,7 +5,8 @@ of its six library modules, and leaves `acceptance` and `cli` unloaded.
 Names that only criterion 1, the tests and the benchmark use stay defined
 in their modules but off the root.
 Each library module imports only the siblings that keep its routes
-independent of the engines they check.
+independent of the engines they check, and no module enforces an
+invariant with `assert`, which `python -O` strips.
 """
 
 import ast
@@ -127,3 +128,15 @@ def test_library_modules_import_only_their_allowed_siblings():
         for sibling, names in _package_imports(name).items():
             assert sibling in allowed, (name, sibling)
             assert allowed[sibling] is None or names <= allowed[sibling], (name, sibling, names)
+
+
+def test_no_module_holds_an_assert_statement():
+    # invariants are explicit raises, which hold under `python -O` too
+    package = Path(treeprotect.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -93,7 +93,7 @@ def test_short_run_counts_are_the_first_rows_of_a_full_batch():
     height = sampler._batch_rows(n)
     full = sampler._tree_words(sampler._shuffled_steps(n, height, make_rng(seed)))
     values = sampler._protection_scan(full, np.zeros(height, dtype=int))
-    for trials in (1, 999, height - 1):
+    for trials in (1, 999, height - 1, height):
         expected = _survival_tuple(values[:trials])
         assert sampler._estimate_by_words("X", n, trials, seed).counts == expected
 
@@ -126,12 +126,13 @@ def _chain_by_states(statistic, n, trials, seed) -> tuple[int, ...]:
     while states:
         below, tally = {}, 0
         for d, m in sorted(states):
-            cdf = sampler._chain_tables(np.array([d]), np.array([m]))[0]
-            *steps, leaf = rng.multinomial(states[d, m], np.append(np.diff(cdf, prepend=0.0), 0.0)).tolist()
+            row = sampler._chain_tables(np.array([d]), np.array([m]))[0]
+            *steps, leaf = rng.multinomial(states[d, m], np.append(row, 0.0)).tolist()
             tally += leaf
-            for i, c in enumerate(steps):
+            # column e - 1 moves its trials on to (e, m - d)
+            for e, c in enumerate(steps, 1):
                 if c:
-                    below[d + i, m - d] = below.get((d + i, m - d), 0) + c
+                    below[e, m - d] = below.get((e, m - d), 0) + c
         leaves.append(tally)
         states = below
     return tuple(accumulate(reversed(leaves)))[::-1]
@@ -239,10 +240,11 @@ def test_chain_tables_propagate_the_exact_law():
             below = {}
             for (d, m), mass in states.items():
                 if (d, m) not in tables:
-                    cdf = sampler._chain_tables(np.array([d]), np.array([m]))[0]
-                    tables[d, m] = np.diff(cdf, prepend=0.0).tolist()
-                for i, weight in enumerate(tables[d, m]):
-                    below[d + i, m - d] = below.get((d + i, m - d), 0.0) + mass * weight
+                    tables[d, m] = sampler._chain_tables(np.array([d]), np.array([m]))[0].tolist()
+                # a zero column, below e = d or past the table, carries nothing
+                for e, weight in enumerate(tables[d, m], 1):
+                    if weight:
+                        below[e, m - d] = below.get((e, m - d), 0.0) + mass * weight
             states = below
         counts = dist_X_exact(n).counts
         assert len(survival) == len(counts), n
@@ -257,30 +259,39 @@ def _forests(d: int, m: int) -> int:
 
 def test_chain_tables_do_not_depend_on_the_states_built_beside_them():
     # a generation builds each state's row among the others of its chunk,
-    # so that row must equal, byte for byte, its lone build
+    # so that row must equal, byte for byte, its lone build over the lone
+    # width, and be zero past it
     d, m = zip(*[(d, m) for m in range(1, 61) for d in range(1, m + 1)])
     d = np.array(d + (1, 7, 40))
     m = np.array(m + (2**22, 4000000, 4194000))
-    together, sizes = sampler._chain_tables(d, m)
-    rows = np.split(together, np.cumsum(sizes)[:-1])
-    for row, one_d, one_m in zip(rows, d, m):
+    together = sampler._chain_tables(d, m)
+    for row, one_d, one_m in zip(together, d, m):
         alone = sampler._chain_tables(one_d[None], one_m[None])[0]
-        assert row.tobytes() == alone.tobytes(), (one_d, one_m)
+        assert row[: alone.size].tobytes() == alone.tobytes(), (one_d, one_m)
+        assert not row[alone.size :].any(), (one_d, one_m)
 
 
 def test_chain_tables_stop_past_the_bulk():
-    # a state's table runs to e = min(m - d, 2d + 96), empty when m - d < d;
-    # its last entry is the probability that generation j holds no leaf
+    # a state's table runs from e = d to e = min(m - d, 2d + 96), empty when
+    # m - d < d, so its row is zero from column min(m - d, 2d + 96) on;
+    # the row's sum is the probability that generation j holds no leaf
     d = np.array([1, 1, 2, 3, 5, 1])
     m = np.array([1, 2, 3, 500, 9, 10**6])
-    tables, sizes = sampler._chain_tables(d, m)
-    assert sizes.tolist() == [0, 1, 0, 100, 0, 98]
-    assert tables[0] == 1.0  # (1, 2): the root has one child
+    rows = sampler._chain_tables(d, m)
+    # the steps reach exact 0 before a cut, so the widths show it: (3, 500)
+    # has the chunk's largest table end, and (1, 10^6) alone stops at e = 98
+    assert rows.shape == (6, 102)
+    assert sampler._chain_tables(d[5:], m[5:]).shape == (1, 98)
+    for row, one_d, one_m in zip(rows, d, m):
+        end = min(one_m - one_d, 2 * one_d + 96)
+        assert not row[: one_d - 1].any() and not row[end:].any(), (one_d, one_m)
+    assert not rows[[0, 2, 4]].any()
+    assert rows[1, 0] == 1.0  # (1, 2): the root has one child
     # (3, 500), cut at e = 102 of 497: exact sum over every e
     leafless = sum(math.comb(e - 1, 2) * _forests(e, 497) for e in range(3, 498))
-    assert abs(tables[100] - leafless / _forests(3, 500)) < 1e-15
+    assert abs(rows[3].sum() - leafless / _forests(3, 500)) < 1e-15
     # (1, 10^6): the root of a huge tree never is a leaf, whatever e it has
-    assert abs(tables[-1] - 1.0) < 1e-15
+    assert abs(rows[5].sum() - 1.0) < 1e-15
 
 
 def test_chain_allocates_nothing_of_size_n():
