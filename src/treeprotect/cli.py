@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_asym)
     p.add_argument("statistic", choices=("X", "Y"))
     p.add_argument("k", type=_whole_number("level", high=_MAX_LEVEL))
-    p.add_argument("n", type=_whole_number("tree size"))
+    p.add_argument("n", type=_whole_number("tree size", 1))
     p.add_argument("--digits", type=_digits, default=30)
 
     p = sub.add_parser("constants", parents=[common], help="certified constant enclosures")
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", parents=[common], help="Monte Carlo survival estimate")
     p.add_argument("statistic", choices=("X", "Y"))
-    p.add_argument("n", type=_whole_number("tree size"))
+    p.add_argument("n", type=_whole_number("tree size", 1))
     # a trial walks only the generations above the first leaf, O(1) expected work at any n,
     # and trials at one state share one draw, so the cap bounds a run at O(10^7) chain
     # states whatever the size

@@ -11,10 +11,10 @@ weak composition of e into d parts per way to hand out the children, and
 in C(e-1, d-1) of those every vertex of generation j has a child.
 
 So a trial walks the generation chain from (1, n).  At (d, m) a row of
-floats gives, in its column e - 1, the chance of "generation j holds no
-leaf and generation j+1 holds e vertices" (0 for e < d); the mass left
-is "generation j holds a leaf", which ends the trial with X = j, and
-otherwise the walk moves on to (e, m-d).  A generation of d vertices is
+floats gives, in its column e - d, the chance C(e-1, d-1) F(e, m-d) / F(d, m)
+of "generation j holds no leaf and generation j+1 holds e vertices"; the
+mass left is "generation j holds a leaf", which ends the trial with X = j,
+and otherwise the walk moves on to (e, m-d).  A generation of d vertices is
 leafless with probability about 2^-d, so a trial takes O(1) expected
 steps at every n.  Trials at one state are exchangeable, so a run holds
 only the count of trials at each state and splits it over the state's
@@ -77,8 +77,10 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 # per running trial and generation (the word route keeps stream 4's X and
 # stream 3's Y draws);
 # 6: X and Y split each chain state's trial count with one multinomial draw per
-# generation, and Y first splits the trials over subtree sizes the same way
-RNG_STREAM = 6
+# generation, and Y first splits the trials over subtree sizes the same way;
+# 7: the chain's rows are the exact transition weights, one running product
+# each, and the subtree sizes' weights are normalized without a running sum
+RNG_STREAM = 7
 
 # the size cap bounds Y's subtree-size table, n floats (32 MiB at the cap)
 # whose rounding grows with n; one word of 2n-1 steps of the largest tree
@@ -135,7 +137,8 @@ def _chain_counts(n: int) -> tuple[int, ...]:
     The root is k-protected when generations 0..k-1 hold no leaf.  A dict
     carries each state (d, m) of generation k to the number of ways to
     build generations 0..k leafless above it; each way extends to F(d, m)
-    trees.  Exact integers throughout, from math.comb alone.
+    trees and to C(e-1, d-1) ways at (e, m-d), the formula of
+    `_chain_tables`.  Exact integers throughout, from math.comb alone.
     """
     counts = []
     states = {(1, n): 1}
@@ -153,58 +156,49 @@ def _chain_counts(n: int) -> tuple[int, ...]:
 
 
 def _chain_tables(d: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The tables of the states (d[i], m[i]), one row each, the column of e at e - 1.
+    """The tables of the states (d[i], m[i]), one row each, the column of e at e - d.
 
-    Row i holds P(e), the chance of "generation j holds no leaf and
-    generation j+1 holds e vertices", for e = 1 up to the chunk's largest
-    table end; the entries below e = d and past the state's own end are 0.
-    P(e) is proportional to q(e) = C(d+e-1, e) F(e, r) with r = m - d,
-    built from q(1) = 1 by q(e+1)/q(e) = (d+e)(r-e) / (e(2r-e-1)) and
-    normalized by its own sum.  The ratio is at most (d+e)/(2e), so past
-    e = 2d+96 the weights left out sum to under 1e-19 of the total at every
-    d, and the table stops there.  Generation j is leafless with
-    probability f(e) = C(e-1, d-1)/C(d+e-1, e), from f(d) = 1/C(2d-1, d)
-    by f(e)/f(e-1) = (e-1)e / ((e-d)(e+d-1)).  A row is all zeros when
-    r < d, where a leaf is sure.  The entries are the steps of the running
-    sum of f(e) P(e), and products and sums run along each row in order, so
-    a state's row does not depend on the states built beside it.
+    Row i holds w(e) = C(e-1, d-1) F(e, r) / F(d, m) with r = m - d, the
+    formula of `_chain_counts`, for e = d up to min(r, 2d+96), then 0 up
+    to the chunk's widest row.  A row is one running product: the d
+    factors F(d, x)/F(d, x+1) = (x+1)(x-d+1) / ((2x-d+1)(2x-d)) for
+    x = r..m-1, padded with ones up to the chunk's largest d, give w(d),
+    then w(e+1)/w(e) = (e+1)(r-e) / ((e-d+1)(2r-e-1)).  As w(e) is at most
+    P(e) = C(d+e-1, e) F(e, r) / F(d, m), whose ratio is at most (d+e)/(2e),
+    the weights past e = 2d+96 sum to under 1e-19 at every d.  A row is
+    all zeros when r < d, where a leaf is sure.  The product runs along
+    each row in order, so a row does not depend on the rows beside it.
     """
     d, r = d[:, None], (m - d)[:, None]
-    length = np.minimum(r, 2 * d + 96)  # the last e of the table
-    e = np.arange(1, int(length.max(initial=1)) + 1, dtype=np.float64)
-    q = np.zeros((d.size, e.size))
-    q[:, 0] = 1.0
-    step = e[:-1]
-    np.divide((d + step) * (r - step), step * (2 * r - step - 1), out=q[:, 1:], where=step < length)
-    np.cumprod(q, axis=1, out=q)
-    q /= np.cumsum(q, axis=1)[:, -1:]
-    leafless = np.ones_like(q)
-    np.divide((e - 1) * e, (e - d) * (e + d - 1), out=leafless, where=e > d)
-    first = np.array([1 / math.comb(2 * k - 1, k) for k in d[:, 0].tolist()])[:, None]
-    np.copyto(leafless, first, where=e == d)
-    np.cumprod(leafless, axis=1, out=leafless)
-    q *= leafless * ((d <= e) & (e <= length))
-    np.cumsum(q, axis=1, out=q)
-    return np.diff(q, axis=1, prepend=0.0)
+    end = np.minimum(r, 2 * d + 96)  # the last e of the table
+    j = np.arange(int(d.max(initial=1)))
+    x = r + j
+    k = np.arange(int((end - d).max(initial=0)))  # the step from e = d + k to e + 1
+    w = np.zeros((d.size, j.size + k.size))
+    head, tail = w[:, : j.size], w[:, j.size :]
+    head[:] = live = r >= d
+    np.divide((x + 1) * (x - d + 1), (2 * x - d + 1) * (2 * x - d), out=head, where=(j < d) & live)
+    np.divide((d + k + 1) * (r - d - k), (k + 1) * (2 * r - d - k - 1), out=tail, where=k < end - d)
+    np.cumprod(w, axis=1, out=w)
+    return w[:, j.size - 1 :]
 
 
-def _subtree_size_cdf(n: int) -> np.ndarray:
-    """CDF of the subtree size M of a uniform vertex, as floats indexed by m - 1.
+def _subtree_size_pmf(n: int) -> np.ndarray:
+    """Law of the subtree size M of a uniform vertex, as floats indexed by m - 1.
 
     With c_k = C(2k, k)/4^k, P(M = m) = c_(m-1) c_(n-m) / (2m c_(n-1)) for
     m < n and P(M = n) = 1/n.  The c_k come from one running product of the
     ratios 1 - 1/(2k), so the table costs O(n) floats and no big ints; it is
-    normalized by its own sum, so its last entry is exactly 1.
+    normalized by its own sum.
     """
     c = np.arange(n, dtype=np.float64)
     c[0] = 1.0
     c[1:] = 1 - 0.5 / c[1:]
     np.cumprod(c, out=c)
-    cdf = c / np.arange(1, n + 1)
-    cdf[:-1] *= c[:0:-1] / 2
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    return cdf
+    pmf = c / np.arange(1, n + 1)
+    pmf[:-1] *= c[:0:-1] / 2
+    pmf /= pmf.sum()
+    return pmf
 
 
 def _check_run(statistic: str, n: int, trials: int) -> None:
@@ -229,7 +223,7 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     if statistic == "X":
         m, count = np.array([n]), np.array([trials])
     else:
-        count = rng.multinomial(trials, np.diff(_subtree_size_cdf(n), prepend=0.0))
+        count = rng.multinomial(trials, _subtree_size_pmf(n))
         m = np.flatnonzero(count) + 1
         count = count[m - 1]
     d = np.ones_like(m)
@@ -243,7 +237,7 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
             draws = rng.multinomial(count[lo : lo + _BATCH], rows)
             tally += int(draws[:, -1].sum())
             state, column = np.nonzero(draws[:, :-1])
-            keys.append((column + 1) << 32 | (mm - dd)[state])
+            keys.append((column + dd[state]) << 32 | (mm - dd)[state])
             counts.append(draws[state, column])
         leaves.append(tally)
         keys, at = np.unique(np.concatenate(keys), return_inverse=True)

@@ -205,7 +205,7 @@ def test_sample_is_seed_deterministic(capsys):
     assert counts[0] == 2000
     params = json.loads(rows[0]["params"])
     assert params["rng_algorithm"] == "numpy.random.PCG64"
-    assert params["rng_stream"] == 6
+    assert params["rng_stream"] == 7
 
 
 def test_sample_provenance_names_the_route(capsys):
@@ -333,10 +333,12 @@ def test_oracle_bound_error_names_the_flag_and_limit(capsys, argv):
         ["exact-dist", "X", "N", "oracle"],
         ["exact-dist", "Y", "N", "oracle"],
         ["r-explicit", "N", "0"],
+        ["sample", "X", "N"],
+        ["asym", "X", "3", "N"],
     ],
 )
 def test_size_below_1_error_names_the_tree_size(capsys, argv, size):
-    # both exact-dist routes and r-explicit reject it at parse time
+    # both exact-dist routes, r-explicit, sample and asym reject it at parse time
     with pytest.raises(SystemExit) as exc:
         main([size if arg == "N" else arg for arg in argv])
     assert exc.value.code == 2

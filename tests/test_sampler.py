@@ -120,7 +120,7 @@ def _chain_by_states(statistic, n, trials, seed) -> tuple[int, ...]:
     if statistic == "X":
         states = {(1, n): trials}
     else:
-        sizes = rng.multinomial(trials, np.diff(sampler._subtree_size_cdf(n), prepend=0.0))
+        sizes = rng.multinomial(trials, sampler._subtree_size_pmf(n))
         states = {(1, m): int(c) for m, c in enumerate(sizes.tolist(), 1) if c}
     leaves = []
     while states:
@@ -129,8 +129,8 @@ def _chain_by_states(statistic, n, trials, seed) -> tuple[int, ...]:
             row = sampler._chain_tables(np.array([d]), np.array([m]))[0]
             *steps, leaf = rng.multinomial(states[d, m], np.append(row, 0.0)).tolist()
             tally += leaf
-            # column e - 1 moves its trials on to (e, m - d)
-            for e, c in enumerate(steps, 1):
+            # column e - d moves its trials on to (e, m - d)
+            for e, c in enumerate(steps, d):
                 if c:
                     below[e, m - d] = below.get((e, m - d), 0) + c
         leaves.append(tally)
@@ -148,38 +148,41 @@ def test_estimate_survival_draws_one_multinomial_per_state(monkeypatch, statisti
     assert estimate_survival(statistic, n, 2000, 405).counts == expected
 
 
-# survival counts of stream 6, one multinomial draw per chain state and
-# generation; Y first splits the trials over subtree sizes
+# survival counts of stream 7, one multinomial draw per chain state and
+# generation; Y first splits the trials over subtree sizes; the runs at
+# n = 2^22 reach the widest rows
 PINNED_COUNTS = {
     ("X", 1, 500, 1): {0: 500},
     ("Y", 1, 500, 1): {0: 500},
     ("X", 2, 2000, 3): {0: 2000, 1: 2000},
     ("Y", 2, 2000, 3): {0: 2000, 1: 1006},
     ("X", 9, 20000, 16): {
-        0: 20000, 1: 20000, 2: 8707, 3: 2798, 4: 891, 5: 257, 6: 73, 7: 25, 8: 15
+        0: 20000, 1: 20000, 2: 8708, 3: 2900, 4: 945, 5: 284, 6: 86, 7: 28, 8: 14
     },
-    ("Y", 9, 20000, 16): {0: 20000, 1: 9951, 2: 3227, 3: 879, 4: 233, 5: 57, 6: 10, 7: 3, 8: 1},
+    ("Y", 9, 20000, 16): {0: 20000, 1: 9951, 2: 3227, 3: 880, 4: 233, 5: 57, 6: 10, 7: 3, 8: 1},
     ("X", 200, 16385, 11): {
-        0: 16385, 1: 16385, 2: 7237, 3: 2129, 4: 568, 5: 137, 6: 35, 7: 11, 8: 4, 9: 1, 10: 1
+        0: 16385, 1: 16385, 2: 7269, 3: 2143, 4: 570, 5: 130, 6: 42, 7: 11, 8: 3, 9: 1
     },
-    ("Y", 200, 16385, 11): {0: 16385, 1: 8147, 2: 2644, 3: 738, 4: 188, 5: 50, 6: 11, 7: 2},
+    ("Y", 200, 16385, 11): {
+        0: 16385, 1: 8147, 2: 2665, 3: 759, 4: 206, 5: 48, 6: 15, 7: 6, 8: 2, 9: 1, 10: 1
+    },
     ("X", 257, 16353, 12): {
-        0: 16353, 1: 16353, 2: 7240, 3: 2098, 4: 538, 5: 137, 6: 33, 7: 11, 8: 3, 9: 2, 10: 1
+        0: 16353, 1: 16353, 2: 7309, 3: 2123, 4: 515, 5: 136, 6: 28, 7: 6, 8: 2
     },
-    ("Y", 257, 16353, 12): {
-        0: 16353, 1: 8091, 2: 2707, 3: 722, 4: 194, 5: 51, 6: 11, 7: 2, 8: 1, 9: 1
-    },
-    ("X", 1000, 4197, 13): {0: 4197, 1: 4197, 2: 1830, 3: 494, 4: 133, 5: 35, 6: 10},
-    ("Y", 1000, 4197, 13): {0: 4197, 1: 2122, 2: 743, 3: 209, 4: 53, 5: 14, 6: 2},
+    ("Y", 257, 16353, 12): {0: 16353, 1: 8261, 2: 2745, 3: 741, 4: 171, 5: 42, 6: 11, 7: 1},
+    ("X", 1000, 4197, 13): {0: 4197, 1: 4197, 2: 1817, 3: 517, 4: 144, 5: 28, 6: 9, 7: 3, 8: 2},
+    ("Y", 1000, 4197, 13): {0: 4197, 1: 2121, 2: 732, 3: 200, 4: 55, 5: 15, 6: 5, 7: 2, 8: 1},
     ("X", 50, 40000, 15): {
-        0: 40000, 1: 40000, 2: 17728, 3: 5381, 4: 1512, 5: 383, 6: 108, 7: 22, 8: 6, 9: 2, 10: 1
+        0: 40000, 1: 40000, 2: 17818, 3: 5399, 4: 1453, 5: 370, 6: 96, 7: 21, 8: 3, 9: 2
     },
     ("X", 3000, 20000, 17): {
-        0: 20000, 1: 20000, 2: 8943, 3: 2659, 4: 717, 5: 172, 6: 43, 7: 7, 8: 2
+        0: 20000, 1: 20000, 2: 8925, 3: 2676, 4: 733, 5: 180, 6: 42, 7: 10, 8: 1
     },
-    ("Y", 3000, 20000, 17): {
-        0: 20000, 1: 10013, 2: 3343, 3: 923, 4: 229, 5: 57, 6: 14, 7: 3, 8: 2, 9: 1
+    ("Y", 3000, 20000, 17): {0: 20000, 1: 10013, 2: 3343, 3: 918, 4: 234, 5: 58, 6: 13, 7: 1, 8: 1},
+    ("X", 2**22, 10**4, 18): {
+        0: 10000, 1: 10000, 2: 4450, 3: 1308, 4: 358, 5: 83, 6: 22, 7: 5, 8: 1
     },
+    ("Y", 2**22, 10**4, 19): {0: 10000, 1: 4961, 2: 1595, 3: 427, 4: 99, 5: 23, 6: 4, 7: 1},
 }
 
 
@@ -241,8 +244,9 @@ def test_chain_tables_propagate_the_exact_law():
             for (d, m), mass in states.items():
                 if (d, m) not in tables:
                     tables[d, m] = sampler._chain_tables(np.array([d]), np.array([m]))[0].tolist()
-                # a zero column, below e = d or past the table, carries nothing
-                for e, weight in enumerate(tables[d, m], 1):
+                # a zero column, past the table or in a row with a sure leaf,
+                # carries nothing
+                for e, weight in enumerate(tables[d, m], d):
                     if weight:
                         below[e, m - d] = below.get((e, m - d), 0.0) + mass * weight
             states = below
@@ -273,18 +277,19 @@ def test_chain_tables_do_not_depend_on_the_states_built_beside_them():
 
 def test_chain_tables_stop_past_the_bulk():
     # a state's table runs from e = d to e = min(m - d, 2d + 96), empty when
-    # m - d < d, so its row is zero from column min(m - d, 2d + 96) on;
-    # the row's sum is the probability that generation j holds no leaf
+    # m - d < d, so its row is positive up to column min(m - d, 2d + 96) - d
+    # and zero after; the row's sum is the probability that generation j
+    # holds no leaf
     d = np.array([1, 1, 2, 3, 5, 1])
     m = np.array([1, 2, 3, 500, 9, 10**6])
     rows = sampler._chain_tables(d, m)
-    # the steps reach exact 0 before a cut, so the widths show it: (3, 500)
-    # has the chunk's largest table end, and (1, 10^6) alone stops at e = 98
-    assert rows.shape == (6, 102)
+    # (3, 500) has the chunk's widest table, e = 3..102, and (1, 10^6) alone
+    # runs over e = 1..98
+    assert rows.shape == (6, 100)
     assert sampler._chain_tables(d[5:], m[5:]).shape == (1, 98)
     for row, one_d, one_m in zip(rows, d, m):
-        end = min(one_m - one_d, 2 * one_d + 96)
-        assert not row[: one_d - 1].any() and not row[end:].any(), (one_d, one_m)
+        width = max(min(one_m - one_d, 2 * one_d + 96) - one_d + 1, 0)
+        assert np.all(row[:width] > 0) and not row[width:].any(), (one_d, one_m)
     assert not rows[[0, 2, 4]].any()
     assert rows[1, 0] == 1.0  # (1, 2): the root has one child
     # (3, 500), cut at e = 102 of 497: exact sum over every e
@@ -292,6 +297,24 @@ def test_chain_tables_stop_past_the_bulk():
     assert abs(rows[3].sum() - leafless / _forests(3, 500)) < 1e-15
     # (1, 10^6): the root of a huge tree never is a leaf, whatever e it has
     assert abs(rows[5].sum() - 1.0) < 1e-15
+
+
+def test_chain_rows_are_the_exact_transition_counts():
+    # the entry for e is C(e-1, d-1) F(e, m - d) / F(d, m), the weight that
+    # _chain_counts carries from (d, m) to (e, m - d), for e = d up to the
+    # table's end, and 0 elsewhere; int / int rounds the exact ratio once
+    states = [(d, m) for m in range(1, 61) for d in range(1, m + 1)]
+    states += [(d, m) for d in (1, 2, 5, 20, 60) for m in (500, 3000)]
+    d, m = map(np.array, zip(*states))
+    worst = 0.0
+    for row, (one_d, one_m) in zip(sampler._chain_tables(d, m), states):
+        r = one_m - one_d
+        end = min(r, 2 * one_d + 96)
+        for e in range(one_d, end + 1):
+            exact = math.comb(e - 1, one_d - 1) * _forests(e, r) / _forests(one_d, one_m)
+            worst = max(worst, abs(row[e - one_d] / exact - 1))
+        assert not row[max(end - one_d + 1, 0) :].any(), (one_d, one_m)
+    assert worst <= 1e-13
 
 
 def test_chain_allocates_nothing_of_size_n():
@@ -362,10 +385,9 @@ def test_subtree_size_cdf_matches_the_exact_law(n):
     total = n * catalan(n - 1)
     assert sum(weights) == total
     exact = [float(Fraction(partial, total)) for partial in accumulate(weights)]
-    got = sampler._subtree_size_cdf(n)
-    assert got[-1] == 1.0
-    assert np.all(np.diff(got) > 0)
-    assert np.max(np.abs(got - np.array(exact))) <= 1e-12
+    got = sampler._subtree_size_pmf(n)
+    assert np.all(got > 0)
+    assert np.max(np.abs(np.cumsum(got) - np.array(exact))) <= 1e-12
 
 
 def test_subtree_size_mean_at_200():
@@ -373,7 +395,7 @@ def test_subtree_size_mean_at_200():
     weights = _subtree_size_weights(n)
     mean = Fraction(sum(m * w for m, w in enumerate(weights, 1)), n * catalan(n - 1))
     assert round(float(mean), 4) == 13.0096
-    pmf = np.diff(sampler._subtree_size_cdf(n), prepend=0.0)
+    pmf = sampler._subtree_size_pmf(n)
     assert round(float(pmf @ np.arange(1, n + 1)), 4) == 13.0096
 
 
