@@ -30,6 +30,8 @@ import sys
 import time
 from typing import Sequence
 
+import numpy
+
 from .acceptance import run_all
 from .asymptotics import (
     _MAX_DIGITS,
@@ -335,8 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     # states whatever the size
     p.add_argument("--trials", type=_whole_number("trials", 1, 10**7), default=10000)
     p.add_argument("--seed", type=_whole_number("seed", 0), default=1)
-    # the generator and stream version are stamped after the parameters
-    p.set_defaults(handler=_cmd_sample, rng_algorithm=RNG_ALGORITHM, rng_stream=RNG_STREAM)
+    # the generator, the stream version and numpy's version, whose distribution
+    # methods map the generator's bits to draws, are stamped after the parameters
+    p.set_defaults(
+        handler=_cmd_sample,
+        rng_algorithm=RNG_ALGORITHM,
+        rng_stream=RNG_STREAM,
+        numpy_version=numpy.__version__,
+    )
 
     sub.add_parser("verify", help="run the full verification suite")
     return parser

@@ -10,16 +10,19 @@ next generation holds e vertices in C(d+e-1, e) F(e, m-d) of them, one
 weak composition of e into d parts per way to hand out the children, and
 in C(e-1, d-1) of those every vertex of generation j has a child.
 
-So a trial walks the generation chain from (1, n).  At (d, m) a row of
-floats gives, in its column e - d, the chance C(e-1, d-1) F(e, m-d) / F(d, m)
-of "generation j holds no leaf and generation j+1 holds e vertices"; the
-mass left is "generation j holds a leaf", which ends the trial with X = j,
-and otherwise the walk moves on to (e, m-d).  A generation of d vertices is
-leafless with probability about 2^-d, so a trial takes O(1) expected
-steps at every n.  Trials at one state are exchangeable, so a run holds
-only the count of trials at each state and splits it over the state's
-row and its leaf with one multinomial draw per generation: the work
-follows the states, not the trials.
+So a trial walks the generation chain from (1, n).  At (d, m) generation
+j holds no leaf with chance F(2d, m) / F(d, m), as a root with children
+is an ordered pair of trees; a trial with a leaf there ends with X = j.
+A row of floats gives, in its column e - d, the chance
+C(e-1, d-1) F(e, m-d) / F(d, m) of "generation j holds no leaf and
+generation j+1 holds e vertices", and the walk moves on to (e, m-d).  A
+generation of d vertices is leafless with probability about 2^(1-d), so
+a trial takes O(1) expected steps at every n.  Trials at one state are
+exchangeable, so a run holds only the count of trials at each state.  Per
+generation, one binomial draw splits each state's count into its leaf and
+its survivors, and only a state with survivors builds its row and splits
+them over it, divided by that chance, with one multinomial draw: the
+work follows the states that go on, not the trials.
 `_chain_counts` walks the same chain in exact integers; it is criterion
 1's sixth route to r(n, k) and the check of the float tables.
 
@@ -79,17 +82,19 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 # 6: X and Y split each chain state's trial count with one multinomial draw per
 # generation, and Y first splits the trials over subtree sizes the same way;
 # 7: the chain's rows are the exact transition weights, one running product
-# each, and the subtree sizes' weights are normalized without a running sum
-RNG_STREAM = 7
+# each, and the subtree sizes' weights are normalized without a running sum;
+# 8: each state first draws its survivors with one binomial of chance
+# F(2d, m)/F(d, m), and only states with survivors split them over their rows
+RNG_STREAM = 8
 
 # the size cap bounds Y's subtree-size table, n floats (32 MiB at the cap)
 # whose rounding grows with n; one word of 2n-1 steps of the largest tree
 # still fits a word-route batch of _BATCH_STEPS steps
 _MAX_SIZE = 1 << 22
-# a chain generation builds the tables of at most _BATCH states at once, which
-# bounds its memory and leaves its draws unchanged; word-route batches hold at
-# most _BATCH rows and at most _BATCH_STEPS steps in all (about 8 MiB per
-# int8 array), so estimates depend only on (statistic, n, trials, seed)
+# a chain generation builds the chances and tables of at most _BATCH states at
+# once, which bounds its memory and leaves its draws unchanged; word-route
+# batches hold at most _BATCH rows and at most _BATCH_STEPS steps in all (about
+# 8 MiB per int8 array), so estimates depend only on (statistic, n, trials, seed)
 _BATCH = 1 << 14
 _BATCH_STEPS = 1 << 23
 
@@ -183,6 +188,24 @@ def _chain_tables(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     return w[:, j.size - 1 :]
 
 
+def _leafless(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The chance F(2d, m) / F(d, m) that generation j holds no leaf at each state (d[i], m[i]).
+
+    A plane tree whose root is not a leaf is an ordered pair of trees
+    (T - z = T^2), so the leafless forests of d trees and m vertices are
+    the forests of 2d trees: sum_e C(e-1, d-1) F(e, m-d) = F(2d, m), the
+    sum of the state's table.  The ratio is 2 prod_(i<d) (m-d-i) / (2m-d-1-i)
+    for m >= 2d and 0 below, one running product along each row, padded
+    with ones up to the largest d, so a row does not depend on the others.
+    """
+    live = m >= 2 * d
+    d, m = d[:, None], m[:, None]
+    i = np.arange(int(d.max(initial=1)))
+    factors = np.ones((d.size, i.size))
+    np.divide(m - d - i, 2 * m - d - 1 - i, out=factors, where=(i < d) & live[:, None])
+    return np.where(live, 2 * np.cumprod(factors, axis=1)[:, -1], 0.0)
+
+
 def _subtree_size_pmf(n: int) -> np.ndarray:
     """Law of the subtree size M of a uniform vertex, as floats indexed by m - 1.
 
@@ -213,9 +236,11 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     """Monte Carlo survival counts for X (root) or Y (uniform vertex) at size n.
 
     Deterministic given (statistic, n, trials, seed).  The trials at one
-    state are exchangeable, so each generation splits every state's count
-    over its table and its leaf with one multinomial draw, state by state
-    in ascending key d * 2^32 + m, in chunks of at most _BATCH states;
+    state are exchangeable, so each generation first draws, state by state
+    in ascending key d * 2^32 + m, one binomial of the trials whose
+    generation holds no leaf, with chance `_leafless(d, m)`; then the
+    states with survivors, in chunks of at most _BATCH, split them over
+    their tables divided by that chance with one multinomial draw each.
     Y first splits the trials over subtree sizes with one multinomial draw.
     """
     _check_run(statistic, n, trials)
@@ -229,12 +254,22 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     d = np.ones_like(m)
     leaves = []
     while d.size:
-        tally, keys, counts = 0, [], []
+        p = np.concatenate(
+            [_leafless(d[lo : lo + _BATCH], m[lo : lo + _BATCH]) for lo in range(0, d.size, _BATCH)]
+        )
+        survivors = rng.binomial(count, p)
+        tally = int(count.sum() - survivors.sum())
+        live = survivors > 0
+        d, m, p, survivors = d[live], m[live], p[live], survivors[live]
+        keys, counts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for lo in range(0, d.size, _BATCH):
             dd, mm = d[lo : lo + _BATCH], m[lo : lo + _BATCH]
-            # the leaf's column comes last, and numpy fills it with the mass left
-            rows = np.pad(_chain_tables(dd, mm), ((0, 0), (0, 1)))
-            draws = rng.multinomial(count[lo : lo + _BATCH], rows)
+            table = _chain_tables(dd, mm)
+            # the last column is the remainder, which numpy fills with the mass
+            # left: the tail past the table and the rounding, counted as a leaf
+            rows = np.zeros((dd.size, table.shape[1] + 1))
+            np.divide(table, p[lo : lo + _BATCH, None], out=rows[:, :-1])
+            draws = rng.multinomial(survivors[lo : lo + _BATCH], rows)
             tally += int(draws[:, -1].sum())
             state, column = np.nonzero(draws[:, :-1])
             keys.append((column + dd[state]) << 32 | (mm - dd)[state])

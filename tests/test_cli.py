@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,7 +73,7 @@ def test_every_record_is_stamped(capsys):
         (["mellin-check", "--x", "1.0"], ["x"]),
         (
             ["sample", "X", "5", "--trials", "10"],
-            ["statistic", "n", "trials", "seed", "rng_algorithm", "rng_stream"],
+            ["statistic", "n", "trials", "seed", "rng_algorithm", "rng_stream", "numpy_version"],
         ),
     ],
 )
@@ -205,7 +206,8 @@ def test_sample_is_seed_deterministic(capsys):
     assert counts[0] == 2000
     params = json.loads(rows[0]["params"])
     assert params["rng_algorithm"] == "numpy.random.PCG64"
-    assert params["rng_stream"] == 7
+    assert params["rng_stream"] == 8
+    assert params["numpy_version"] == np.__version__
 
 
 def test_sample_provenance_names_the_route(capsys):

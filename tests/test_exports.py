@@ -95,6 +95,17 @@ def test_root_import_leaves_acceptance_and_cli_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on first use, when a sample draws, so that no other
+    # subcommand pays for its import at start-up
+    code = "import sys, treeprotect.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(treeprotect.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
 def _package_imports(name):
     """{sibling: imported names} for every import of the package in one module's source.
 

@@ -111,10 +111,13 @@ def test_batch_height_keeps_arrays_within_the_step_budget():
 
 
 def _chain_by_states(statistic, n, trials, seed) -> tuple[int, ...]:
-    """Survival counts from one 1-D multinomial draw per chain state.
+    """Survival counts from scalar draws, state by state.
 
     Y first splits the trials over subtree sizes; then each generation
-    takes its states in ascending key order, each with its own table.
+    takes its states in ascending key order, first one binomial each for
+    the trials with no leaf in the generation, then one multinomial per
+    state with survivors over its table divided by that chance, plus the
+    remainder.
     """
     rng = make_rng(seed)
     if statistic == "X":
@@ -124,11 +127,18 @@ def _chain_by_states(statistic, n, trials, seed) -> tuple[int, ...]:
         states = {(1, m): int(c) for m, c in enumerate(sizes.tolist(), 1) if c}
     leaves = []
     while states:
-        below, tally = {}, 0
+        chance, survivors = {}, {}
         for d, m in sorted(states):
-            row = sampler._chain_tables(np.array([d]), np.array([m]))[0]
-            *steps, leaf = rng.multinomial(states[d, m], np.append(row, 0.0)).tolist()
-            tally += leaf
+            chance[d, m] = sampler._leafless(np.array([d]), np.array([m]))[0]
+            survivors[d, m] = int(rng.binomial(states[d, m], chance[d, m]))
+        tally = sum(states.values()) - sum(survivors.values())
+        below = {}
+        for (d, m), count in survivors.items():
+            if not count:
+                continue
+            row = sampler._chain_tables(np.array([d]), np.array([m]))[0] / chance[d, m]
+            *steps, rest = rng.multinomial(count, np.append(row, 0.0)).tolist()
+            tally += rest
             # column e - d moves its trials on to (e, m - d)
             for e, c in enumerate(steps, d):
                 if c:
@@ -142,14 +152,16 @@ def _chain_by_states(statistic, n, trials, seed) -> tuple[int, ...]:
 @pytest.mark.parametrize("n", [30, 200])
 def test_estimate_survival_draws_one_multinomial_per_state(monkeypatch, statistic, n):
     # chunks of 17 states, so that generations cross chunk ends: numpy draws
-    # a 2-D multinomial row by row, and a zero cell draws nothing
+    # binomials over an array and a 2-D multinomial row by row, and a zero
+    # cell draws nothing
     monkeypatch.setattr(sampler, "_BATCH", 17)
     expected = _chain_by_states(statistic, n, 2000, 405)
     assert estimate_survival(statistic, n, 2000, 405).counts == expected
 
 
-# survival counts of stream 7, one multinomial draw per chain state and
-# generation; Y first splits the trials over subtree sizes; the runs at
+# survival counts of stream 8 under numpy 2.4.6: per generation, one binomial
+# draw of each state's survivors, then one multinomial draw per state with
+# survivors; Y first splits the trials over subtree sizes; the runs at
 # n = 2^22 reach the widest rows
 PINNED_COUNTS = {
     ("X", 1, 500, 1): {0: 500},
@@ -157,32 +169,30 @@ PINNED_COUNTS = {
     ("X", 2, 2000, 3): {0: 2000, 1: 2000},
     ("Y", 2, 2000, 3): {0: 2000, 1: 1006},
     ("X", 9, 20000, 16): {
-        0: 20000, 1: 20000, 2: 8708, 3: 2900, 4: 945, 5: 284, 6: 86, 7: 28, 8: 14
+        0: 20000, 1: 20000, 2: 8829, 3: 2849, 4: 877, 5: 262, 6: 97, 7: 35, 8: 19
     },
-    ("Y", 9, 20000, 16): {0: 20000, 1: 9951, 2: 3227, 3: 880, 4: 233, 5: 57, 6: 10, 7: 3, 8: 1},
+    ("Y", 9, 20000, 16): {0: 20000, 1: 9951, 2: 3303, 3: 924, 4: 248, 5: 65, 6: 21, 7: 6, 8: 4},
     ("X", 200, 16385, 11): {
-        0: 16385, 1: 16385, 2: 7269, 3: 2143, 4: 570, 5: 130, 6: 42, 7: 11, 8: 3, 9: 1
+        0: 16385, 1: 16385, 2: 7372, 3: 2180, 4: 572, 5: 161, 6: 47, 7: 18, 8: 3, 9: 2
     },
-    ("Y", 200, 16385, 11): {
-        0: 16385, 1: 8147, 2: 2665, 3: 759, 4: 206, 5: 48, 6: 15, 7: 6, 8: 2, 9: 1, 10: 1
-    },
+    ("Y", 200, 16385, 11): {0: 16385, 1: 8147, 2: 2688, 3: 752, 4: 201, 5: 54, 6: 17, 7: 5, 8: 1},
     ("X", 257, 16353, 12): {
-        0: 16353, 1: 16353, 2: 7309, 3: 2123, 4: 515, 5: 136, 6: 28, 7: 6, 8: 2
+        0: 16353, 1: 16353, 2: 7319, 3: 2221, 4: 592, 5: 156, 6: 36, 7: 12, 8: 1
     },
-    ("Y", 257, 16353, 12): {0: 16353, 1: 8261, 2: 2745, 3: 741, 4: 171, 5: 42, 6: 11, 7: 1},
-    ("X", 1000, 4197, 13): {0: 4197, 1: 4197, 2: 1817, 3: 517, 4: 144, 5: 28, 6: 9, 7: 3, 8: 2},
-    ("Y", 1000, 4197, 13): {0: 4197, 1: 2121, 2: 732, 3: 200, 4: 55, 5: 15, 6: 5, 7: 2, 8: 1},
+    ("Y", 257, 16353, 12): {0: 16353, 1: 8261, 2: 2691, 3: 690, 4: 162, 5: 37, 6: 8, 7: 2, 8: 1},
+    ("X", 1000, 4197, 13): {
+        0: 4197, 1: 4197, 2: 1875, 3: 567, 4: 135, 5: 42, 6: 8, 7: 4, 8: 1, 9: 1
+    },
+    ("Y", 1000, 4197, 13): {0: 4197, 1: 2121, 2: 717, 3: 204, 4: 51, 5: 13, 6: 5},
     ("X", 50, 40000, 15): {
-        0: 40000, 1: 40000, 2: 17818, 3: 5399, 4: 1453, 5: 370, 6: 96, 7: 21, 8: 3, 9: 2
+        0: 40000, 1: 40000, 2: 17643, 3: 5232, 4: 1428, 5: 367, 6: 95, 7: 21, 8: 8, 9: 4, 10: 2
     },
     ("X", 3000, 20000, 17): {
-        0: 20000, 1: 20000, 2: 8925, 3: 2676, 4: 733, 5: 180, 6: 42, 7: 10, 8: 1
+        0: 20000, 1: 20000, 2: 8860, 3: 2682, 4: 707, 5: 185, 6: 39, 7: 7, 8: 2
     },
-    ("Y", 3000, 20000, 17): {0: 20000, 1: 10013, 2: 3343, 3: 918, 4: 234, 5: 58, 6: 13, 7: 1, 8: 1},
-    ("X", 2**22, 10**4, 18): {
-        0: 10000, 1: 10000, 2: 4450, 3: 1308, 4: 358, 5: 83, 6: 22, 7: 5, 8: 1
-    },
-    ("Y", 2**22, 10**4, 19): {0: 10000, 1: 4961, 2: 1595, 3: 427, 4: 99, 5: 23, 6: 4, 7: 1},
+    ("Y", 3000, 20000, 17): {0: 20000, 1: 10013, 2: 3318, 3: 925, 4: 249, 5: 59, 6: 15, 7: 3},
+    ("X", 2**22, 10**4, 18): {0: 10000, 1: 10000, 2: 4465, 3: 1313, 4: 318, 5: 83, 6: 24, 7: 6},
+    ("Y", 2**22, 10**4, 19): {0: 10000, 1: 4961, 2: 1607, 3: 411, 4: 108, 5: 32, 6: 7, 7: 1, 8: 1},
 }
 
 
@@ -231,8 +241,9 @@ def test_chain_counts_equal_the_exact_tables():
 
 
 def test_chain_tables_propagate_the_exact_law():
-    # push probability mass through every state with the sampler's float
-    # tables; the mass reaching generation k is P(X_n >= k)
+    # push probability mass through every state as the sampler splits it:
+    # the chance of no leaf first, then the table divided by that chance;
+    # the mass reaching generation k is P(X_n >= k)
     tables = {}
     worst = 0.0
     for n in range(1, 41):
@@ -243,12 +254,16 @@ def test_chain_tables_propagate_the_exact_law():
             below = {}
             for (d, m), mass in states.items():
                 if (d, m) not in tables:
-                    tables[d, m] = sampler._chain_tables(np.array([d]), np.array([m]))[0].tolist()
-                # a zero column, past the table or in a row with a sure leaf,
-                # carries nothing
-                for e, weight in enumerate(tables[d, m], d):
+                    one = np.array([d]), np.array([m])
+                    chance = sampler._leafless(*one)[0]
+                    row = sampler._chain_tables(*one)[0] / chance if chance else []
+                    tables[d, m] = chance, list(row)
+                chance, row = tables[d, m]
+                # a zero column, past the table, carries nothing, and a state
+                # with a sure leaf has no table
+                for e, weight in enumerate(row, d):
                     if weight:
-                        below[e, m - d] = below.get((e, m - d), 0.0) + mass * weight
+                        below[e, m - d] = below.get((e, m - d), 0.0) + mass * chance * weight
             states = below
         counts = dist_X_exact(n).counts
         assert len(survival) == len(counts), n
@@ -257,8 +272,8 @@ def test_chain_tables_propagate_the_exact_law():
 
 
 def _forests(d: int, m: int) -> int:
-    """F(d, m): plane forests of d trees and m vertices."""
-    return d * math.comb(2 * m - d - 1, m - 1) // m
+    """F(d, m): plane forests of d trees and m vertices (0 when m < d)."""
+    return d * math.comb(2 * m - d - 1, m - 1) // m if m >= d else 0
 
 
 def test_chain_tables_do_not_depend_on_the_states_built_beside_them():
@@ -315,6 +330,56 @@ def test_chain_rows_are_the_exact_transition_counts():
             worst = max(worst, abs(row[e - one_d] / exact - 1))
         assert not row[max(end - one_d + 1, 0) :].any(), (one_d, one_m)
     assert worst <= 1e-13
+
+
+# every state with m <= 60, and the wide states of the transition test
+_LEAFLESS_STATES = [(d, m) for m in range(1, 61) for d in range(1, m + 1)] + [
+    (d, m) for d in (1, 2, 5, 20, 60) for m in (500, 3000)
+]
+
+
+def test_leafless_forests_are_forests_of_twice_as_many_trees():
+    # a root with children is an ordered pair of trees (T - z = T^2), so the
+    # forests whose d roots all have children are the forests of 2d trees
+    for m in range(1, 61):
+        for d in range(1, m + 1):
+            ways = (math.comb(e - 1, d - 1) * _forests(e, m - d) for e in range(d, m - d + 1))
+            leafless = sum(ways)
+            assert leafless == _forests(2 * d, m), (d, m)
+            assert (leafless == 0) == (m < 2 * d), (d, m)
+
+
+def test_leafless_is_the_exact_ratio():
+    # F(2d, m) / F(d, m), rounded from its product of d ratios; 0 exactly when
+    # m < 2d, where a leaf is sure
+    d, m = map(np.array, zip(*_LEAFLESS_STATES))
+    chance = sampler._leafless(d, m)
+    worst = 0.0
+    for p, (one_d, one_m) in zip(chance, _LEAFLESS_STATES):
+        if one_m < 2 * one_d:
+            assert p == 0.0, (one_d, one_m)
+        else:
+            exact = Fraction(_forests(2 * one_d, one_m), _forests(one_d, one_m))
+            worst = max(worst, abs(p / float(exact) - 1))
+    assert worst <= 1e-15
+    # each chance is the sum of its state's table, whose rows stop at e = 2d + 96
+    rows = sampler._chain_tables(d, m)
+    assert np.max(np.abs(rows.sum(axis=1) - chance)) <= 1e-15
+
+
+def test_leafless_ways_count_the_next_level():
+    # over the states that _chain_counts reaches at generation k, the ways
+    # times F(2d, m) count the trees whose root is (k+1)-protected
+    for n in range(1, 41):
+        r = dist_X_exact(n).counts + (0,)
+        states, k = {(1, n): 1}, 0
+        while states:
+            assert sum(ways * _forests(2 * d, m) for (d, m), ways in states.items()) == r[k + 1]
+            below = {}
+            for (d, m), ways in states.items():
+                for e in range(d, m - d + 1):
+                    below[e, m - d] = below.get((e, m - d), 0) + ways * math.comb(e - 1, d - 1)
+            states, k = below, k + 1
 
 
 def test_chain_allocates_nothing_of_size_n():
