@@ -13,16 +13,16 @@ in C(e-1, d-1) of those every vertex of generation j has a child.
 So a trial walks the generation chain from (1, n).  At (d, m) generation
 j holds no leaf with chance F(2d, m) / F(d, m), as a root with children
 is an ordered pair of trees; a trial with a leaf there ends with X = j.
-A row of floats gives, in its column e - d, the chance
-C(e-1, d-1) F(e, m-d) / F(d, m) of "generation j holds no leaf and
-generation j+1 holds e vertices", and the walk moves on to (e, m-d).  A
-generation of d vertices is leafless with probability about 2^(1-d), so
-a trial takes O(1) expected steps at every n.  Trials at one state are
-exchangeable, so a run holds only the count of trials at each state.  Per
-generation, one binomial draw splits each state's count into its leaf and
-its survivors, and only a state with survivors builds its row and splits
-them over it, divided by that chance, with one multinomial draw: the
-work follows the states that go on, not the trials.
+Given no leaf, generation j+1 holds e vertices with chance
+C(e-1, d-1) F(e, m-d) / F(2d, m), held in column e - d of a row of
+floats, and the walk moves on to (e, m-d).  A generation of d vertices
+is leafless with probability about 2^(1-d), so a trial takes O(1)
+expected steps at every n.  Trials at one state are exchangeable, so a
+run holds only the count of trials at each state.  Per generation, one
+binomial draw splits each state's count into its leaf and its
+survivors, and only a state with survivors builds its row and splits
+them over it with one multinomial draw: the work follows the states that
+go on, not the trials.
 `_chain_counts` walks the same chain in exact integers; it is criterion
 1's sixth route to r(n, k) and the check of the float tables.
 
@@ -84,8 +84,10 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 # 7: the chain's rows are the exact transition weights, one running product
 # each, and the subtree sizes' weights are normalized without a running sum;
 # 8: each state first draws its survivors with one binomial of chance
-# F(2d, m)/F(d, m), and only states with survivors split them over their rows
-RNG_STREAM = 8
+# F(2d, m)/F(d, m), and only states with survivors split them over their rows;
+# 9: the rows are the law of the next generation's size given no leaf, built
+# as such rather than divided by that chance
+RNG_STREAM = 9
 
 # the size cap bounds Y's subtree-size table, n floats (32 MiB at the cap)
 # whose rounding grows with n; one word of 2n-1 steps of the largest tree
@@ -142,8 +144,8 @@ def _chain_counts(n: int) -> tuple[int, ...]:
     The root is k-protected when generations 0..k-1 hold no leaf.  A dict
     carries each state (d, m) of generation k to the number of ways to
     build generations 0..k leafless above it; each way extends to F(d, m)
-    trees and to C(e-1, d-1) ways at (e, m-d), the formula of
-    `_chain_tables`.  Exact integers throughout, from math.comb alone.
+    trees and to C(e-1, d-1) ways at (e, m-d), the weights whose law
+    `_chain_tables` builds.  Exact integers throughout, from math.comb alone.
     """
     counts = []
     states = {(1, n): 1}
@@ -161,31 +163,29 @@ def _chain_counts(n: int) -> tuple[int, ...]:
 
 
 def _chain_tables(d: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The tables of the states (d[i], m[i]), one row each, the column of e at e - d.
+    """The rows of the states (d[i], m[i]), m >= 2d, the column of e at e - d.
 
-    Row i holds w(e) = C(e-1, d-1) F(e, r) / F(d, m) with r = m - d, the
-    formula of `_chain_counts`, for e = d up to min(r, 2d+96), then 0 up
-    to the chunk's widest row.  A row is one running product: the d
-    factors F(d, x)/F(d, x+1) = (x+1)(x-d+1) / ((2x-d+1)(2x-d)) for
-    x = r..m-1, padded with ones up to the chunk's largest d, give w(d),
-    then w(e+1)/w(e) = (e+1)(r-e) / ((e-d+1)(2r-e-1)).  As w(e) is at most
-    P(e) = C(d+e-1, e) F(e, r) / F(d, m), whose ratio is at most (d+e)/(2e),
-    the weights past e = 2d+96 sum to under 1e-19 at every d.  A row is
-    all zeros when r < d, where a leaf is sure.  The product runs along
-    each row in order, so a row does not depend on the rows beside it.
+    Row i holds u(e) = C(e-1, d-1) F(e, r) / F(2d, m), r = m - d, the law of
+    the next generation's size given no leaf in generation j, for e = d up
+    to min(r, 2d+96), then 0 up to the chunk's widest row and in one more
+    cell, the remainder of `rng.multinomial`.  A row is one running product:
+    the d+1 factors (m-i)/(2r-i), i = 0..d, padded with ones up to the
+    chunk's largest d, give u(d), then u(e+1)/u(e) = (e+1)(r-e) / ((e-d+1)(2r-e-1)).
+    The cut drops under 2e-19 of a row at d = 16, 3e-15 at d = 32 and 4e-11
+    at d = 64 for m <= 2^22.  The product runs along each row in order, so
+    a row does not depend on the rows beside it.
     """
     d, r = d[:, None], (m - d)[:, None]
     end = np.minimum(r, 2 * d + 96)  # the last e of the table
-    j = np.arange(int(d.max(initial=1)))
-    x = r + j
-    k = np.arange(int((end - d).max(initial=0)))  # the step from e = d + k to e + 1
-    w = np.zeros((d.size, j.size + k.size))
-    head, tail = w[:, : j.size], w[:, j.size :]
-    head[:] = live = r >= d
-    np.divide((x + 1) * (x - d + 1), (2 * x - d + 1) * (2 * x - d), out=head, where=(j < d) & live)
+    i = np.arange(int(d.max()) + 1)
+    k = np.arange(int((end - d).max()) + 1)  # the step from e = d + k to e + 1
+    u = np.zeros((d.size, i.size + k.size))
+    head, tail = u[:, : i.size], u[:, i.size :]
+    head[:] = 1.0
+    np.divide(r + d - i, 2 * r - i, out=head, where=i <= d)
     np.divide((d + k + 1) * (r - d - k), (k + 1) * (2 * r - d - k - 1), out=tail, where=k < end - d)
-    np.cumprod(w, axis=1, out=w)
-    return w[:, j.size - 1 :]
+    np.cumprod(u, axis=1, out=u)
+    return u[:, i.size - 1 :]
 
 
 def _leafless(d: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -240,7 +240,8 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
     in ascending key d * 2^32 + m, one binomial of the trials whose
     generation holds no leaf, with chance `_leafless(d, m)`; then the
     states with survivors, in chunks of at most _BATCH, split them over
-    their tables divided by that chance with one multinomial draw each.
+    their rows, the law of the next generation's size given no leaf, with
+    one multinomial draw each.
     Y first splits the trials over subtree sizes with one multinomial draw.
     """
     _check_run(statistic, n, trials)
@@ -260,16 +261,13 @@ def estimate_survival(statistic: str, n: int, trials: int, seed: int) -> SampleS
         survivors = rng.binomial(count, p)
         tally = int(count.sum() - survivors.sum())
         live = survivors > 0
-        d, m, p, survivors = d[live], m[live], p[live], survivors[live]
+        d, m, survivors = d[live], m[live], survivors[live]
         keys, counts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for lo in range(0, d.size, _BATCH):
             dd, mm = d[lo : lo + _BATCH], m[lo : lo + _BATCH]
-            table = _chain_tables(dd, mm)
             # the last column is the remainder, which numpy fills with the mass
             # left: the tail past the table and the rounding, counted as a leaf
-            rows = np.zeros((dd.size, table.shape[1] + 1))
-            np.divide(table, p[lo : lo + _BATCH, None], out=rows[:, :-1])
-            draws = rng.multinomial(survivors[lo : lo + _BATCH], rows)
+            draws = rng.multinomial(survivors[lo : lo + _BATCH], _chain_tables(dd, mm))
             tally += int(draws[:, -1].sum())
             state, column = np.nonzero(draws[:, :-1])
             keys.append((column + dd[state]) << 32 | (mm - dd)[state])

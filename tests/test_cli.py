@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from treeprotect.asymptotics import truncated_decimal
 from treeprotect.cli import build_parser, main
 from treeprotect.exact import DistributionTable, catalan, dist_X_exact, dist_Y_exact
 from treeprotect.mellin import MELLIN_ABSCISSAS
+from treeprotect.sampler import RNG_STREAM
 from treeprotect.trees import oracle_r, oracle_s
 
 
@@ -206,7 +208,7 @@ def test_sample_is_seed_deterministic(capsys):
     assert counts[0] == 2000
     params = json.loads(rows[0]["params"])
     assert params["rng_algorithm"] == "numpy.random.PCG64"
-    assert params["rng_stream"] == 8
+    assert params["rng_stream"] == 9
     assert params["numpy_version"] == np.__version__
 
 
@@ -415,6 +417,13 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in examples:
         parser.parse_args(argv)
+
+
+def test_readme_describes_the_stamped_stream():
+    # the stream whose scheme README spells out is the one `sample` stamps
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = re.findall(r"Stream\s+(\d+)\s+is\s+the\s+scheme\s+below", text)
+    assert named == [str(RNG_STREAM)]
 
 
 def _table_rows(capsys, argv):

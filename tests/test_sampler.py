@@ -116,8 +116,7 @@ def _chain_by_states(statistic, n, trials, seed) -> tuple[int, ...]:
     Y first splits the trials over subtree sizes; then each generation
     takes its states in ascending key order, first one binomial each for
     the trials with no leaf in the generation, then one multinomial per
-    state with survivors over its table divided by that chance, plus the
-    remainder.
+    state with survivors over its row, whose last cell is the remainder.
     """
     rng = make_rng(seed)
     if statistic == "X":
@@ -127,17 +126,17 @@ def _chain_by_states(statistic, n, trials, seed) -> tuple[int, ...]:
         states = {(1, m): int(c) for m, c in enumerate(sizes.tolist(), 1) if c}
     leaves = []
     while states:
-        chance, survivors = {}, {}
+        survivors = {}
         for d, m in sorted(states):
-            chance[d, m] = sampler._leafless(np.array([d]), np.array([m]))[0]
-            survivors[d, m] = int(rng.binomial(states[d, m], chance[d, m]))
+            chance = sampler._leafless(np.array([d]), np.array([m]))[0]
+            survivors[d, m] = int(rng.binomial(states[d, m], chance))
         tally = sum(states.values()) - sum(survivors.values())
         below = {}
         for (d, m), count in survivors.items():
             if not count:
                 continue
-            row = sampler._chain_tables(np.array([d]), np.array([m]))[0] / chance[d, m]
-            *steps, rest = rng.multinomial(count, np.append(row, 0.0)).tolist()
+            row = sampler._chain_tables(np.array([d]), np.array([m]))[0]
+            *steps, rest = rng.multinomial(count, row).tolist()
             tally += rest
             # column e - d moves its trials on to (e, m - d)
             for e, c in enumerate(steps, d):
@@ -159,7 +158,7 @@ def test_estimate_survival_draws_one_multinomial_per_state(monkeypatch, statisti
     assert estimate_survival(statistic, n, 2000, 405).counts == expected
 
 
-# survival counts of stream 8 under numpy 2.4.6: per generation, one binomial
+# survival counts of stream 9 under numpy 2.4.6: per generation, one binomial
 # draw of each state's survivors, then one multinomial draw per state with
 # survivors; Y first splits the trials over subtree sizes; the runs at
 # n = 2^22 reach the widest rows
@@ -169,30 +168,32 @@ PINNED_COUNTS = {
     ("X", 2, 2000, 3): {0: 2000, 1: 2000},
     ("Y", 2, 2000, 3): {0: 2000, 1: 1006},
     ("X", 9, 20000, 16): {
-        0: 20000, 1: 20000, 2: 8829, 3: 2849, 4: 877, 5: 262, 6: 97, 7: 35, 8: 19
+        0: 20000, 1: 20000, 2: 8829, 3: 2849, 4: 877, 5: 262, 6: 97, 7: 34, 8: 18
     },
-    ("Y", 9, 20000, 16): {0: 20000, 1: 9951, 2: 3303, 3: 924, 4: 248, 5: 65, 6: 21, 7: 6, 8: 4},
+    ("Y", 9, 20000, 16): {0: 20000, 1: 9951, 2: 3302, 3: 924, 4: 248, 5: 65, 6: 21, 7: 6, 8: 4},
     ("X", 200, 16385, 11): {
         0: 16385, 1: 16385, 2: 7372, 3: 2180, 4: 572, 5: 161, 6: 47, 7: 18, 8: 3, 9: 2
     },
-    ("Y", 200, 16385, 11): {0: 16385, 1: 8147, 2: 2688, 3: 752, 4: 201, 5: 54, 6: 17, 7: 5, 8: 1},
+    ("Y", 200, 16385, 11): {0: 16385, 1: 8147, 2: 2687, 3: 748, 4: 184, 5: 58, 6: 8, 7: 2},
     ("X", 257, 16353, 12): {
         0: 16353, 1: 16353, 2: 7319, 3: 2221, 4: 592, 5: 156, 6: 36, 7: 12, 8: 1
     },
-    ("Y", 257, 16353, 12): {0: 16353, 1: 8261, 2: 2691, 3: 690, 4: 162, 5: 37, 6: 8, 7: 2, 8: 1},
+    ("Y", 257, 16353, 12): {0: 16353, 1: 8261, 2: 2707, 3: 710, 4: 181, 5: 38, 6: 9, 7: 1, 8: 1},
     ("X", 1000, 4197, 13): {
         0: 4197, 1: 4197, 2: 1875, 3: 567, 4: 135, 5: 42, 6: 8, 7: 4, 8: 1, 9: 1
     },
-    ("Y", 1000, 4197, 13): {0: 4197, 1: 2121, 2: 717, 3: 204, 4: 51, 5: 13, 6: 5},
+    ("Y", 1000, 4197, 13): {0: 4197, 1: 2121, 2: 711, 3: 200, 4: 51, 5: 12, 6: 4},
     ("X", 50, 40000, 15): {
         0: 40000, 1: 40000, 2: 17643, 3: 5232, 4: 1428, 5: 367, 6: 95, 7: 21, 8: 8, 9: 4, 10: 2
     },
     ("X", 3000, 20000, 17): {
         0: 20000, 1: 20000, 2: 8860, 3: 2682, 4: 707, 5: 185, 6: 39, 7: 7, 8: 2
     },
-    ("Y", 3000, 20000, 17): {0: 20000, 1: 10013, 2: 3318, 3: 925, 4: 249, 5: 59, 6: 15, 7: 3},
+    ("Y", 3000, 20000, 17): {
+        0: 20000, 1: 10013, 2: 3305, 3: 921, 4: 223, 5: 58, 6: 14, 7: 4, 8: 3, 9: 1, 10: 1
+    },
     ("X", 2**22, 10**4, 18): {0: 10000, 1: 10000, 2: 4465, 3: 1313, 4: 318, 5: 83, 6: 24, 7: 6},
-    ("Y", 2**22, 10**4, 19): {0: 10000, 1: 4961, 2: 1607, 3: 411, 4: 108, 5: 32, 6: 7, 7: 1, 8: 1},
+    ("Y", 2**22, 10**4, 19): {0: 10000, 1: 4961, 2: 1607, 3: 410, 4: 108, 5: 32, 6: 7, 7: 1, 8: 1},
 }
 
 
@@ -242,8 +243,9 @@ def test_chain_counts_equal_the_exact_tables():
 
 def test_chain_tables_propagate_the_exact_law():
     # push probability mass through every state as the sampler splits it:
-    # the chance of no leaf first, then the table divided by that chance;
-    # the mass reaching generation k is P(X_n >= k)
+    # the chance of no leaf first, then the row, the law of the next
+    # generation's size given no leaf; the mass reaching generation k is
+    # P(X_n >= k)
     tables = {}
     worst = 0.0
     for n in range(1, 41):
@@ -256,11 +258,11 @@ def test_chain_tables_propagate_the_exact_law():
                 if (d, m) not in tables:
                     one = np.array([d]), np.array([m])
                     chance = sampler._leafless(*one)[0]
-                    row = sampler._chain_tables(*one)[0] / chance if chance else []
+                    row = sampler._chain_tables(*one)[0] if chance else []
                     tables[d, m] = chance, list(row)
                 chance, row = tables[d, m]
                 # a zero column, past the table, carries nothing, and a state
-                # with a sure leaf has no table
+                # with a sure leaf has no row
                 for e, weight in enumerate(row, d):
                     if weight:
                         below[e, m - d] = below.get((e, m - d), 0.0) + mass * chance * weight
@@ -276,11 +278,19 @@ def _forests(d: int, m: int) -> int:
     return d * math.comb(2 * m - d - 1, m - 1) // m if m >= d else 0
 
 
+# every state with m <= 60, and wide states that reach the cut at e = 2d + 96;
+# the live ones, m >= 2d, are those whose generation can be leafless
+_LEAFLESS_STATES = [(d, m) for m in range(1, 61) for d in range(1, m + 1)] + [
+    (d, m) for d in (1, 2, 5, 20, 60) for m in (500, 3000)
+]
+_LIVE_STATES = [(d, m) for d, m in _LEAFLESS_STATES if m >= 2 * d]
+
+
 def test_chain_tables_do_not_depend_on_the_states_built_beside_them():
-    # a generation builds each state's row among the others of its chunk,
-    # so that row must equal, byte for byte, its lone build over the lone
-    # width, and be zero past it
-    d, m = zip(*[(d, m) for m in range(1, 61) for d in range(1, m + 1)])
+    # a generation builds each live state's row among the others of its
+    # chunk, so that row must equal, byte for byte, its lone build over the
+    # lone width, and be zero past it
+    d, m = zip(*_LIVE_STATES)
     d = np.array(d + (1, 7, 40))
     m = np.array(m + (2**22, 4000000, 4194000))
     together = sampler._chain_tables(d, m)
@@ -291,51 +301,55 @@ def test_chain_tables_do_not_depend_on_the_states_built_beside_them():
 
 
 def test_chain_tables_stop_past_the_bulk():
-    # a state's table runs from e = d to e = min(m - d, 2d + 96), empty when
-    # m - d < d, so its row is positive up to column min(m - d, 2d + 96) - d
-    # and zero after; the row's sum is the probability that generation j
-    # holds no leaf
-    d = np.array([1, 1, 2, 3, 5, 1])
-    m = np.array([1, 2, 3, 500, 9, 10**6])
+    # a live state's table runs from e = d to e = min(m - d, 2d + 96), so its
+    # row is positive up to column min(m - d, 2d + 96) - d and zero after,
+    # up to the chunk's widest table and in the remainder cell after it
+    d = np.array([1, 2, 3, 5, 1])
+    m = np.array([2, 4, 500, 12, 10**6])
     rows = sampler._chain_tables(d, m)
     # (3, 500) has the chunk's widest table, e = 3..102, and (1, 10^6) alone
-    # runs over e = 1..98
-    assert rows.shape == (6, 100)
-    assert sampler._chain_tables(d[5:], m[5:]).shape == (1, 98)
+    # runs over e = 1..98; each adds the remainder cell
+    assert rows.shape == (5, 101)
+    assert sampler._chain_tables(d[4:], m[4:]).shape == (1, 99)
     for row, one_d, one_m in zip(rows, d, m):
-        width = max(min(one_m - one_d, 2 * one_d + 96) - one_d + 1, 0)
+        width = min(one_m - one_d, 2 * one_d + 96) - one_d + 1
         assert np.all(row[:width] > 0) and not row[width:].any(), (one_d, one_m)
-    assert not rows[[0, 2, 4]].any()
-    assert rows[1, 0] == 1.0  # (1, 2): the root has one child
-    # (3, 500), cut at e = 102 of 497: exact sum over every e
-    leafless = sum(math.comb(e - 1, 2) * _forests(e, 497) for e in range(3, 498))
-    assert abs(rows[3].sum() - leafless / _forests(3, 500)) < 1e-15
-    # (1, 10^6): the root of a huge tree never is a leaf, whatever e it has
-    assert abs(rows[5].sum() - 1.0) < 1e-15
+    assert rows[0, 0] == rows[1, 0] == 1.0  # (1, 2) and (2, 4): one leafless shape
+    # (3, 500), cut at e = 102 of 497, and (1, 10^6): each row is a law
+    assert abs(rows[2].sum() - 1.0) < 1e-15
+    assert abs(rows[4].sum() - 1.0) < 1e-15
 
 
 def test_chain_rows_are_the_exact_transition_counts():
-    # the entry for e is C(e-1, d-1) F(e, m - d) / F(d, m), the weight that
-    # _chain_counts carries from (d, m) to (e, m - d), for e = d up to the
-    # table's end, and 0 elsewhere; int / int rounds the exact ratio once
-    states = [(d, m) for m in range(1, 61) for d in range(1, m + 1)]
-    states += [(d, m) for d in (1, 2, 5, 20, 60) for m in (500, 3000)]
-    d, m = map(np.array, zip(*states))
+    # the entry for e is C(e-1, d-1) F(e, m - d) / F(2d, m), the weight that
+    # _chain_counts carries from (d, m) to (e, m - d) over the leafless
+    # forests, for e = d up to the table's end, and 0 elsewhere; int / int
+    # rounds the exact ratio once
+    d, m = map(np.array, zip(*_LIVE_STATES))
     worst = 0.0
-    for row, (one_d, one_m) in zip(sampler._chain_tables(d, m), states):
+    for row, (one_d, one_m) in zip(sampler._chain_tables(d, m), _LIVE_STATES):
         r = one_m - one_d
         end = min(r, 2 * one_d + 96)
         for e in range(one_d, end + 1):
-            exact = math.comb(e - 1, one_d - 1) * _forests(e, r) / _forests(one_d, one_m)
+            exact = math.comb(e - 1, one_d - 1) * _forests(e, r) / _forests(2 * one_d, one_m)
             worst = max(worst, abs(row[e - one_d] / exact - 1))
-        assert not row[max(end - one_d + 1, 0) :].any(), (one_d, one_m)
+        assert not row[end - one_d + 1 :].any(), (one_d, one_m)
     assert worst <= 1e-13
 
 
-# every state with m <= 60, and the wide states of the transition test
-_LEAFLESS_STATES = [(d, m) for m in range(1, 61) for d in range(1, m + 1)] + [
-    (d, m) for d in (1, 2, 5, 20, 60) for m in (500, 3000)
-]
+def test_chain_rows_keep_all_but_the_cut_tail():
+    # a row sums to the exact share of its law at e <= 2d + 96 (1 when
+    # m - d <= 2d + 96), and rounding never takes it past 1
+    d, m = map(np.array, zip(*_LIVE_STATES))
+    sums = sampler._chain_tables(d, m).sum(axis=1)
+    for total, (one_d, one_m) in zip(sums, _LIVE_STATES):
+        r = one_m - one_d
+        kept = sum(
+            math.comb(e - 1, one_d - 1) * _forests(e, r)
+            for e in range(one_d, min(r, 2 * one_d + 96) + 1)
+        )
+        assert abs(total - kept / _forests(2 * one_d, one_m)) <= 1e-15, (one_d, one_m)
+    assert sums.max() <= 1 + 1e-15
 
 
 def test_leafless_forests_are_forests_of_twice_as_many_trees():
@@ -362,9 +376,6 @@ def test_leafless_is_the_exact_ratio():
             exact = Fraction(_forests(2 * one_d, one_m), _forests(one_d, one_m))
             worst = max(worst, abs(p / float(exact) - 1))
     assert worst <= 1e-15
-    # each chance is the sum of its state's table, whose rows stop at e = 2d + 96
-    rows = sampler._chain_tables(d, m)
-    assert np.max(np.abs(rows.sum(axis=1) - chance)) <= 1e-15
 
 
 def test_leafless_ways_count_the_next_level():
