@@ -257,9 +257,13 @@ def _constant_interval(name: str) -> _Interval:
     return low - factor * p_high, high - factor * p_low
 
 
+# a table renders every row at one width, so its power is built once, not per row
+_power_of_ten = lru_cache(maxsize=8)((10).__pow__)
+
+
 def truncated_decimal(num: int, den: int, digits: int) -> str:
     """`num / den` (den > 0, in any terms) truncated toward zero to `digits` fractional digits."""
-    scale = 10**digits
+    scale = _power_of_ten(digits)
     whole, frac = divmod(abs(num) * scale // den, scale)
     return f"{'-' if num < 0 else ''}{whole}.{frac:0{digits}d}"
 

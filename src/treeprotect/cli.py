@@ -264,10 +264,15 @@ _LINES_PER_WRITE = 64
 def _emit(rows: list[dict], head: dict, tail: dict, fmt: str, stream) -> None:
     """Write each record `head | row | tail`; jsonl encodes the stamp halves once."""
     if fmt == "jsonl":
+        # json.dumps builds a C encoder per call, a third of a row's cost: one serves the run
+        encode = json.encoder.c_make_encoder(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+            None, ": ", ", ", False, False, True,  # indent, separators, sort, skip, allow NaN
+        )
         start, end = json.dumps(head)[:-1] + ", ", ", " + json.dumps(tail)[1:] + "\n"
         for first in range(0, len(rows), _LINES_PER_WRITE):
             chunk = rows[first : first + _LINES_PER_WRITE]
-            stream.write("".join([start + json.dumps(row)[1:-1] + end for row in chunk]))
+            stream.write("".join([start + "".join(encode(row, 0))[1:-1] + end for row in chunk]))
         return
     records = [head | row | tail for row in rows]
     fields = dict.fromkeys(key for record in records for key in record)

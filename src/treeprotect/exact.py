@@ -34,7 +34,8 @@ Term j of r(n, k) and of u(n, k) = [z^n] R_k (1-4z)^(-1/2) is read off one
 binomial C(2n - (2k-1)j, n - (k+1)j) per lattice point (j, k), and one walk,
 _lattice_terms, reads them along a falling line of points by exact ratio
 steps from one math.comb.  That walk serves single points and the pass
-alike: r_explicit and s_explicit take one k line in O(n/k) steps, and one
+alike: r_explicit and s_explicit take one k line in O(n/k) steps (the
+k = 1 line, the longest, sums in closed form as R_1 = R0 - z), and one
 cached pass per size n sums every r(n, k) and u(n, k) in O(n log n) steps,
 split at isqrt(n) so that no step jumps more than about 2 sqrt(n), into the
 finished r(n, k) and s(n, k) that both tables hold and both means read.  The
@@ -113,7 +114,7 @@ def _lattice_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tup
     top, low = a + da * (count - 1), b + db * (count - 1)
     value = math.comb(top, low)
     dt, dl = -da, -db  # A and q rise as i falls
-    dr = dt - dl  # the step of p: -1 on the k = 1 line, >= 0 on every other
+    dr = dt - dl  # the step of p: -1 on the k = 1 line (only the tests walk it), >= 0 on others
     for i in range(count - 1, -1, -1):
         rest = top - low
         u, u_rem = divmod(value * (top * (top - 1) - low * rest), top * (top - 1))
@@ -137,6 +138,9 @@ def _lattice_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tup
 
 def _sum_over_j(n: int, k: int) -> tuple[int, int]:
     """(r(n, k), u(n, k)): each term summed over j >= 1 with (k+1)j <= n, sign (-1)^(j-1)."""
+    if k == 1 and n > 1:  # R_1 = R0 - z, so u(n, 1) = C(2n, n)/2 - C(2n-2, n-1) = (n-1) r(n, 1)
+        r = catalan(n - 1)
+        return r, (n - 1) * r
     sums = [0, 0, 0, 0]  # r and u at even and odd j - 1, so that no term is negated
     for i, r, u in _lattice_terms(2 * n - 2 * k + 1, n - k - 1, 1 - 2 * k, -k - 1, n // (k + 1)):
         sums[i % 2] += r
@@ -145,7 +149,7 @@ def _sum_over_j(n: int, k: int) -> tuple[int, int]:
 
 
 def r_explicit(n: int, k: int) -> int:
-    """r(n, k), k >= 1: the k line of the same walk that the one pass takes.
+    """r(n, k), k >= 1: the k line of the same walk that the one pass takes (k = 1: catalan(n-1)).
 
     Sum over j >= 1 while n - (k+1)j >= 0 of
         (-1)^(j-1) * [ C(2n-3-(2k-1)j, n-(k+1)j) - C(2n-3-(2k-1)j, n-3-(k+1)j) ],

@@ -15,11 +15,11 @@ This module is the ground truth for everything else in the package: it
 counts protection numbers over every plane tree of up to 16 vertices, so
 the generating-function and asymptotic routes can be checked against
 brute force.  The oracle tallies come from a forward count over prefix
-states, one symbol per step: a prefix is summed up by the least leaf
-depth below each open vertex, and a dict counts the prefixes that reach
-each state.  A ")" fixes the protection number of the vertex it closes,
-which is tallied once per state, weighted by the number of prefixes
-there and by the number of ways to finish the word.
+states, one symbol per step: a prefix is summed up by a capped least
+leaf depth below each open vertex, and a dict counts the prefixes that
+reach each state.  A ")" fixes the protection number of the vertex it
+closes, which is tallied once per state, weighted by the number of
+prefixes there and by the number of ways to finish the word.
 Those completion counts are built here, so the oracle owes nothing to the
 exact engine it checks.
 
@@ -29,6 +29,7 @@ exact engine it checks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -42,7 +43,7 @@ __all__ = [
     "oracle_s",
 ]
 
-# the oracle's widest step holds 20,170 prefix states at n = 16, and its 2n - 2 steps 130,933
+# the oracle's widest step holds 7,271 prefix states at n = 16, and its 2n - 2 steps 51,115
 _MAX_ORACLE_N = 16
 
 
@@ -167,16 +168,20 @@ def _survival_tallies(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     The words of n-vertex trees are counted by prefix state rather than
     walked, one symbol per step.  The state of a prefix is the tuple
-    low[0..d-1] of its d open vertices: low[j] is the least depth of a leaf
-    among vertex j's closed descendants (n if none).  A dict maps each
-    state to the number of prefixes reaching it.  With `written` symbols
-    down, o = n - (written + d) // 2 opens are left; a "(" (if o > 0)
-    appends n, and a ")" (if d > 1) closes vertex j = d - 1 at its leaf
-    depth L (low[j], or j itself if it is a leaf).  That vertex has
-    protection L - j and is tallied once per state, weighted by the
-    state's count times the ways[o][j] words that finish the prefix; its
-    parent takes min(L, low[j - 1]).  After 2n - 1 symbols only the root
-    is open, and it is tallied once per state with weight count.
+    low[0..d-1] of its d open vertices: low[i] is the least depth of a leaf
+    among vertex i's closed descendants, those of every deeper open vertex
+    included, so low never falls as i grows (n, none, if there is no leaf).
+    A dict maps each state to the number of prefixes reaching it.  With
+    `written` symbols down, o = n - (written + d) // 2 opens are left, and
+    every open vertex will end with a leaf no deeper than j + o, j = d - 1.
+    A "(" (if o > 0) lowers every entry above j + o to j + o and appends
+    none; a ")" (if d > 1) closes vertex j at its least leaf depth L (low[j],
+    or j itself if it is a leaf), drops low[j] and lowers every entry above
+    L to L.  That vertex has protection L - j and is tallied once per
+    state, weighted by the state's count times the ways[o][j] words that
+    finish the prefix.  The caps change no vertex's final least leaf depth
+    and merge prefixes into fewer states.  After 2n - 1 symbols only the
+    root is open, and it is tallied once per state with weight count.
     """
     ways = _completion_counts(n)
     none = n  # deeper than any leaf of an n-vertex tree
@@ -189,15 +194,14 @@ def _survival_tallies(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             j = len(low) - 1
             o = n - (written + j + 1) // 2
             if o:
-                key = low + (none,)
+                i = bisect_right(low, j + o)
+                key = low[:i] + (j + o,) * (j + 1 - i) + (none,)
                 step[key] = step.get(key, 0) + count
             if j:
-                leaf = low[j]
-                if leaf == none:
-                    leaf = j
+                leaf = low[j] if low[j] < none else j
                 vertex_hist[leaf - j] += count * ways[o][j]
-                parent = low[j - 1]
-                key = low[: j - 1] + (leaf if leaf < parent else parent,)
+                i = bisect_right(low, leaf, 0, j)
+                key = low[:i] + (leaf,) * (j - i)
                 step[key] = step.get(key, 0) + count
         counts = step
     for (low,), count in counts.items():

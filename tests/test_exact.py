@@ -211,7 +211,7 @@ def test_broken_invariants_raise_arithmetic_error(monkeypatch):
 
     monkeypatch.setattr(exact, "_lattice_terms", first_r_term_shifted)
     with pytest.raises(ArithmeticError):
-        s_explicit(3, 1)
+        s_explicit(5, 2)  # k = 1 sums in closed form, so a level that walks its line
     monkeypatch.setattr(series, "central_binomials", lambda order: (1,) * (order + 1))
     with pytest.raises(ArithmeticError, match="odd pointed-vertex total"):
         _recurrence_counts(3)
@@ -220,6 +220,20 @@ def test_broken_invariants_raise_arithmetic_error(monkeypatch):
 def _k_line(n, k):
     """The _lattice_terms arguments of the k line at size n."""
     return 2 * n - 2 * k + 1, n - k - 1, 1 - 2 * k, -k - 1, n // (k + 1)
+
+
+def test_k1_closed_forms_equal_the_walked_line():
+    # R_1 = R0 - z: the walk's k = 1 line, which the engine does not take,
+    # sums to catalan(n-1) and C(2n, n)/2 - C(2n-2, n-1)
+    for n in range(2, 301):
+        sums = [0, 0]
+        for i, r, u in exact._lattice_terms(*_k_line(n, 1)):
+            sign = -1 if i % 2 else 1
+            sums[0] += sign * r
+            sums[1] += sign * u
+        assert exact._sum_over_j(n, 1) == tuple(sums)
+        assert sums == [catalan(n - 1), math.comb(2 * n, n) // 2 - math.comb(2 * n - 2, n - 1)]
+        assert r_explicit(n, 1) == catalan(n - 1)
 
 
 def test_inexact_ratio_step_raises_arithmetic_error(monkeypatch):
