@@ -30,21 +30,21 @@ vertex with protection >= k splits the tree into a k-protected subtree and
 a leaf-pointed remainder, so S_k(z) = R_k(z) * (1 + (1-4z)^(-1/2)) / 2 and
 2 s(n, k) = r(n, k) + [z^n] R_k (1-4z)^(-1/2).
 
-Term j of r(n, k) and of u(n, k) = [z^n] R_k (1-4z)^(-1/2) is read off one
-binomial C(2n - (2k-1)j, n - (k+1)j) per lattice point (j, k), and one walk,
-_lattice_terms, reads them along a falling line of points by exact ratio
-steps from one math.comb.  That walk serves single points and the pass
-alike: r_explicit and s_explicit take one k line in O(n/k) steps (the
-k = 1 line, the longest, sums in closed form as R_1 = R0 - z), and one
-cached pass per size n sums every r(n, k) and u(n, k) in O(n log n) steps,
-split at isqrt(n) so that no step jumps more than about 2 sqrt(n), into the
-finished r(n, k) and s(n, k) that both tables hold and both means read.  The
-ballot tables (r_survival_column, root_protection_totals, built on
-catalan_power_coeffs) remain here as independent cross-checks; they and
-central_binomials serve only criterion 1 and the tests, so they stay out of
-__all__.  The recurrence, the closed form and the pointing identity run as
-truncated power series in the series module, and brute force in trees;
-this module imports nothing from either.
+Term j of r(n, k) and of u(n, k) = [z^n] R_k (1-4z)^(-1/2) is a small
+multiple of one scaled binomial per lattice point (j, k), and one walk,
+_lattice_terms, carries that value along a falling line of points by one
+checked division a point from one math.comb.  That walk serves single points
+and the pass alike: r_explicit and s_explicit take one cached k line in
+O(n/k) steps (the k = 1 line, the longest, sums in closed form as
+R_1 = R0 - z), and one cached pass per size n sums every r(n, k) and u(n, k)
+in O(n log n) steps, each point on its shorter line so that no step jumps
+more than about 2 min(j, k), into the finished r(n, k) and s(n, k) that both
+tables hold and both means read.  The ballot tables (r_survival_column,
+root_protection_totals, built on catalan_power_coeffs) remain here as
+independent cross-checks; they and central_binomials serve only criterion 1
+and the tests, so they stay out of __all__.  The recurrence, the closed form
+and the pointing identity run as truncated power series in the series
+module, and brute force in trees; this module imports nothing from either.
 
 Everything here is exact and nothing floats: counts and tables are plain
 ints, and Fraction appears only in the returned probabilities and moments.
@@ -53,6 +53,7 @@ ints, and Fraction appears only in the returned probabilities and moments.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,8 +73,9 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=16)
 def catalan(m: int) -> int:
-    """Catalan number C_m; counts (m+1)-vertex plane trees."""
+    """Catalan number C_m, cached; counts (m+1)-vertex plane trees."""
     if m < 0:
         raise ValueError("catalan index must be nonnegative")
     return math.comb(2 * m, m) // (m + 1)
@@ -102,50 +104,61 @@ def _lattice_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tup
 
     Every line walked is a falling one, a k line (1-2k, -k-1) or a j line
     (-2j, -j), whose points i < count all have q >= 0 and p = A - q = q + 3j.
-    So one math.comb gives B = C(A, q) at i = count - 1, and the walk climbs
-    to i = 0 by the exact ratio of neighbouring binomials: three falling
-    factorials, one multiply and one divmod.  The terms of the point (j, k) are
-        u term = C(A, q) - C(A-2, q-1) = B (A(A-1) - qp) / (A(A-1)),
-        r term = C(A-3, q) - C(A-3, q-3) = (p - q)(A u - 2B) / (A(A-2)).
+    With s2 = p^2 + pq + q^2 and F = (A-3)!/(q! p!), the terms of the point (j, k) are
+        u term = C(A, q) - C(A-2, q-1) = F mu,   mu = (A-2)(s2 - A),
+        r term = C(A-3, q) - C(A-3, q-3) = F rho,  rho = (p-q)(s2 - 3A + 2).
+    So the walk carries E = F D, D = gcd(rho, mu), an integer because D is an
+    integer combination of rho and mu, and reads both terms off it by the small
+    multipliers rho/D and mu/D.  One math.comb gives E = C(A, q) D / (A(A-1)(A-2))
+    at i = count - 1, and the walk climbs to i = 0 by E'/E: three falling
+    factorials and the two D, one multiply and one divmod a point.
     A remainder means a broken invariant and raises ArithmeticError.
     """
     if count < 1:
         return
     top, low = a + da * (count - 1), b + db * (count - 1)
-    value = math.comb(top, low)
     dt, dl = -da, -db  # A and q rise as i falls
     dr = dt - dl  # the step of p: -1 on the k = 1 line (only the tests walk it), >= 0 on others
+    value, num, den = 1, math.comb(top, low), top * (top - 1) * (top - 2)
     for i in range(count - 1, -1, -1):
         rest = top - low
-        u, u_rem = divmod(value * (top * (top - 1) - low * rest), top * (top - 1))
-        gap = rest - low  # p - q = 3j
-        r, r_rem = divmod(top * gap * u - 2 * gap * value, top * (top - 2))
-        if r_rem or u_rem:
-            raise ArithmeticError(f"inexact lattice ratio at C({top}, {low})")
-        yield i, r, u
+        s2 = top * top - rest * low  # p^2 + pq + q^2
+        rho, mu = (rest - low) * (s2 - 3 * top + 2), (top - 2) * (s2 - top)
+        d = math.gcd(rho, mu)
+        value, rem = divmod(value * (num * d), den)
+        if rem:
+            step = "lattice ratio at" if i == count - 1 else "ratio step to"
+            raise ArithmeticError(f"inexact {step} C({top}, {low})")
+        yield i, value * (rho // d), value * (mu // d)
         if i:
-            # C(top+dt, low+dl) = C(top, low) * (top+dt)!/top! * low!/(low+dl)! * rest!/(rest+dr)!
-            num, den = math.perm(top + dt, dt), math.perm(low + dl, dl)
+            # E' / E = D'/D * (A'-3)!/(A-3)! * q!/q'! * p!/p'!, with A' = A + dt and so on
+            num, den = math.perm(top + dt - 3, dt), math.perm(low + dl, dl) * d
             if dr >= 0:
                 den *= math.perm(rest + dr, dr)
             else:
                 num *= math.perm(rest, -dr)
             top, low = top + dt, low + dl
-            value, rem = divmod(value * num, den)
-            if rem:
-                raise ArithmeticError(f"inexact ratio step to C({top}, {low})")
 
 
-def _sum_over_j(n: int, k: int) -> tuple[int, int]:
-    """(r(n, k), u(n, k)): each term summed over j >= 1 with (k+1)j <= n, sign (-1)^(j-1)."""
-    if k == 1 and n > 1:  # R_1 = R0 - z, so u(n, 1) = C(2n, n)/2 - C(2n-2, n-1) = (n-1) r(n, 1)
-        r = catalan(n - 1)
-        return r, (n - 1) * r
-    sums = [0, 0, 0, 0]  # r and u at even and odd j - 1, so that no term is negated
-    for i, r, u in _lattice_terms(2 * n - 2 * k + 1, n - k - 1, 1 - 2 * k, -k - 1, n // (k + 1)):
+def _alternating_line(a: int, b: int, da: int, db: int, count: int) -> tuple[int, int]:
+    """The r terms and the u terms of one _lattice_terms line, each summed with sign (-1)^i."""
+    sums = [0, 0, 0, 0]  # r and u at even and odd i, so that no term is negated
+    for i, r, u in _lattice_terms(a, b, da, db, count):
         sums[i % 2] += r
         sums[2 + i % 2] += u
     return sums[0] - sums[1], sums[2] - sums[3]
+
+
+@lru_cache(maxsize=16)
+def _sum_over_j(n: int, k: int) -> tuple[int, int]:
+    """(r(n, k), u(n, k)): each term summed over j >= 1 with (k+1)j <= n, sign (-1)^(j-1).
+
+    Cached, so that the X and Y survival values at one (n, k) walk its line once.
+    """
+    if k == 1 and n > 1:  # R_1 = R0 - z, so u(n, 1) = C(2n, n)/2 - C(2n-2, n-1) = (n-1) r(n, 1)
+        r = catalan(n - 1)
+        return r, (n - 1) * r
+    return _alternating_line(2 * n - 2 * k + 1, n - k - 1, 1 - 2 * k, -k - 1, n // (k + 1))
 
 
 def r_explicit(n: int, k: int) -> int:
@@ -153,7 +166,7 @@ def r_explicit(n: int, k: int) -> int:
 
     Sum over j >= 1 while n - (k+1)j >= 0 of
         (-1)^(j-1) * [ C(2n-3-(2k-1)j, n-(k+1)j) - C(2n-3-(2k-1)j, n-3-(k+1)j) ],
-    each term read off B = C(A, q) by _lattice_terms.
+    each term read off the scaled binomial that _lattice_terms walks.
     """
     if n < 1:
         raise ValueError("tree size must be positive")
@@ -282,22 +295,26 @@ def survival_Y_exact(n: int, k: int) -> Fraction:
 def _protection_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(r, s) with r[k] = r(n, k) and s[k] = s(n, k) for k = 0..n-1, level 0 counting all.
 
-    For k >= 1 the lattice points (j, k) with (k+1)j <= n are split at
-    h = isqrt(n), like a divisor sum: for k < h the walk steps j along each
-    k line into slot k; for k >= h it steps k along each j line, adding
-    point i into slot h + i.  No line is long; the pass walks O(n log n) points.
+    Each lattice point (j, k), k >= 2, with (k+1)j <= n is walked on its
+    shorter line, so that no step jumps more than about 2 min(j, k): on the
+    k line from j = k when j >= k, and on the j line from k = j + 1 when
+    j < k; both kinds have m = min(j, k) <= isqrt(n).  The k = 1 line sums in
+    closed form.  The pass walks O(n log n) points.
     """
-    h = math.isqrt(n)
     r, u = [0] * n, [0] * n
-    for k in range(1, h):
-        r[k], u[k] = _sum_over_j(n, k)
-    for j in range(1, n // (h + 1) + 1):
-        # k = h + i for i = 0..n//j - h - 1: A steps by -2j, q by -j
-        a, b = 2 * n - (2 * h - 1) * j, n - (h + 1) * j
-        sign = 1 if j % 2 else -1
-        for i, r_term, u_term in _lattice_terms(a, b, -2 * j, -j, n // j - h):
-            r[h + i] += sign * r_term
-            u[h + i] += sign * u_term
+    for m in range(1, math.isqrt(n) + 1):
+        add = operator.add if m % 2 else operator.sub  # the sign (-1)^(j-1) at j = m
+        # the j line of j = m, k = m + 1 + i: A steps by -2m, q by -m
+        a, b = 2 * n - (2 * m + 1) * m, n - (m + 2) * m
+        for i, r_term, u_term in _lattice_terms(a, b, -2 * m, -m, n // m - m - 1):
+            r[m + 1 + i] = add(r[m + 1 + i], r_term)
+            u[m + 1 + i] = add(u[m + 1 + i], u_term)
+        if m > 1:  # the k line of k = m, j = m + i: A steps by 1 - 2m, q by -m - 1
+            a, b = 2 * n - (2 * m - 1) * m, n - (m + 1) * m
+            line_r, line_u = _alternating_line(a, b, 1 - 2 * m, -m - 1, n // (m + 1) - m + 1)
+            r[m], u[m] = add(r[m], line_r), add(u[m], line_u)
+    if n > 1:
+        r[1], u[1] = _sum_over_j(n, 1)
     r[0] = catalan(n - 1)
     return tuple(r), (n * r[0], *(_halve(r[k] + u[k], n, k) for k in range(1, n)))
 

@@ -209,9 +209,15 @@ def test_broken_invariants_raise_arithmetic_error(monkeypatch):
         for step, (i, r, u) in enumerate(lattice_terms(*args)):
             yield i, r + (1 if step == 0 else 0), u
 
+    # the line sums are cached: clear them so the patched walk runs, and again
+    # so that no later test reads the broken sum
+    exact._sum_over_j.cache_clear()
     monkeypatch.setattr(exact, "_lattice_terms", first_r_term_shifted)
-    with pytest.raises(ArithmeticError):
-        s_explicit(5, 2)  # k = 1 sums in closed form, so a level that walks its line
+    try:
+        with pytest.raises(ArithmeticError):
+            s_explicit(5, 2)  # k = 1 sums in closed form, so a level that walks its line
+    finally:
+        exact._sum_over_j.cache_clear()
     monkeypatch.setattr(series, "central_binomials", lambda order: (1,) * (order + 1))
     with pytest.raises(ArithmeticError, match="odd pointed-vertex total"):
         _recurrence_counts(3)
@@ -300,9 +306,21 @@ def test_lattice_terms_equal_direct_binomials():
                 assert (r, u) == _direct_terms(n, j, i + 1)
 
 
+def test_unscaled_walk_raises_where_the_factorial_ratio_is_fractional(monkeypatch):
+    # with D = gcd(rho, mu) forced to 1 the walk carries (A-3)!/(q! p!) itself; on
+    # the k = 5 line at n = 23 that is C(19, 5)/(19*18*17) = 2 at its start j = 3,
+    # but 2185/2 at j = 2, where (A, q) = (28, 11), so the first ratio step raises
+    monkeypatch.setattr(exact.math, "gcd", lambda *args: 1)
+    walked = exact._lattice_terms(*_k_line(23, 5))
+    assert next(walked)[0] == 2
+    with pytest.raises(ArithmeticError, match=r"ratio step to C\(28, 11\)"):
+        next(walked)
+
+
 def test_wrong_base_binomial_raises_at_the_lattice_ratio(monkeypatch):
     # the point (j, k) = (1, 1) at n = 10 has A = 19, q = 8 and B = C(19, 8);
-    # one walked term, so only the derived ratios see the wrong base
+    # one walked term, so only the start division B D / (A(A-1)(A-2)) sees the
+    # wrong base: it leaves the remainder D, as q > 0 makes 0 < D <= mu < A(A-1)(A-2)
     assert list(exact._lattice_terms(19, 8, -1, -2, 1)) == [(0, *_direct_terms(10, 1, 1))]
     comb = math.comb
     monkeypatch.setattr(exact.math, "comb", lambda a, b: comb(a, b) + 1)
@@ -321,7 +339,7 @@ def test_line_sums_equal_ballot_table_routes(n):
         assert 2 * s_explicit(n, k) == pointed
 
 
-@pytest.mark.parametrize("n", [48, 49, 50, 255, 256, 257, 1024, 1025])
+@pytest.mark.parametrize("n", [48, 49, 50, 255, 256, 257, 1024, 1025, 1056])
 def test_means_equal_totals_table_at_split_boundaries(n):
     rho = root_protection_totals(n)
     beta = central_binomials(n)
@@ -366,9 +384,12 @@ def test_pass_equals_point_kernels_for_every_n_up_to_150():
         _pass_agrees_with_point_kernels(n)
 
 
-@pytest.mark.parametrize("n", [255, 256, 257])
+@pytest.mark.parametrize("n", [255, 256, 257, 1055, 1056, 1057])
 def test_pass_equals_point_kernels_around_a_perfect_square(n):
-    # isqrt changes at 256, so the split moves between these three sizes
+    # the pass walks the j line of j = m from k = m + 1 and the k line of k = m
+    # from j = m, for m <= isqrt(n): the j line of 15 gains its first point at
+    # 255 = 15 * 17, isqrt moves at 256, and the k line of 32 gains its first
+    # point at 1056 = 32 * 33, so the split moves between these sizes
     _pass_agrees_with_point_kernels(n)
 
 
@@ -383,9 +404,27 @@ def test_tables_and_means_read_the_one_pass():
     assert (info.misses, info.hits, info.maxsize) == (1, 3, 2)
 
 
+def test_survival_values_and_the_pass_share_their_line_and_catalan():
+    n, k = 800, 2
+    exact._sum_over_j.cache_clear()
+    exact.catalan.cache_clear()
+    survival_X_exact(n, k)
+    survival_Y_exact(n, k)
+    line, total = exact._sum_over_j.cache_info(), exact.catalan.cache_info()
+    assert (line.misses, line.hits) == (1, 1)
+    assert (total.misses, total.hits) == (1, 1)
+    # the pass reads catalan(n - 1) at k = 1 and at level 0, and builds it once
+    exact._protection_counts.cache_clear()
+    exact._sum_over_j.cache_clear()
+    exact.catalan.cache_clear()
+    dist_X_exact(n)
+    total = exact.catalan.cache_info()
+    assert (total.misses, total.hits) == (1, 1)
+
+
 def test_broken_pass_raises_arithmetic_error(monkeypatch):
-    # every walked line starting one too large leaves a remainder at the lattice
-    # ratios of a point or at a ratio step, before any r + u is halved
+    # every walked line that starts one too large at q > 0 leaves a remainder at
+    # its start division, before any r + u is halved
     comb = math.comb
     exact._protection_counts.cache_clear()
     monkeypatch.setattr(exact.math, "comb", lambda a, b: comb(a, b) + 1)
