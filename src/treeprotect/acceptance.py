@@ -116,7 +116,7 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
             }
             if k >= 1:
                 routes["closed"] = closed[k][n]
-                routes["explicit"] = r_explicit(n, k) if k < n else 0
+                routes["explicit"] = r_explicit(n, k)
                 routes["ballot"] = r_survival_column(k, 16)[n]
             else:
                 routes["catalan"] = catalan(n - 1)

@@ -138,19 +138,17 @@ def limit_pmf_X(k: int) -> AsymptoticValue:
 def limit_pmf_Y(k: int) -> AsymptoticValue:
     """Limit law of a uniform vertex's protection number with 1/n correction.
 
-    The correction is computed as the difference of the survival
-    corrections of asym_P_Y_ge.  A closed displayed form exists but is
-    twice this value for every k >= 1 and disagrees with finite-n data,
+    The correction is the difference corr_Y(k) - corr_Y(k+1) of the survival
+    corrections of asym_P_Y_ge, for every k >= 0: the closed form gives
+    corr_Y(0) = 0, as P(Y_n >= 0) = 1 exactly.  A closed displayed form exists
+    but is twice this value for every k >= 1 and disagrees with finite-n data,
     so the difference form is authoritative here.
     """
     if k < 0:
         raise ValueError("protection level must be nonnegative")
     x = 4**k
     lead = Fraction(9 * x, (4 * x + 2) * (x + 2))
-    # P(Y_n >= 0) = 1 and P(Y_n >= 1) = 1/2 hold exactly for n >= 2, so the
-    # k = 0 correction is -corr_Y(1), which vanishes.
-    upper = Fraction(0) if k == 0 else Fraction(*_survival_corr_Y(k))
-    corr = upper - Fraction(*_survival_corr_Y(k + 1))
+    corr = Fraction(*_survival_corr_Y(k)) - Fraction(*_survival_corr_Y(k + 1))
     return AsymptoticValue(lead, corr, Y_ERROR_ORDER)
 
 

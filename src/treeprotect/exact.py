@@ -32,10 +32,11 @@ a leaf-pointed remainder, so S_k(z) = R_k(z) * (1 + (1-4z)^(-1/2)) / 2 and
 
 Term j of r(n, k) and of u(n, k) = [z^n] R_k (1-4z)^(-1/2) is a small
 multiple of one scaled binomial per lattice point (j, k), and one walk,
-_lattice_terms, carries that value along a falling line of points by one
-checked division a point from one math.comb.  That walk serves single points
-and the pass alike: r_explicit and s_explicit take one cached k line in
-O(n/k) steps (the k = 1 line, the longest, sums in closed form as
+_lattice_terms, carries that value up a line of points on which A = q + p,
+q and p all climb, by one checked division a point from one math.comb.  That
+walk serves single points and the pass alike: r_explicit, s_explicit and the
+survival values take one cached k line in O(n/k) steps (the k = 1 line, the
+longest and the only one whose p would fall, sums in closed form as
 R_1 = R0 - z), and one cached pass per size n sums every r(n, k) and u(n, k)
 in O(n log n) steps, each point on its shorter line so that no step jumps
 more than about 2 min(j, k), into the finished r(n, k) and s(n, k) that both
@@ -57,7 +58,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 __all__ = [
     "catalan",
@@ -102,8 +103,11 @@ def _halve(total: int, n: int, k: int) -> int:
 def _lattice_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tuple[int, int, int]]:
     """(i, r term, u term) of the lattice points with A = a + da*i and q = b + db*i.
 
-    Every line walked is a falling one, a k line (1-2k, -k-1) or a j line
-    (-2j, -j), whose points i < count all have q >= 0 and p = A - q = q + 3j.
+    Every line walked is a falling one whose points i < count all have q >= 0
+    and p = A - q = q + 3j, and A, q and p all climb as i falls: a j line
+    (-2j, -j), p stepping by j, or a k line (1-2k, -k-1) with k >= 2, p stepping
+    by k - 2.  The k = 1 line, whose p would fall, sums in closed form instead;
+    a line whose p falls raises ValueError at its first ratio step.
     With s2 = p^2 + pq + q^2 and F = (A-3)!/(q! p!), the terms of the point (j, k) are
         u term = C(A, q) - C(A-2, q-1) = F mu,   mu = (A-2)(s2 - A),
         r term = C(A-3, q) - C(A-3, q-3) = F rho,  rho = (p-q)(s2 - 3A + 2).
@@ -118,7 +122,7 @@ def _lattice_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tup
         return
     top, low = a + da * (count - 1), b + db * (count - 1)
     dt, dl = -da, -db  # A and q rise as i falls
-    dr = dt - dl  # the step of p: -1 on the k = 1 line (only the tests walk it), >= 0 on others
+    dr = dt - dl  # and so does p
     value, num, den = 1, math.comb(top, low), top * (top - 1) * (top - 2)
     for i in range(count - 1, -1, -1):
         rest = top - low
@@ -132,11 +136,7 @@ def _lattice_terms(a: int, b: int, da: int, db: int, count: int) -> Iterator[tup
         yield i, value * (rho // d), value * (mu // d)
         if i:
             # E' / E = D'/D * (A'-3)!/(A-3)! * q!/q'! * p!/p'!, with A' = A + dt and so on
-            num, den = math.perm(top + dt - 3, dt), math.perm(low + dl, dl) * d
-            if dr >= 0:
-                den *= math.perm(rest + dr, dr)
-            else:
-                num *= math.perm(rest, -dr)
+            num, den = math.perm(top + dt - 3, dt), math.perm(low + dl, dl) * math.perm(rest + dr, dr) * d
             top, low = top + dt, low + dl
 
 
@@ -248,45 +248,35 @@ def root_protection_totals(order: int) -> tuple[int, ...]:
     return tuple(rho)
 
 
+def _point_counts(n: int, k: int) -> tuple[int, int]:
+    """(r(n, k), s(n, k)); k >= 1 halves the cached k line, which is empty from k = n on."""
+    if n < 1:
+        raise ValueError("tree size must be positive")
+    if k < 0:
+        raise ValueError("protection level must be nonnegative")
+    if k == 0:
+        return catalan(n - 1), n * catalan(n - 1)
+    r, u = _sum_over_j(n, k)
+    return r, _halve(r + u, n, k)
+
+
 def s_explicit(n: int, k: int) -> int:
     """s(n, k) = (r(n, k) + u(n, k)) / 2, u the pointed alternating sum.
 
     u(n, k) = [z^n] R_k (1-4z)^(-1/2) is the sum over j >= 1 with q = n - (k+1)j >= 0 of
         (-1)^(j-1) * [ C(2n-(2k-1)j, q) - C(2n-(2k-1)j-2, q-1) ].
     """
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    if k < 0:
-        raise ValueError("protection level must be nonnegative")
-    if k == 0:
-        return n * catalan(n - 1)
-    return _halve(sum(_sum_over_j(n, k)), n, k)
-
-
-_Count = Callable[[int, int], int]
-
-
-def _point_survival(n: int, k: int, count: _Count, weight: int) -> Fraction:
-    """count(n, k) / (weight * catalan(n-1)), with the levels 0 and >= n read directly."""
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    if k < 0:
-        raise ValueError("protection level must be nonnegative")
-    if k == 0:
-        return Fraction(1)
-    if k >= n:
-        return Fraction(0)
-    return Fraction(count(n, k), weight * catalan(n - 1))
+    return _point_counts(n, k)[1]
 
 
 def survival_X_exact(n: int, k: int) -> Fraction:
     """P(protection of a uniform n-vertex tree >= k), exact."""
-    return _point_survival(n, k, r_explicit, 1)
+    return Fraction(_point_counts(n, k)[0], catalan(n - 1))
 
 
 def survival_Y_exact(n: int, k: int) -> Fraction:
     """P(protection of a uniform vertex of a uniform n-vertex tree >= k), exact."""
-    return _point_survival(n, k, s_explicit, n)
+    return Fraction(_point_counts(n, k)[1], n * catalan(n - 1))
 
 
 # each entry holds O(n^2) digits and serves both tables and both means at one n;

@@ -72,21 +72,7 @@ __all__ = [
 
 # recorded in output so runs are reproducible across implementations
 RNG_ALGORITHM = "numpy.random.PCG64"
-# version of the way draws map to trials; 2: the final batch holds only the
-# trials still needed (version 1 drew a full batch and dropped the surplus);
-# 3: a batch holds at most _BATCH_STEPS steps, so batches are shorter for n >= 257;
-# 4: Y reads the root of an M-vertex tree for a drawn subtree size M (X unchanged);
-# 5: X and Y walk the generation chain in batches of _BATCH trials, one uniform
-# per running trial and generation (the word route keeps stream 4's X and
-# stream 3's Y draws);
-# 6: X and Y split each chain state's trial count with one multinomial draw per
-# generation, and Y first splits the trials over subtree sizes the same way;
-# 7: the chain's rows are the exact transition weights, one running product
-# each, and the subtree sizes' weights are normalized without a running sum;
-# 8: each state first draws its survivors with one binomial of chance
-# F(2d, m)/F(d, m), and only states with survivors split them over their rows;
-# 9: the rows are the law of the next generation's size given no leaf, built
-# as such rather than divided by that chance
+# stream 9: per chain state, a binomial of survivors split over its no-leaf row (README: history)
 RNG_STREAM = 9
 
 # the size cap bounds Y's subtree-size table, n floats (32 MiB at the cap)

@@ -14,6 +14,8 @@ from treeprotect.asymptotics import (
     Y_ERROR_ORDER,
     _ivl_mul,
     _sum_interval,
+    _survival_corr_X,
+    _survival_corr_Y,
     _survival_lead_X,
     _survival_lead_Y,
     _tail_bound,
@@ -72,6 +74,10 @@ def test_pmf_leading_terms_are_survival_differences():
 def test_pmf_at_level_zero():
     assert limit_pmf_X(0).leading == 0
     assert limit_pmf_Y(0).leading == Fraction(1, 2)
+    # level-0 survival is exactly 1, so the closed forms give 1 and no correction there
+    closed_forms = (_survival_lead_X, _survival_corr_X, _survival_lead_Y, _survival_corr_Y)
+    assert [Fraction(*form(0)) for form in closed_forms] == [1, 0, 1, 0]
+    assert limit_pmf_X(0).correction == limit_pmf_Y(0).correction == 0
 
 
 def test_pmf_leading_terms_normalize():

@@ -228,28 +228,14 @@ def _k_line(n, k):
     return 2 * n - 2 * k + 1, n - k - 1, 1 - 2 * k, -k - 1, n // (k + 1)
 
 
-def test_k1_closed_forms_equal_the_walked_line():
-    # R_1 = R0 - z: the walk's k = 1 line, which the engine does not take,
-    # sums to catalan(n-1) and C(2n, n)/2 - C(2n-2, n-1)
-    for n in range(2, 301):
-        sums = [0, 0]
-        for i, r, u in exact._lattice_terms(*_k_line(n, 1)):
-            sign = -1 if i % 2 else 1
-            sums[0] += sign * r
-            sums[1] += sign * u
-        assert exact._sum_over_j(n, 1) == tuple(sums)
-        assert sums == [catalan(n - 1), math.comb(2 * n, n) // 2 - math.comb(2 * n - 2, n - 1)]
-        assert r_explicit(n, 1) == catalan(n - 1)
-
-
 def test_inexact_ratio_step_raises_arithmetic_error(monkeypatch):
-    # the k = 1 line at n = 10 has five points; a falling factorial one too
+    # the k = 2 line at n = 15 has five points; a falling factorial one too
     # large leaves a remainder at the first ratio step, before any point past
     # the first is read
-    assert len(list(exact._lattice_terms(*_k_line(10, 1)))) == 5
+    assert len(list(exact._lattice_terms(*_k_line(15, 2)))) == 5
     perm = math.perm
     monkeypatch.setattr(exact.math, "perm", lambda a, b: perm(a, b) + 1)
-    walked = exact._lattice_terms(*_k_line(10, 1))
+    walked = exact._lattice_terms(*_k_line(15, 2))
     assert next(walked)[0] == 4
     with pytest.raises(ArithmeticError, match="ratio step"):
         next(walked)
@@ -266,7 +252,7 @@ def test_lattice_terms_walk_down_from_one_comb(monkeypatch):
         return comb(a, b)
 
     monkeypatch.setattr(exact.math, "comb", counted)
-    for n, k in ((10, 1), (30, 2), (61, 4)):
+    for n, k in ((14, 2), (30, 2), (61, 4)):
         calls.clear()
         walked = [i for i, _, _ in exact._lattice_terms(*_k_line(n, k))]
         assert walked == list(range(n // (k + 1) - 1, -1, -1))
@@ -290,10 +276,26 @@ def _direct_terms(n, j, k):
     return r, u
 
 
+def test_k1_closed_forms_equal_the_direct_binomial_sums():
+    # R_1 = R0 - z: the k = 1 line, which the walk never takes, sums to
+    # catalan(n-1) and C(2n, n)/2 - C(2n-2, n-1)
+    for n in range(2, 201):
+        sums = [0, 0]
+        for j in range(1, n // 2 + 1):
+            sign = 1 if j % 2 else -1
+            r, u = _direct_terms(n, j, 1)
+            sums[0] += sign * r
+            sums[1] += sign * u
+        assert exact._sum_over_j(n, 1) == tuple(sums)
+        assert sums == [catalan(n - 1), math.comb(2 * n, n) // 2 - math.comb(2 * n - 2, n - 1)]
+        assert r_explicit(n, 1) == catalan(n - 1)
+
+
 def test_lattice_terms_equal_direct_binomials():
-    # every lattice point with n <= 60, reached along its k line and its j line
+    # every lattice point with n <= 60 reached along its k line, k >= 2, and
+    # along its j line, which also reaches every point of the k = 1 line
     for n in range(2, 61):
-        for k in range(1, n):
+        for k in range(2, n):
             a, b = 2 * n - (2 * k - 1), n - (k + 1)
             walked = list(exact._lattice_terms(a, b, 1 - 2 * k, -k - 1, n // (k + 1)))
             assert sorted(i for i, _, _ in walked) == list(range(n // (k + 1)))
@@ -304,6 +306,28 @@ def test_lattice_terms_equal_direct_binomials():
             assert sorted(i for i, _, _ in walked) == list(range(n // j - 1))
             for i, r, u in walked:
                 assert (r, u) == _direct_terms(n, j, i + 1)
+
+
+def test_every_walked_line_climbs_in_p(monkeypatch):
+    # p = A - q steps by db - da, which every line that the pass and the point
+    # kernels walk keeps >= 0; the k = 1 line, whose p would fall, sums in closed form
+    lattice_terms = exact._lattice_terms
+    steps = []
+
+    def recorded(a, b, da, db, count):
+        if count > 1:
+            steps.append(db - da)
+        return lattice_terms(a, b, da, db, count)
+
+    exact._protection_counts.cache_clear()
+    exact._sum_over_j.cache_clear()
+    monkeypatch.setattr(exact, "_lattice_terms", recorded)
+    for n in range(1, 301):
+        exact._protection_counts(n)
+        for k in range(n + 1):
+            s_explicit(n, k)
+    assert steps
+    assert min(steps) >= 0
 
 
 def test_unscaled_walk_raises_where_the_factorial_ratio_is_fractional(monkeypatch):
