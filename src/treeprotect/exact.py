@@ -43,9 +43,9 @@ more than about 2 min(j, k), into the finished r(n, k) and s(n, k) that both
 tables hold and both means read.  The ballot tables (r_survival_column,
 root_protection_totals, built on catalan_power_coeffs) remain here as
 independent cross-checks; they and central_binomials serve only criterion 1
-and the tests, so they stay out of __all__.  The recurrence, the closed form
-and the pointing identity run as truncated power series in the series
-module, and brute force in trees; this module imports nothing from either.
+and the tests, so they stay out of __all__.  The recurrence and the
+pointing identity run as truncated power series in the series module, and
+brute force in trees; this module imports nothing from either.
 
 Everything here is exact and nothing floats: counts and tables are plain
 ints, and Fraction appears only in the returned probabilities and moments.
@@ -249,15 +249,15 @@ def root_protection_totals(order: int) -> tuple[int, ...]:
 
 
 def _point_counts(n: int, k: int) -> tuple[int, int]:
-    """(r(n, k), s(n, k)); k >= 1 halves the cached k line, which is empty from k = n on."""
+    """(r(n, k), u(n, k)); k >= 1 reads the cached k line, which is empty from k = n on."""
     if n < 1:
         raise ValueError("tree size must be positive")
     if k < 0:
         raise ValueError("protection level must be nonnegative")
-    if k == 0:
-        return catalan(n - 1), n * catalan(n - 1)
-    r, u = _sum_over_j(n, k)
-    return r, _halve(r + u, n, k)
+    if k == 0:  # every tree, and u = 2s - r with s(n, 0) = n r(n, 0)
+        r = catalan(n - 1)
+        return r, (2 * n - 1) * r
+    return _sum_over_j(n, k)
 
 
 def s_explicit(n: int, k: int) -> int:
@@ -266,7 +266,8 @@ def s_explicit(n: int, k: int) -> int:
     u(n, k) = [z^n] R_k (1-4z)^(-1/2) is the sum over j >= 1 with q = n - (k+1)j >= 0 of
         (-1)^(j-1) * [ C(2n-(2k-1)j, q) - C(2n-(2k-1)j-2, q-1) ].
     """
-    return _point_counts(n, k)[1]
+    r, u = _point_counts(n, k)
+    return _halve(r + u, n, k)
 
 
 def survival_X_exact(n: int, k: int) -> Fraction:
@@ -276,7 +277,7 @@ def survival_X_exact(n: int, k: int) -> Fraction:
 
 def survival_Y_exact(n: int, k: int) -> Fraction:
     """P(protection of a uniform vertex of a uniform n-vertex tree >= k), exact."""
-    return Fraction(_point_counts(n, k)[1], n * catalan(n - 1))
+    return Fraction(s_explicit(n, k), n * catalan(n - 1))
 
 
 # each entry holds O(n^2) digits and serves both tables and both means at one n;

@@ -8,12 +8,12 @@ insists on a divisor with constant term 1, which keeps every quotient
 integral; every divisor in this module has that shape by construction,
 and anything else is a logic error worth surfacing.
 
-The route runs the substitution recurrence R_k = z R_(k-1) / (1 - R_(k-1)),
-its closed form (1-z) q / (1 + q) with q = z^(k+1) C(z)^3, and the pointing
-identity S_k = R_k (1 + (1-4z)^(-1/2)) / 2 on these series.  It reads only
-catalan and central_binomials from exact, so it stays independent of the
-alternating binomial sums it checks.  Criterion 1 and the tests are its
-only users, so the module exports nothing.
+The route runs the substitution recurrence R_k = z R_(k-1) / (1 - R_(k-1))
+and the pointing identity S_k = R_k (1 + (1-4z)^(-1/2)) / 2 on these series,
+never the closed form of R_k that the ballot tables and the lattice walk in
+exact both expand.  It reads only catalan and central_binomials from exact,
+so it stays independent of the alternating binomial sums it checks.
+Criterion 1 and the tests are its only users, so the module exports nothing.
 """
 
 from __future__ import annotations
@@ -156,15 +156,3 @@ def _recurrence_counts(order: int) -> tuple[tuple[tuple[int, ...], ...], tuple[t
         s.append(tuple(total // 2 for total in pointed))
         R = R.shifted(1) / (1 - R)
     return tuple(r), tuple(s)
-
-
-def _closed_column(k: int, order: int) -> tuple[int, ...]:
-    """r(n, k) for n = 0..order from the closed form of R_k, k >= 1.
-
-    R_k = (1-z) q / (1 + q) with q = z^(k+1) C(z)^3, the shifted cube of the
-    Catalan generating function (q(0) = 0, so the denominator is a unit).
-    """
-    if k < 1:
-        raise ValueError("the closed form applies to protection level k >= 1")
-    q = (TruncatedPowerSeries(catalan(m) for m in range(order + 1)) ** 3).shifted(k + 1)
-    return ((q - q.shifted(1)) / (1 + q)).coeffs

@@ -15,6 +15,7 @@ weakened away:
   prints the extrapolated digits.
 """
 
+import ast
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ import pytest
 
 from treeprotect import acceptance, constant
 from treeprotect.acceptance import run_criterion
+from treeprotect.exact import DistributionTable
+from treeprotect.trees import oracle_r, oracle_s
 
 
 class _ClosedPipe:
@@ -55,6 +58,68 @@ def test_criterion_1_oracle_equivalence():
     result = run_criterion(1)
     assert result.elapsed_s < 60.0
     assert result.passed, result.detail
+
+
+N, K = 5, 2  # the one count that each slipped route below gets wrong
+
+
+def _one_more(counts, i):
+    return (*counts[:i], counts[i] + 1, *counts[i + 1 :])
+
+
+def _point(f):
+    return lambda n, k: f(n, k) + ((n, k) == (N, K))
+
+
+def _recurrence(f):
+    def slipped(order):
+        r, s = f(order)
+        return (*r[:K], _one_more(r[K], N), *r[K + 1 :]), s
+
+    return slipped
+
+
+def _table(f):
+    return lambda n: DistributionTable(_one_more(f(n).counts, K)) if n == N else f(n)
+
+
+# every route that criterion 1 looks up, the slip that puts one count of it
+# one too high, and the line and key under which its failing detail shows it
+ROUTE_SLIPS = {
+    "oracle_r": (_point, "r", "oracle"),
+    "oracle_s": (_point, "s", "oracle"),
+    "_recurrence_counts": (_recurrence, "r", "recurrence"),
+    "_chain_counts": (lambda f: lambda n: _one_more(f(n), K) if n == N else f(n), "r", "chain"),
+    "r_explicit": (_point, "r", "explicit"),
+    "s_explicit": (_point, "s", "explicit"),
+    "r_survival_column": (
+        lambda f: lambda k, order: _one_more(f(k, order), N) if k == K else f(k, order),
+        "r",
+        "ballot",
+    ),
+    "root_protection_totals": (lambda f: lambda order: _one_more(f(order), N), "sum", "ballot"),
+    "dist_X_exact": (_table, "r", "pass"),
+    "dist_Y_exact": (_table, "s", "pass"),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_SLIPS)
+def test_criterion_1_names_a_route_one_count_off(monkeypatch, name):
+    slip, line, route = ROUTE_SLIPS[name]
+    monkeypatch.setattr(acceptance, name, slip(getattr(acceptance, name)))
+    passed, detail = acceptance._check_oracle_equivalence()
+    assert not passed
+    first = detail.split("; ")[0]
+    if line == "sum":
+        total = sum(oracle_r(N, k) for k in range(1, N + 1))
+        assert first == f"sum_k r({N},k): {route} {total + 1} != oracle {total}"
+        return
+    head, routes = first.split(": ", 1)
+    routes = ast.literal_eval(routes)
+    value = (oracle_r if line == "r" else oracle_s)(N, K)
+    assert head == f"{line}({N},{K})"
+    assert routes.pop(route) == value + 1
+    assert set(routes.values()) == {value}
 
 
 def test_criterion_2_published_constants():

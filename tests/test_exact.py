@@ -28,7 +28,7 @@ from treeprotect.exact import (
     survival_X_exact,
     survival_Y_exact,
 )
-from treeprotect.series import TruncatedPowerSeries, _closed_column, _recurrence_counts
+from treeprotect.series import TruncatedPowerSeries, _recurrence_counts
 from treeprotect.trees import (
     enumerate_trees,
     oracle_r,
@@ -64,9 +64,10 @@ def test_series_invsqrt_squares_to_geometric():
 
 
 def test_recurrence_and_closed_series_agree():
+    # the ballot columns expand the closed form (1-z) q / (1 + q), q = z^(k+1) C(z)^3
     r = _recurrence_counts(24)[0]
     for k in range(1, 5):
-        assert r[k] == _closed_column(k, 24)
+        assert r[k] == r_survival_column(k, 24)
 
 
 def test_r_series_coefficients_match_oracle():
@@ -83,7 +84,7 @@ def test_r_explicit_matches_oracle():
 
 
 def test_r_explicit_large_n_consistent_with_series():
-    column = _closed_column(3, 40)
+    column = _recurrence_counts(40)[0][3]
     for n in (20, 30, 40):
         assert r_explicit(n, 3) == column[n]
 
@@ -379,11 +380,9 @@ def test_default_Y_table_equals_series_route_at_n200():
 def test_series_route_counts_are_ints():
     r, s = _recurrence_counts(12)
     assert len(r) == len(s) == 13
-    assert all(type(c) is int for row in (*r, *s, _closed_column(2, 12)) for c in row)
+    assert all(type(c) is int for row in (*r, *s) for c in row)
     with pytest.raises(ValueError):
         _recurrence_counts(-1)
-    with pytest.raises(ValueError):
-        _closed_column(0, 12)
 
 
 def test_means_at_moderate_n_are_rational_and_bounded():
@@ -444,6 +443,17 @@ def test_survival_values_and_the_pass_share_their_line_and_catalan():
     dist_X_exact(n)
     total = exact.catalan.cache_info()
     assert (total.misses, total.hits) == (1, 1)
+
+
+def test_only_the_vertex_values_halve_the_pointed_total(monkeypatch):
+    # r(n, k) needs no s(n, k), so survival_X_exact never halves r + u
+    def no_halving(total, n, k):
+        raise ArithmeticError("halved")
+
+    monkeypatch.setattr(exact, "_halve", no_halving)
+    assert survival_X_exact(40, 3) == Fraction(r_explicit(40, 3), catalan(39))
+    with pytest.raises(ArithmeticError, match="halved"):
+        survival_Y_exact(40, 3)
 
 
 def test_broken_pass_raises_arithmetic_error(monkeypatch):

@@ -10,7 +10,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate
 
 import pytest
@@ -320,6 +320,14 @@ def test_chain_tables_stop_past_the_bulk():
     assert abs(rows[4].sum() - 1.0) < 1e-15
 
 
+@cache
+def _kept_weights(d: int, m: int) -> tuple[tuple[int, ...], int]:
+    """C(e-1, d-1) F(e, m - d) for e = d to min(m - d, 2d + 96), the table's end, and F(2d, m)."""
+    r = m - d
+    kept = tuple(math.comb(e - 1, d - 1) * _forests(e, r) for e in range(d, min(r, 2 * d + 96) + 1))
+    return kept, _forests(2 * d, m)
+
+
 def test_chain_rows_are_the_exact_transition_counts():
     # the entry for e is C(e-1, d-1) F(e, m - d) / F(2d, m), the weight that
     # _chain_counts carries from (d, m) to (e, m - d) over the leafless
@@ -327,13 +335,11 @@ def test_chain_rows_are_the_exact_transition_counts():
     # rounds the exact ratio once
     d, m = map(np.array, zip(*_LIVE_STATES))
     worst = 0.0
-    for row, (one_d, one_m) in zip(sampler._chain_tables(d, m), _LIVE_STATES):
-        r = one_m - one_d
-        end = min(r, 2 * one_d + 96)
-        for e in range(one_d, end + 1):
-            exact = math.comb(e - 1, one_d - 1) * _forests(e, r) / _forests(2 * one_d, one_m)
-            worst = max(worst, abs(row[e - one_d] / exact - 1))
-        assert not row[end - one_d + 1 :].any(), (one_d, one_m)
+    for row, state in zip(sampler._chain_tables(d, m), _LIVE_STATES):
+        kept, leafless = _kept_weights(*state)
+        for column, weight in enumerate(kept):
+            worst = max(worst, abs(row[column] / (weight / leafless) - 1))
+        assert not row[len(kept) :].any(), state
     assert worst <= 1e-13
 
 
@@ -342,13 +348,9 @@ def test_chain_rows_keep_all_but_the_cut_tail():
     # m - d <= 2d + 96), and rounding never takes it past 1
     d, m = map(np.array, zip(*_LIVE_STATES))
     sums = sampler._chain_tables(d, m).sum(axis=1)
-    for total, (one_d, one_m) in zip(sums, _LIVE_STATES):
-        r = one_m - one_d
-        kept = sum(
-            math.comb(e - 1, one_d - 1) * _forests(e, r)
-            for e in range(one_d, min(r, 2 * one_d + 96) + 1)
-        )
-        assert abs(total - kept / _forests(2 * one_d, one_m)) <= 1e-15, (one_d, one_m)
+    for total, state in zip(sums, _LIVE_STATES):
+        kept, leafless = _kept_weights(*state)
+        assert abs(total - sum(kept) / leafless) <= 1e-15, state
     assert sums.max() <= 1 + 1e-15
 
 
