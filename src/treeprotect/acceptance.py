@@ -216,7 +216,7 @@ def _check_normalization() -> tuple[bool, str]:
 
 
 def _scaled_residuals(statistic: str, k: int, sizes: tuple[int, ...]) -> list[float]:
-    """n^2 times the two-term error, the order stated by X/Y_ERROR_ORDER."""
+    """n^2 times the two-term error, the order stated by ERROR_ORDER."""
     if statistic == "X":
         approx = asym_P_X_ge(k)
         exact_fn = survival_X_exact

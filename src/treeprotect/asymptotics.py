@@ -47,8 +47,7 @@ __all__ = [
 # n^-j, so the expansions run in whole powers of 1/n and the two-term error is
 # of order n^-2 for X as well as for Y.  Measured log2 error ratios for X at
 # k = 2, 3 between n = 3200 and 6400 are 2.000 and 2.001.
-X_ERROR_ORDER = "O(k^2 / (3^k n^2))"
-Y_ERROR_ORDER = "O(k^2 / (3^k n^2))"
+ERROR_ORDER = "O(k^2 / (3^k n^2))"
 
 CONSTANT_NAMES = ("c0", "c1", "c2", "c3", "d0", "d1", "d2", "d3")
 
@@ -96,20 +95,20 @@ def _survival_corr_Y(k: int) -> _Ratio:
     return (3 * k - 10) * x * x + (6 * k + 26) * x - 16, 2 * (x + 2) ** 3
 
 
-def _survival_value(lead: _ClosedForm, corr: _ClosedForm, k: int, order: str) -> AsymptoticValue:
+def _survival_value(lead: _ClosedForm, corr: _ClosedForm, k: int) -> AsymptoticValue:
     if k < 1:
         raise ValueError("survival asymptotics require k >= 1; level 0 is exactly 1")
-    return AsymptoticValue(Fraction(*lead(k)), Fraction(*corr(k)), order)
+    return AsymptoticValue(Fraction(*lead(k)), Fraction(*corr(k)), ERROR_ORDER)
 
 
 def asym_P_X_ge(k: int) -> AsymptoticValue:
     """Asymptotic survival of the root protection number, k >= 1."""
-    return _survival_value(_survival_lead_X, _survival_corr_X, k, X_ERROR_ORDER)
+    return _survival_value(_survival_lead_X, _survival_corr_X, k)
 
 
 def asym_P_Y_ge(k: int) -> AsymptoticValue:
     """Asymptotic survival of a uniform vertex's protection number, k >= 1."""
-    return _survival_value(_survival_lead_Y, _survival_corr_Y, k, Y_ERROR_ORDER)
+    return _survival_value(_survival_lead_Y, _survival_corr_Y, k)
 
 
 def limit_pmf_X(k: int) -> AsymptoticValue:
@@ -132,7 +131,7 @@ def limit_pmf_X(k: int) -> AsymptoticValue:
         + 4 * (k + 3)
     )
     corr = Fraction(81 * x * num, 2 * (x + 2) ** 4 * (2 * x + 1) ** 4)
-    return AsymptoticValue(lead, corr, X_ERROR_ORDER)
+    return AsymptoticValue(lead, corr, ERROR_ORDER)
 
 
 def limit_pmf_Y(k: int) -> AsymptoticValue:
@@ -149,7 +148,7 @@ def limit_pmf_Y(k: int) -> AsymptoticValue:
     x = 4**k
     lead = Fraction(9 * x, (4 * x + 2) * (x + 2))
     corr = Fraction(*_survival_corr_Y(k)) - Fraction(*_survival_corr_Y(k + 1))
-    return AsymptoticValue(lead, corr, Y_ERROR_ORDER)
+    return AsymptoticValue(lead, corr, ERROR_ORDER)
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,15 @@ Term j of r(n, k) and of u(n, k) = [z^n] R_k (1-4z)^(-1/2) is a small
 multiple of one scaled binomial per lattice point (j, k), and one walk,
 _lattice_terms, carries that value up a line of points on which A = q + p,
 q and p all climb, by one checked division a point from one math.comb.  That
-walk serves single points and the pass alike: r_explicit, s_explicit and the
-survival values take one cached k line in O(n/k) steps (the k = 1 line, the
-longest and the only one whose p would fall, sums in closed form as
-R_1 = R0 - z), and one cached pass per size n sums every r(n, k) and u(n, k)
-in O(n log n) steps, each point on its shorter line so that no step jumps
-more than about 2 min(j, k), into the finished r(n, k) and s(n, k) that both
-tables hold and both means read.  The ballot tables (r_survival_column,
+walk serves single points and the pass alike.  r_explicit, s_explicit and the
+survival values read one cached point function, _point_counts, which walks
+one k line in O(n/k) steps and is the one place that states levels 0 and 1
+in closed form (the k = 1 line, the longest and the only one whose p would
+fall, sums as R_1 = R0 - z).  One cached pass per size n reads those two
+levels from it and sums every other r(n, k) and u(n, k) in O(n log n) steps,
+each point on its shorter line so that no step jumps more than about
+2 min(j, k), into the finished r(n, k) and s(n, k) that both tables hold and
+both means read.  The ballot tables (r_survival_column,
 root_protection_totals, built on catalan_power_coeffs) remain here as
 independent cross-checks; they and central_binomials serve only criterion 1
 and the tests, so they stay out of __all__.  The recurrence and the
@@ -150,14 +152,23 @@ def _alternating_line(a: int, b: int, da: int, db: int, count: int) -> tuple[int
 
 
 @lru_cache(maxsize=16)
-def _sum_over_j(n: int, k: int) -> tuple[int, int]:
-    """(r(n, k), u(n, k)): each term summed over j >= 1 with (k+1)j <= n, sign (-1)^(j-1).
+def _point_counts(n: int, k: int) -> tuple[int, int]:
+    """(r(n, k), u(n, k)): the one point function, which the pass also reads at levels 0 and 1.
 
-    Cached, so that the X and Y survival values at one (n, k) walk its line once.
+    Both levels are closed forms in r = catalan(n-1): level 0 counts every tree,
+    and u = 2s - r with s(n, 0) = n r; level 1 (n >= 2) has R_1 = R0 - z, so
+    u(n, 1) = C(2n, n)/2 - C(2n-2, n-1) = (n-1) r.  Every other level sums its
+    k line, each term over j >= 1 with (k+1)j <= n and sign (-1)^(j-1); the line
+    is empty from k = n on.  Cached, so that the X and Y survival values at one
+    (n, k) walk its line once.
     """
-    if k == 1 and n > 1:  # R_1 = R0 - z, so u(n, 1) = C(2n, n)/2 - C(2n-2, n-1) = (n-1) r(n, 1)
+    if n < 1:
+        raise ValueError("tree size must be positive")
+    if k < 0:
+        raise ValueError("protection level must be nonnegative")
+    if k < min(n, 2):  # level 1 from n = 2 on: at n = 1 its k line is empty
         r = catalan(n - 1)
-        return r, (n - 1) * r
+        return r, (2 * n - 1 if k == 0 else n - 1) * r
     return _alternating_line(2 * n - 2 * k + 1, n - k - 1, 1 - 2 * k, -k - 1, n // (k + 1))
 
 
@@ -168,11 +179,9 @@ def r_explicit(n: int, k: int) -> int:
         (-1)^(j-1) * [ C(2n-3-(2k-1)j, n-(k+1)j) - C(2n-3-(2k-1)j, n-3-(k+1)j) ],
     each term read off the scaled binomial that _lattice_terms walks.
     """
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    if k < 1:
+    if k < 1 <= n:  # a bad size keeps the message that _point_counts gives it
         raise ValueError("explicit survival counts need k >= 1; level 0 is catalan(n-1)")
-    return _sum_over_j(n, k)[0]
+    return _point_counts(n, k)[0]
 
 
 def catalan_power_coeffs(exponent: int, count: int) -> tuple[int, ...]:
@@ -248,18 +257,6 @@ def root_protection_totals(order: int) -> tuple[int, ...]:
     return tuple(rho)
 
 
-def _point_counts(n: int, k: int) -> tuple[int, int]:
-    """(r(n, k), u(n, k)); k >= 1 reads the cached k line, which is empty from k = n on."""
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    if k < 0:
-        raise ValueError("protection level must be nonnegative")
-    if k == 0:  # every tree, and u = 2s - r with s(n, 0) = n r(n, 0)
-        r = catalan(n - 1)
-        return r, (2 * n - 1) * r
-    return _sum_over_j(n, k)
-
-
 def s_explicit(n: int, k: int) -> int:
     """s(n, k) = (r(n, k) + u(n, k)) / 2, u the pointed alternating sum.
 
@@ -289,9 +286,12 @@ def _protection_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Each lattice point (j, k), k >= 2, with (k+1)j <= n is walked on its
     shorter line, so that no step jumps more than about 2 min(j, k): on the
     k line from j = k when j >= k, and on the j line from k = j + 1 when
-    j < k; both kinds have m = min(j, k) <= isqrt(n).  The k = 1 line sums in
-    closed form.  The pass walks O(n log n) points.
+    j < k; both kinds have m = min(j, k) <= isqrt(n).  Levels 0 and 1 are the
+    closed forms of _point_counts, and every level's s is the halved r + u.
+    The pass walks O(n log n) points.
     """
+    if n < 1:
+        raise ValueError("tree size must be positive")
     r, u = [0] * n, [0] * n
     for m in range(1, math.isqrt(n) + 1):
         add = operator.add if m % 2 else operator.sub  # the sign (-1)^(j-1) at j = m
@@ -304,10 +304,9 @@ def _protection_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             a, b = 2 * n - (2 * m - 1) * m, n - (m + 1) * m
             line_r, line_u = _alternating_line(a, b, 1 - 2 * m, -m - 1, n // (m + 1) - m + 1)
             r[m], u[m] = add(r[m], line_r), add(u[m], line_u)
-    if n > 1:
-        r[1], u[1] = _sum_over_j(n, 1)
-    r[0] = catalan(n - 1)
-    return tuple(r), (n * r[0], *(_halve(r[k] + u[k], n, k) for k in range(1, n)))
+    for k in range(min(n, 2)):
+        r[k], u[k] = _point_counts(n, k)
+    return tuple(r), tuple(_halve(r[k] + u[k], n, k) for k in range(n))
 
 
 def mean_X_exact(n: int) -> Fraction:
@@ -351,20 +350,13 @@ class DistributionTable:
         return self.second_moment - self.mean**2
 
 
-def _table(n: int, slot: int) -> DistributionTable:
-    """One statistic's table: its slot of the one pass at size n."""
-    if n < 1:
-        raise ValueError("tree size must be positive")
-    return DistributionTable(_protection_counts(n)[slot])
-
-
 def dist_X_exact(n: int) -> DistributionTable:
     """Exact distribution of the root protection number at size n.
 
     Reads r(n, k) for every k from the one alternating-binomial pass on
     plain integers.
     """
-    return _table(n, 0)
+    return DistributionTable(_protection_counts(n)[0])
 
 
 def dist_Y_exact(n: int) -> DistributionTable:
@@ -373,4 +365,4 @@ def dist_Y_exact(n: int) -> DistributionTable:
     Reads s(n, k), the halved pointed sums, for every k from the same pass
     as dist_X_exact.
     """
-    return _table(n, 1)
+    return DistributionTable(_protection_counts(n)[1])

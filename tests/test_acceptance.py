@@ -13,9 +13,13 @@ weakened away:
   n*(V - d2) at n = 400, 800, 1600 and 3200, after three Richardson
   steps, meet the certified c3 and d3 within 1e-9, and the detail line
   prints the extrapolated digits.
+
+Every criterion but 2 also has a test that breaks one name it reads and
+checks that its failing detail names the broken cell.
 """
 
 import ast
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -24,6 +28,7 @@ import pytest
 from treeprotect import acceptance, constant
 from treeprotect.acceptance import run_criterion
 from treeprotect.exact import DistributionTable
+from treeprotect.sampler import SampleStats
 from treeprotect.trees import oracle_r, oracle_s
 
 
@@ -160,3 +165,57 @@ def test_criterion_6_monte_carlo():
 def test_criterion_7_moment_convergence():
     result = run_criterion(7)
     assert result.passed, result.detail
+
+
+def _nudged(f, at, field, by):
+    """f with one AsymptoticValue field moved by `by` at level k = at."""
+
+    def nudged(k):
+        value = f(k)
+        if k != at:
+            return value
+        return dataclasses.replace(value, **{field: getattr(value, field) + by})
+
+    return nudged
+
+
+def _no_survivors(statistic, n, trials, seed):
+    return SampleStats((trials,))
+
+
+# criteria 3-7: the names in acceptance that each break replaces, and the start
+# of the failing detail's part that names the broken cell (criterion 6 sees no
+# survivor in any cell, as no word trial runs)
+BROKEN_CELLS = {
+    3: (
+        {"limit_pmf_X": lambda f: _nudged(f, 7, "leading", Fraction(1, 10**50))},
+        "X pmf/survival difference mismatch at k=7",
+    ),
+    4: (
+        {"asym_P_Y_ge": lambda f: _nudged(f, 2, "correction", Fraction(1, 100))},
+        "Y k=2: spread 15.285 >= 4",
+    ),
+    5: (
+        {"check_G_functional_eq": lambda f: lambda x: 1e-11},
+        "G equation residual 1.00e-11 at x=0.5",
+    ),
+    6: (
+        {"_estimate_by_words": lambda f: _no_survivors, "estimate_survival": lambda f: _no_survivors},
+        "X n=10 k=2: 278.06 sigma",
+    ),
+    7: (
+        {"mean_Y_exact": lambda f: lambda n: f(n) + Fraction(1, 1000)},
+        "Y mean gap 1.000e-03 >= 1e-4",
+    ),
+}
+
+
+@pytest.mark.parametrize("number", BROKEN_CELLS)
+def test_criteria_3_to_7_name_a_broken_cell(monkeypatch, number):
+    breaks, cell = BROKEN_CELLS[number]
+    for name, wrap in breaks.items():
+        monkeypatch.setattr(acceptance, name, wrap(getattr(acceptance, name)))
+    check = next(check for n, _, check in acceptance.CRITERIA if n == number)
+    passed, detail = check()
+    assert not passed
+    assert any(part.startswith(cell) for part in detail.split("; ")), detail

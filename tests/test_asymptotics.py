@@ -1,5 +1,6 @@
 """Asymptotic expansions, limit laws, and certified constants."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from treeprotect.asymptotics import (
     _CUTOFF,
     _PRIMITIVE_SUMS,
     CONSTANT_NAMES,
-    X_ERROR_ORDER,
-    Y_ERROR_ORDER,
+    ERROR_ORDER,
+    AsymptoticValue,
     _ivl_mul,
     _sum_interval,
     _survival_corr_X,
@@ -50,6 +51,28 @@ def test_survival_rejects_k_below_one():
         asym_P_X_ge(0)
     with pytest.raises(ValueError):
         asym_P_Y_ge(-2)
+
+
+SIZE, LEVEL = "tree size must be positive", "protection level must be nonnegative"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: AsymptoticValue(Fraction(3, 2), Fraction(0), ERROR_ORDER),
+            "leading term of a probability must lie in [0, 1]",
+            id="AsymptoticValue(3/2, 0)",
+        ),
+        pytest.param(lambda: asym_P_X_ge(3).at(0), SIZE, id="asym_P_X_ge(3).at(0)"),
+        pytest.param(lambda: limit_pmf_X(-1), LEVEL, id="limit_pmf_X(-1)"),
+        pytest.param(lambda: limit_pmf_Y(-1), LEVEL, id="limit_pmf_Y(-1)"),
+        pytest.param(lambda: asym_moments_X(0), SIZE, id="asym_moments_X(0)"),
+    ],
+)
+def test_bad_input_raises_value_error_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_at_combines_leading_and_correction():
@@ -116,14 +139,14 @@ def test_leading_terms_are_probabilities():
 
 
 def test_error_order_tags():
-    assert asym_P_X_ge(2).error_order == limit_pmf_X(2).error_order == X_ERROR_ORDER
-    assert asym_P_Y_ge(2).error_order == limit_pmf_Y(2).error_order == Y_ERROR_ORDER
-    # the expansions run in whole powers of 1/n, so the two-term error is n^-2
-    assert "n^2" in X_ERROR_ORDER
+    for value in (asym_P_X_ge(2), limit_pmf_X(2), asym_P_Y_ge(2), limit_pmf_Y(2)):
+        assert value.error_order == ERROR_ORDER
+    # both expansions run in whole powers of 1/n, so the two-term error is n^-2
+    assert "n^2" in ERROR_ORDER
 
 
 def test_two_term_survival_errors_stay_within_the_stated_order():
-    # X_ERROR_ORDER and Y_ERROR_ORDER read O(k^2 / (3^k n^2)), uniformly in k;
+    # ERROR_ORDER reads O(k^2 / (3^k n^2)), uniformly in k;
     # the largest scaled errors are 1.1152 (X, n = 20, k = 7) and 0.1183 (Y, n = 20, k = 2)
     bounds = {
         "X": (dist_X_exact, asym_P_X_ge, Fraction(12, 10)),

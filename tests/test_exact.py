@@ -5,6 +5,7 @@ agreement is exact (Fraction/int), never approximate.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,36 @@ def test_empty_distribution_table_raises():
         DistributionTable(())
 
 
+SIZE, LEVEL = "tree size must be positive", "protection level must be nonnegative"
+ORDER = "order must be nonnegative"
+BAD_INPUTS = [
+    (r_explicit, (0, 1), SIZE),
+    (s_explicit, (0, 2), SIZE),
+    (s_explicit, (4, -1), LEVEL),
+    (survival_X_exact, (0, 1), SIZE),
+    (survival_Y_exact, (3, -1), LEVEL),
+    (dist_X_exact, (0,), SIZE),
+    (dist_Y_exact, (-2,), SIZE),
+    (mean_X_exact, (0,), SIZE),
+    (catalan, (-1,), "catalan index must be nonnegative"),
+    (central_binomials, (-1,), ORDER),
+    (catalan_power_coeffs, (0, 3), "exponent must be positive"),
+    (catalan_power_coeffs, (1, -1), "count must be nonnegative"),
+    (r_survival_column, (0, 5), "survival columns need k >= 1"),
+    (r_survival_column, (1, -1), ORDER),
+    (root_protection_totals, (-1,), ORDER),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, message", BAD_INPUTS, ids=[f"{f.__name__}{args}" for f, args, _ in BAD_INPUTS]
+)
+def test_bad_input_raises_value_error_with_its_message(func, args, message):
+    # ValueError is what the CLI turns into a usage error (exit 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(*args)
+
+
 def test_dist_rejects_unknown_method():
     # the engine has one route; brute force is the CLI's exact-dist oracle choice
     assert dist_Y_exact(5) == _oracle_table("Y", 5)
@@ -212,13 +243,13 @@ def test_broken_invariants_raise_arithmetic_error(monkeypatch):
 
     # the line sums are cached: clear them so the patched walk runs, and again
     # so that no later test reads the broken sum
-    exact._sum_over_j.cache_clear()
+    exact._point_counts.cache_clear()
     monkeypatch.setattr(exact, "_lattice_terms", first_r_term_shifted)
     try:
         with pytest.raises(ArithmeticError):
             s_explicit(5, 2)  # k = 1 sums in closed form, so a level that walks its line
     finally:
-        exact._sum_over_j.cache_clear()
+        exact._point_counts.cache_clear()
     monkeypatch.setattr(series, "central_binomials", lambda order: (1,) * (order + 1))
     with pytest.raises(ArithmeticError, match="odd pointed-vertex total"):
         _recurrence_counts(3)
@@ -287,7 +318,7 @@ def test_k1_closed_forms_equal_the_direct_binomial_sums():
             r, u = _direct_terms(n, j, 1)
             sums[0] += sign * r
             sums[1] += sign * u
-        assert exact._sum_over_j(n, 1) == tuple(sums)
+        assert exact._point_counts(n, 1) == tuple(sums)
         assert sums == [catalan(n - 1), math.comb(2 * n, n) // 2 - math.comb(2 * n - 2, n - 1)]
         assert r_explicit(n, 1) == catalan(n - 1)
 
@@ -321,7 +352,7 @@ def test_every_walked_line_climbs_in_p(monkeypatch):
         return lattice_terms(a, b, da, db, count)
 
     exact._protection_counts.cache_clear()
-    exact._sum_over_j.cache_clear()
+    exact._point_counts.cache_clear()
     monkeypatch.setattr(exact, "_lattice_terms", recorded)
     for n in range(1, 301):
         exact._protection_counts(n)
@@ -429,16 +460,16 @@ def test_tables_and_means_read_the_one_pass():
 
 def test_survival_values_and_the_pass_share_their_line_and_catalan():
     n, k = 800, 2
-    exact._sum_over_j.cache_clear()
+    exact._point_counts.cache_clear()
     exact.catalan.cache_clear()
     survival_X_exact(n, k)
     survival_Y_exact(n, k)
-    line, total = exact._sum_over_j.cache_info(), exact.catalan.cache_info()
+    line, total = exact._point_counts.cache_info(), exact.catalan.cache_info()
     assert (line.misses, line.hits) == (1, 1)
     assert (total.misses, total.hits) == (1, 1)
     # the pass reads catalan(n - 1) at k = 1 and at level 0, and builds it once
     exact._protection_counts.cache_clear()
-    exact._sum_over_j.cache_clear()
+    exact._point_counts.cache_clear()
     exact.catalan.cache_clear()
     dist_X_exact(n)
     total = exact.catalan.cache_info()
