@@ -4,8 +4,10 @@ Each criterion exercises a different seam: route agreement against the
 brute-force oracle, certified constant digits, exact limit-law algebra,
 convergence rates of the 1/n expansions, the harmonic-sum functional
 equations, Monte Carlo statistics, and moment convergence.
-`run_criterion` runs one criterion, prints its PASS/FAIL line and returns
-the result; the test suite calls it per criterion, and `run_all` (the CLI
+Each check returns its problems (none when it holds) and a summary line.
+`run_criterion` alone decides PASS/FAIL: it prints the summary on a pass,
+else the first `_SHOWN` problems and a count of the rest, and returns the
+result; the test suite calls it per criterion, and `run_all` (the CLI
 `verify` subcommand) calls it for all seven.
 """
 
@@ -99,7 +101,7 @@ class CriterionResult:
     elapsed_s: float
 
 
-def _check_oracle_equivalence() -> tuple[bool, str]:
+def _check_oracle_equivalence() -> tuple[list[str], str]:
     """Six routes to r(n,k), four to s(n,k) and two to sum_k r(n,k) agree for n <= 16.
 
     One route to each is the pass behind both exact tables and both means.
@@ -134,9 +136,7 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
         oracle_total = sum(oracle_r(n, k) for k in range(1, n + 1))
         if totals[n] != oracle_total:
             bad.append(f"sum_k r({n},k): ballot {totals[n]} != oracle {oracle_total}")
-    if bad:
-        return False, "; ".join(bad[:4])
-    return True, "all routes agree for n <= 16, every k"
+    return bad, "all routes agree for n <= 16, every k"
 
 
 # c3, d3: the product its reference string equals, its exact table, its limit variance
@@ -174,7 +174,7 @@ def _variance_corrections() -> dict[str, Fraction]:
 # variances, extrapolated by _variance_corrections, meet them to about 10
 # digits.  The comparison below is still made against the published strings,
 # so this criterion fails on those two names.
-def _check_constants() -> tuple[bool, str]:
+def _check_constants() -> tuple[list[str], str]:
     """50-digit certified decimals reproduce the reference strings."""
     bad = []
     extrapolated = _variance_corrections()
@@ -190,13 +190,11 @@ def _check_constants() -> tuple[bool, str]:
                     f"give {float(extrapolated[name]):.13f}]"
                 )
             bad.append(f"{name}: computed {got} != reference {want}{note}")
-    if bad:
-        return False, "; ".join(bad)
-    return True, "all eight constants match to 50 digits"
+    return bad, "all eight constants match to 50 digits"
 
 
-def _check_normalization() -> tuple[bool, str]:
-    """Limit pmfs sum to 1 with tail < 1e-40; pmf = survival differences."""
+def _check_normalization() -> tuple[list[str], str]:
+    """Limit pmfs sum to 1 with tail < 1e-40; both pmf terms = survival differences."""
     cutoff = 80
     tol = Fraction(1, 10**40)
     problems = []
@@ -207,33 +205,28 @@ def _check_normalization() -> tuple[bool, str]:
         if tail != survival(cutoff + 1).leading or not 0 < tail < tol:
             problems.append(f"{statistic} normalization tail {float(tail):.3e}")
         for k in range(1, 31):
-            if pmf(k).leading != survival(k).leading - survival(k + 1).leading:
+            p, here, after = pmf(k), survival(k), survival(k + 1)
+            if p.leading != here.leading - after.leading:
                 problems.append(f"{statistic} pmf/survival difference mismatch at k={k}")
-
-    if problems:
-        return False, "; ".join(problems[:4])
-    return True, "exact telescoping to K=80 and difference identity to k=30"
-
-
-def _scaled_residuals(statistic: str, k: int, sizes: tuple[int, ...]) -> list[float]:
-    """n^2 times the two-term error, the order stated by ERROR_ORDER."""
-    if statistic == "X":
-        approx = asym_P_X_ge(k)
-        exact_fn = survival_X_exact
-    else:
-        approx = asym_P_Y_ge(k)
-        exact_fn = survival_Y_exact
-    return [float(abs(exact_fn(n, k) - approx.at(n))) * n**2 for n in sizes]
+            if p.correction != here.correction - after.correction:
+                problems.append(f"{statistic} pmf/survival correction mismatch at k={k}")
+    return problems, "exact telescoping to K=80 and difference identity to k=30"
 
 
-def _check_convergence() -> tuple[bool, str]:
-    """Scaled residuals of the two-term expansions stay within a 4x band."""
+def _check_convergence() -> tuple[list[str], str]:
+    """n^2 times the two-term error (ERROR_ORDER's order) stays within a 4x band.
+
+    A wider spread means the error does not decay like n^-2: growing residuals
+    point to a wrong 1/n coefficient, shrinking ones to a smaller error order.
+    """
     sizes = (100, 200, 400, 800, 1600)
     failures = []
     notes = []
-    for statistic in ("X", "Y"):
+    laws = (("X", asym_P_X_ge, survival_X_exact), ("Y", asym_P_Y_ge, survival_Y_exact))
+    for statistic, asym, exact_fn in laws:
         for k in (1, 2, 3, 4):
-            scaled = _scaled_residuals(statistic, k, sizes)
+            approx = asym(k)
+            scaled = [float(abs(exact_fn(n, k) - approx.at(n))) * n**2 for n in sizes]
             if all(v == 0.0 for v in scaled):
                 notes.append(f"{statistic} k={k}: residuals identically 0")
                 continue
@@ -246,25 +239,16 @@ def _check_convergence() -> tuple[bool, str]:
                 )
             else:
                 notes.append(f"{statistic} k={k}: spread {ratio:.3f}")
-    if failures:
-        return False, "; ".join(failures) + (
-            "; the error does not decay like n^-2: residuals growing after "
-            "scaling point to a wrong 1/n coefficient, shrinking ones to a "
-            "smaller error order than the one stated"
-        )
-    return True, "; ".join(notes)
+    return failures, "; ".join(notes)
 
 
-def _check_mellin() -> tuple[bool, str]:
+def _check_mellin() -> tuple[list[str], str]:
     """Functional equations, near-identities, cross-links, fixed points."""
     problems = []
     for x in MELLIN_ABSCISSAS:
-        rf = check_F_functional_eq(x)
-        rg = check_G_functional_eq(x)
-        if rf >= 1e-12:
-            problems.append(f"F equation residual {rf:.2e} at x={x:.6g}")
-        if rg >= 1e-12:
-            problems.append(f"G equation residual {rg:.2e} at x={x:.6g}")
+        for name, residual in (("F", check_F_functional_eq(x)), ("G", check_G_functional_eq(x))):
+            if residual >= 1e-12:
+                problems.append(f"{name} equation residual {residual:.2e} at x={x:.6g}")
 
     near_f = reflection_term_F(math.log(2.0))
     if abs(near_f - REFLECTION_F_PREFIX) > 1e-12:
@@ -284,10 +268,7 @@ def _check_mellin() -> tuple[bool, str]:
         problems.append("F(pi) != 1/(8 pi)")
     if abs(eval_G(math.pi).value - 1.0 / 24.0) >= 1e-12:
         problems.append("G(pi) != 1/24")
-
-    if problems:
-        return False, "; ".join(problems[:5])
-    return True, "residuals < 1e-12 at 7 abscissas; prefixes and fixed points match"
+    return problems, "residuals < 1e-12 at 7 abscissas; prefixes and fixed points match"
 
 
 _MC_SEEDS = {
@@ -301,7 +282,7 @@ _MC_SEEDS = {
 _MC_MEAN_SEED = 2999
 
 
-def _check_monte_carlo() -> tuple[bool, str]:
+def _check_monte_carlo() -> tuple[list[str], str]:
     """Fixed-seed sampling within 4 sigma of exact survival fractions.
 
     The cells simulate the definition on whole shuffled tree words: X at
@@ -338,12 +319,10 @@ def _check_monte_carlo() -> tuple[bool, str]:
         "X cells by tree words (stream 4 draws), Y cells by whole-tree picks (stream 3 draws); "
         f"Y mean by subtree size and generation chain, stream {RNG_STREAM}"
     )
-    if problems:
-        return False, "; ".join(problems) + f" ({routes})"
-    return True, f"worst deviation {worst:.2f} sigma; Y mean gap {gap:.5f} ({routes})"
+    return problems, f"worst deviation {worst:.2f} sigma; Y mean gap {gap:.5f} ({routes})"
 
 
-def _check_moments() -> tuple[bool, str]:
+def _check_moments() -> tuple[list[str], str]:
     """Exact means at n=1600 sit on the two-term asymptotics."""
     gap_x = abs(float(mean_X_exact(1600) - asym_moments_X(1600)[0]))
     gap_y = abs(float(mean_Y_exact(1600) - asym_moments_Y(1600)[0]))
@@ -352,12 +331,10 @@ def _check_moments() -> tuple[bool, str]:
         problems.append(f"X mean gap {gap_x:.3e} >= 1e-3")
     if gap_y >= 1e-4:
         problems.append(f"Y mean gap {gap_y:.3e} >= 1e-4")
-    if problems:
-        return False, "; ".join(problems)
-    return True, f"X gap {gap_x:.2e} < 1e-3, Y gap {gap_y:.2e} < 1e-4"
+    return problems, f"X gap {gap_x:.2e} < 1e-3, Y gap {gap_y:.2e} < 1e-4"
 
 
-CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
+CRITERIA: list[tuple[int, str, Callable[[], tuple[list[str], str]]]] = [
     (1, "oracle equivalence of all counting routes (n <= 16)", _check_oracle_equivalence),
     (2, "50-digit certified constants", _check_constants),
     (3, "limit-law normalization and difference identity", _check_normalization),
@@ -368,14 +345,23 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
+_SHOWN = 4  # problems a failing detail names before it counts the rest
+
+
 def run_criterion(number: int) -> CriterionResult:
     """Run one criterion, print and flush its PASS/FAIL line and detail, return the result."""
-    _, title, check = next(c for c in CRITERIA if c[0] == number)
+    checks = {n: (title, check) for n, title, check in CRITERIA}
+    if number not in checks:
+        raise ValueError(f"no criterion {number}: the criteria are numbered 1..{len(CRITERIA)}")
+    title, check = checks[number]
     start = time.perf_counter()
-    passed, detail = check()
+    problems, summary = check()
     elapsed = time.perf_counter() - start
-    status = "PASS" if passed else "FAIL"
-    print(f"{status}  criterion {number}: {title} ({elapsed:.1f} s)", flush=True)
+    passed = not problems
+    detail = summary if passed else "; ".join(problems[:_SHOWN])
+    if len(problems) > _SHOWN:
+        detail += f"; {len(problems) - _SHOWN} more"
+    print(f"{'PASS' if passed else 'FAIL'}  criterion {number}: {title} ({elapsed:.1f} s)", flush=True)
     if detail:
         print(f"      {detail}", flush=True)
     return CriterionResult(number, title, passed, detail, elapsed)

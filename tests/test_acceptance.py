@@ -15,7 +15,8 @@ weakened away:
   prints the extrapolated digits.
 
 Every criterion but 2 also has a test that breaks one name it reads and
-checks that its failing detail names the broken cell.
+checks that its problems name the broken cell.  The runner alone decides
+PASS/FAIL, and a failing detail names at most four problems.
 """
 
 import ast
@@ -48,7 +49,7 @@ def test_run_all_stops_at_the_first_line_into_a_closed_pipe(monkeypatch):
     def stub(number):
         def check():
             ran.append(number)
-            return True, "detail"
+            return [], "detail"
 
         return number, f"stub {number}", check
 
@@ -57,6 +58,35 @@ def test_run_all_stops_at_the_first_line_into_a_closed_pipe(monkeypatch):
     with pytest.raises(BrokenPipeError):
         acceptance.run_all()
     assert ran == [1]
+
+
+@pytest.mark.parametrize("number", (0, 8))
+def test_an_unknown_criterion_is_a_value_error_naming_the_valid_ones(number):
+    with pytest.raises(ValueError, match=rf"no criterion {number}: .* 1\.\.7"):
+        run_criterion(number)
+
+
+@pytest.mark.parametrize(
+    "count, detail",
+    [
+        (0, "summary"),
+        (4, "p0; p1; p2; p3"),
+        (5, "p0; p1; p2; p3; 1 more"),
+        (31, "p0; p1; p2; p3; 27 more"),
+    ],
+    ids=("0", "4", "5", "31"),
+)
+def test_a_failing_detail_names_four_problems_and_counts_the_rest(
+    monkeypatch, capsys, count, detail
+):
+    problems = [f"p{i}" for i in range(count)]
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "stub", lambda: (problems, "summary"))])
+    result = run_criterion(1)
+    assert result.passed == (count == 0)
+    assert result.detail == detail
+    status, line = capsys.readouterr().out.splitlines()
+    assert status.startswith("PASS" if count == 0 else "FAIL")
+    assert line == f"      {detail}"
 
 
 def test_criterion_1_oracle_equivalence():
@@ -112,9 +142,9 @@ ROUTE_SLIPS = {
 def test_criterion_1_names_a_route_one_count_off(monkeypatch, name):
     slip, line, route = ROUTE_SLIPS[name]
     monkeypatch.setattr(acceptance, name, slip(getattr(acceptance, name)))
-    passed, detail = acceptance._check_oracle_equivalence()
-    assert not passed
-    first = detail.split("; ")[0]
+    problems, _ = acceptance._check_oracle_equivalence()
+    assert problems
+    first = problems[0]
     if line == "sum":
         total = sum(oracle_r(N, k) for k in range(1, N + 1))
         assert first == f"sum_k r({N},k): {route} {total + 1} != oracle {total}"
@@ -184,38 +214,62 @@ def _no_survivors(statistic, n, trials, seed):
 
 
 # criteria 3-7: the names in acceptance that each break replaces, and the start
-# of the failing detail's part that names the broken cell (criterion 6 sees no
-# survivor in any cell, as no word trial runs)
-BROKEN_CELLS = {
-    3: (
+# of the problem that names the broken cell (criterion 6 sees no survivor in
+# any cell, as no word trial runs)
+BROKEN_CELLS = [
+    pytest.param(
+        3,
         {"limit_pmf_X": lambda f: _nudged(f, 7, "leading", Fraction(1, 10**50))},
         "X pmf/survival difference mismatch at k=7",
+        id="3",
     ),
-    4: (
+    pytest.param(
+        3,
+        {"limit_pmf_X": lambda f: _nudged(f, 7, "correction", Fraction(1, 10**50))},
+        "X pmf/survival correction mismatch at k=7",
+        id="3-correction",
+    ),
+    pytest.param(
+        4,
         {"asym_P_Y_ge": lambda f: _nudged(f, 2, "correction", Fraction(1, 100))},
         "Y k=2: spread 15.285 >= 4",
+        id="4",
     ),
-    5: (
+    pytest.param(
+        5,
         {"check_G_functional_eq": lambda f: lambda x: 1e-11},
         "G equation residual 1.00e-11 at x=0.5",
+        id="5",
     ),
-    6: (
+    pytest.param(
+        6,
         {"_estimate_by_words": lambda f: _no_survivors, "estimate_survival": lambda f: _no_survivors},
         "X n=10 k=2: 278.06 sigma",
+        id="6",
     ),
-    7: (
+    pytest.param(
+        7,
         {"mean_Y_exact": lambda f: lambda n: f(n) + Fraction(1, 1000)},
         "Y mean gap 1.000e-03 >= 1e-4",
+        id="7",
     ),
-}
+]
 
 
-@pytest.mark.parametrize("number", BROKEN_CELLS)
-def test_criteria_3_to_7_name_a_broken_cell(monkeypatch, number):
-    breaks, cell = BROKEN_CELLS[number]
+@pytest.mark.parametrize("number, breaks, cell", BROKEN_CELLS)
+def test_criteria_3_to_7_name_a_broken_cell(monkeypatch, number, breaks, cell):
     for name, wrap in breaks.items():
         monkeypatch.setattr(acceptance, name, wrap(getattr(acceptance, name)))
     check = next(check for n, _, check in acceptance.CRITERIA if n == number)
-    passed, detail = check()
-    assert not passed
-    assert any(part.startswith(cell) for part in detail.split("; ")), detail
+    problems, _ = check()
+    assert any(problem.startswith(cell) for problem in problems), problems
+
+
+def test_a_criterion_6_with_no_survivors_names_four_cells_and_counts_the_rest(monkeypatch):
+    for name in ("_estimate_by_words", "estimate_survival"):
+        monkeypatch.setattr(acceptance, name, _no_survivors)
+    result = run_criterion(6)
+    assert not result.passed
+    *cells, rest = result.detail.split("; ")
+    assert len(cells) == 4 and all(" n=" in cell for cell in cells), result.detail
+    assert rest == "27 more"

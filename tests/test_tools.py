@@ -19,4 +19,10 @@ def test_line_counts_prints_code_lines_within_non_blank_lines():
     assert match, out
     non_blank, code = map(int, match.groups())
     assert 0 < code <= non_blank
+    modules = re.findall(r"^src/treeprotect/(\w+\.py): (\d+) non-blank, (\d+) code$", out, re.M)
+    assert {name for name, _, _ in modules} == {
+        path.name for path in (ROOT / "src" / "treeprotect").glob("*.py")
+    }
+    assert sum(int(lines) for _, lines, _ in modules) == non_blank
+    assert sum(int(lines) for _, _, lines in modules) == code
     assert re.search(r"^tests: \d+ non-blank$", out, re.M), out

@@ -2,11 +2,11 @@
 
 Usage: python tools/line_counts.py
 
-Prints the non-blank and code lines of src/treeprotect and the non-blank
-lines of tests.  A line is non-blank if it holds any non-space character.
-A code line holds a token other than COMMENT, NL, NEWLINE, INDENT, DEDENT
-and ENDMARKER (tokenize), outside the docstrings of the module, its classes
-and its functions (ast).
+Prints the non-blank and code lines of each module of src/treeprotect and
+of the package, then the non-blank lines of tests.  A line is non-blank if
+it holds any non-space character.  A code line holds a token other than
+COMMENT, NL, NEWLINE, INDENT, DEDENT and ENDMARKER (tokenize), outside the
+docstrings of the module, its classes and its functions (ast).
 """
 
 from __future__ import annotations
@@ -52,9 +52,13 @@ def code_lines(text: str) -> int:
 
 
 def main() -> None:
-    src = [path.read_text() for path in sorted((ROOT / "src" / "treeprotect").glob("*.py"))]
+    src = {path.name: path.read_text() for path in sorted((ROOT / "src" / "treeprotect").glob("*.py"))}
+    counts = {name: (non_blank(text), code_lines(text)) for name, text in src.items()}
     tests = [path.read_text() for path in sorted((ROOT / "tests").glob("*.py"))]
-    print(f"src/treeprotect: {sum(map(non_blank, src))} non-blank, {sum(map(code_lines, src))} code")
+    for name, (lines, code) in counts.items():
+        print(f"src/treeprotect/{name}: {lines} non-blank, {code} code")
+    lines, code = (sum(column) for column in zip(*counts.values()))
+    print(f"src/treeprotect: {lines} non-blank, {code} code")
     print(f"tests: {sum(map(non_blank, tests))} non-blank")
 
 
