@@ -4,11 +4,11 @@ Each criterion exercises a different seam: route agreement against the
 brute-force oracle, certified constant digits, exact limit-law algebra,
 convergence rates of the 1/n expansions, the harmonic-sum functional
 equations, Monte Carlo statistics, and moment convergence.
-Each check returns its problems (none when it holds) and a summary line.
+Each check returns its problems (none when it holds) and a summary line; a
+numeric cell fails unless its gap is below its bound, so a NaN value fails.
 `run_criterion` alone decides PASS/FAIL: it prints the summary on a pass,
-else the first `_SHOWN` problems and a count of the rest, and returns the
-result; the test suite calls it per criterion, and `run_all` (the CLI
-`verify` subcommand) calls it for all seven.
+else the first `_SHOWN` problems and a count of the rest; the test suite
+calls it per criterion, and `run_all` (the CLI `verify`) for all seven.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ from .series import _recurrence_counts
 from .trees import oracle_r, oracle_s
 
 __all__ = [
-    "CriterionResult", "REFERENCE_DIGITS", "reference_prefix", "run_all", "run_criterion",
-    "CRITERIA",
+    "CriterionResult", "REFERENCE_DIGITS", "run_all", "run_criterion", "CRITERIA",
 ]
 
 # published reference digits of the eight constants (the final digit of each
@@ -82,14 +81,6 @@ REFERENCE_DIGITS = {
 
 REFLECTION_F_PREFIX = 0.0000134525077
 REFLECTION_G_PREFIX = 0.0000134525165276
-
-
-def reference_prefix(name: str, digits: int) -> str:
-    """The reference value truncated to `digits` fractional digits."""
-    whole, frac = REFERENCE_DIGITS[name].split(".")
-    if digits > len(frac):
-        raise ValueError(f"only {len(frac)} reference digits available for {name}")
-    return f"{whole}.{frac[:digits]}"
 
 
 @dataclass(frozen=True)
@@ -180,7 +171,8 @@ def _check_constants() -> tuple[list[str], str]:
     extrapolated = _variance_corrections()
     for name in CONSTANT_NAMES:
         got = constant(name, 50).decimal
-        want = reference_prefix(name, 50)
+        whole, frac = REFERENCE_DIGITS[name].split(".")
+        want = f"{whole}.{frac[:50]}"
         if got != want:
             note = ""
             if name in _CORRECTIONS:
@@ -243,31 +235,28 @@ def _check_convergence() -> tuple[list[str], str]:
 
 
 def _check_mellin() -> tuple[list[str], str]:
-    """Functional equations, near-identities, cross-links, fixed points."""
-    problems = []
-    for x in MELLIN_ABSCISSAS:
-        for name, residual in (("F", check_F_functional_eq(x)), ("G", check_G_functional_eq(x))):
-            if residual >= 1e-12:
-                problems.append(f"{name} equation residual {residual:.2e} at x={x:.6g}")
+    """Functional equations, reflection prefixes, cross-links and fixed points.
 
-    near_f = reflection_term_F(math.log(2.0))
-    if abs(near_f - REFLECTION_F_PREFIX) > 1e-12:
-        problems.append(f"F reflection term {near_f!r} != {REFLECTION_F_PREFIX}")
-    near_g = reflection_term_G(math.log(2.0))
-    if abs(near_g - REFLECTION_G_PREFIX) > 1e-12:
-        problems.append(f"G reflection term {near_g!r} != {REFLECTION_G_PREFIX}")
-
-    c0 = float(constant("c0", 30).midpoint)
-    if abs(mean_constant_from_F() - c0) >= 1e-12:
-        problems.append("(9/2) F(log 2) drifted from c0")
-    target = float(constant("d2", 30).midpoint + constant("d0", 30).midpoint ** 2)
-    if abs(second_moment_constant_from_G() - target) >= 1e-11:
-        problems.append("(3/2) G(log 2) drifted from d2 + d0^2")
-
-    if abs(eval_F(math.pi).value - 1.0 / (8.0 * math.pi)) >= 1e-12:
-        problems.append("F(pi) != 1/(8 pi)")
-    if abs(eval_G(math.pi).value - 1.0 / 24.0) >= 1e-12:
-        problems.append("G(pi) != 1/24")
+    A cell holds only if its gap |value - target| is below its bound; a NaN fails.
+    """
+    d2_plus_d0_squared = float(constant("d2", 30).midpoint + constant("d0", 30).midpoint ** 2)
+    cells = [
+        (f"{name} equation residual at x={x:.6g}", residual(x), 0.0, 1e-12)
+        for x in MELLIN_ABSCISSAS
+        for name, residual in (("F", check_F_functional_eq), ("G", check_G_functional_eq))
+    ] + [
+        ("F reflection term", reflection_term_F(math.log(2.0)), REFLECTION_F_PREFIX, 1e-12),
+        ("G reflection term", reflection_term_G(math.log(2.0)), REFLECTION_G_PREFIX, 1e-12),
+        ("(9/2) F(log 2) vs c0", mean_constant_from_F(), float(constant("c0", 30).midpoint), 1e-12),
+        ("(3/2) G(log 2) vs d2 + d0^2", second_moment_constant_from_G(), d2_plus_d0_squared, 1e-11),
+        ("F(pi) vs 1/(8 pi)", eval_F(math.pi).value, 1.0 / (8.0 * math.pi), 1e-12),
+        ("G(pi) vs 1/24", eval_G(math.pi).value, 1.0 / 24.0, 1e-12),
+    ]
+    problems = [
+        f"{what}: off by {abs(value - target):.2e}, not below {bound:g}"
+        for what, value, target, bound in cells
+        if not abs(value - target) < bound
+    ]
     return problems, "residuals < 1e-12 at 7 abscissas; prefixes and fixed points match"
 
 
@@ -323,15 +312,15 @@ def _check_monte_carlo() -> tuple[list[str], str]:
 
 
 def _check_moments() -> tuple[list[str], str]:
-    """Exact means at n=1600 sit on the two-term asymptotics."""
-    gap_x = abs(float(mean_X_exact(1600) - asym_moments_X(1600)[0]))
-    gap_y = abs(float(mean_Y_exact(1600) - asym_moments_Y(1600)[0]))
-    problems = []
-    if gap_x >= 1e-3:
-        problems.append(f"X mean gap {gap_x:.3e} >= 1e-3")
-    if gap_y >= 1e-4:
-        problems.append(f"Y mean gap {gap_y:.3e} >= 1e-4")
-    return problems, f"X gap {gap_x:.2e} < 1e-3, Y gap {gap_y:.2e} < 1e-4"
+    """Exact means at n=1600 sit on the two-term asymptotics; a NaN gap fails."""
+    problems, notes = [], []
+    laws = (("X", mean_X_exact, asym_moments_X, "1e-3"), ("Y", mean_Y_exact, asym_moments_Y, "1e-4"))
+    for statistic, exact_mean, asym_moments, bound in laws:
+        gap = abs(float(exact_mean(1600) - asym_moments(1600)[0]))
+        if not gap < float(bound):
+            problems.append(f"{statistic} mean gap {gap:.3e} >= {bound}")
+        notes.append(f"{statistic} gap {gap:.2e} < {bound}")
+    return problems, ", ".join(notes)
 
 
 CRITERIA: list[tuple[int, str, Callable[[], tuple[list[str], str]]]] = [

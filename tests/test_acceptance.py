@@ -21,6 +21,7 @@ PASS/FAIL, and a failing detail names at most four problems.
 
 import ast
 import dataclasses
+import math
 import sys
 from fractions import Fraction
 
@@ -209,13 +210,24 @@ def _nudged(f, at, field, by):
     return nudged
 
 
+def _moved(f):
+    """f with its float result moved by 1e-9."""
+    return lambda *args: f(*args) + 1e-9
+
+
+def _moved_value(f):
+    """f with the value of its MellinEval moved by 1e-9."""
+    return lambda x: dataclasses.replace(f(x), value=f(x).value + 1e-9)
+
+
 def _no_survivors(statistic, n, trials, seed):
     return SampleStats((trials,))
 
 
 # criteria 3-7: the names in acceptance that each break replaces, and the start
 # of the problem that names the broken cell (criterion 6 sees no survivor in
-# any cell, as no word trial runs)
+# any cell, as no word trial runs); every row of criterion 5's table and both
+# of criterion 7's are moved once, and a NaN value fails either criterion
 BROKEN_CELLS = [
     pytest.param(
         3,
@@ -238,9 +250,26 @@ BROKEN_CELLS = [
     pytest.param(
         5,
         {"check_G_functional_eq": lambda f: lambda x: 1e-11},
-        "G equation residual 1.00e-11 at x=0.5",
+        "G equation residual at x=0.5: off by 1.00e-11",
         id="5",
     ),
+    pytest.param(
+        5,
+        {"check_F_functional_eq": lambda f: lambda x: math.nan},
+        "F equation residual at x=0.5: off by nan, not below 1e-12",
+        id="5-nan",
+    ),
+    *(
+        pytest.param(5, {name: _moved}, f"{what}: off by 1.00e-09", id=f"5-{name}")
+        for name, what in (
+            ("reflection_term_F", "F reflection term"),
+            ("reflection_term_G", "G reflection term"),
+            ("mean_constant_from_F", "(9/2) F(log 2) vs c0"),
+            ("second_moment_constant_from_G", "(3/2) G(log 2) vs d2 + d0^2"),
+        )
+    ),
+    pytest.param(5, {"eval_F": _moved_value}, "F(pi) vs 1/(8 pi): off by 1.00e-09", id="5-eval_F"),
+    pytest.param(5, {"eval_G": _moved_value}, "G(pi) vs 1/24: off by 1.00e-09", id="5-eval_G"),
     pytest.param(
         6,
         {"_estimate_by_words": lambda f: _no_survivors, "estimate_survival": lambda f: _no_survivors},
@@ -252,6 +281,18 @@ BROKEN_CELLS = [
         {"mean_Y_exact": lambda f: lambda n: f(n) + Fraction(1, 1000)},
         "Y mean gap 1.000e-03 >= 1e-4",
         id="7",
+    ),
+    pytest.param(
+        7,
+        {"mean_X_exact": lambda f: lambda n: f(n) + Fraction(1, 100)},
+        "X mean gap 1.000e-02 >= 1e-3",
+        id="7-X",
+    ),
+    pytest.param(
+        7,
+        {"asym_moments_Y": lambda f: lambda n: (math.nan, math.nan)},
+        "Y mean gap nan >= 1e-4",
+        id="7-nan",
     ),
 ]
 

@@ -426,6 +426,14 @@ def test_readme_describes_the_stamped_stream():
     assert named == [str(RNG_STREAM)]
 
 
+def test_readme_names_the_word_routes_streams():
+    # criterion 6's X cells read stream 4's word draws, its Y cells stream 3's
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = text[text.index("The word routes simulate") :].split("\n\n")[0]
+    named = re.findall(r"stream\s+(\d+)'s\s+(?:draws\s+)?for\s+`([XY])`", paragraph)
+    assert named == [("4", "X"), ("3", "Y")]
+
+
 def _table_rows(capsys, argv):
     code, out = _run(capsys, argv)
     assert code == 0

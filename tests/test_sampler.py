@@ -7,6 +7,7 @@ of new seeds, however small a cell's expected count.
 """
 
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -635,6 +636,21 @@ def test_validation_errors():
         estimate_survival("X", 0, 100, seed=1)
     with pytest.raises(ValueError):
         estimate_survival("X", 5, 0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: SampleStats((3, 1)).survival_fraction(-1),
+            "protection level must be nonnegative",
+            id="SampleStats((3, 1)).survival_fraction(-1)",
+        ),
+    ],
+)
+def test_bad_input_raises_value_error_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("statistic", ["Z", "x", ""])

@@ -1,5 +1,6 @@
 """Integer truncated power series: algebra and edge cases."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -96,3 +97,23 @@ def test_pow_matches_repeated_product():
     base = _one(7) + _z(7)
     assert (base**4).coeffs == (base * base * base * base).coeffs
     assert (base**0).coeffs == _one(7).coeffs
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: TruncatedPowerSeries((1, 2)).shifted(-1),
+            "shift must be nonnegative",
+            id="shifted(-1)",
+        ),
+        pytest.param(
+            lambda: TruncatedPowerSeries((1, 2)) ** -1,
+            "only nonnegative integer powers are supported",
+            id="pow(-1)",
+        ),
+    ],
+)
+def test_bad_input_raises_value_error_with_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Tests for the brute-force layer: tree encoding, enumeration, oracles."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,13 @@ def test_oracle_bound_enforced():
         oracle_s(20, 1)
     with pytest.raises(ValueError, match="at most 16 for enumeration, got 17"):
         next(enumerate_trees(17))
+
+
+@pytest.mark.parametrize("oracle", (oracle_r, oracle_s), ids=("oracle_r(5, -1)", "oracle_s(5, -1)"))
+def test_bad_input_raises_value_error_with_its_message(oracle):
+    message = "protection level must be nonnegative"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        oracle(5, -1)
 
 
 def test_oracle_at_its_cap_matches_the_exact_engine():
